@@ -29,6 +29,7 @@ from .labelcover import (
     DAssignment,
     LlcInstance,
     combinatorial_layered_value,
+    csp_value_oracle,
     d_assignment_to_pas,
     enumerate_chains,
     reduce_mcsp_to_llc,
@@ -59,7 +60,6 @@ from .pas import (
     Pas,
     PasSequence,
     check_consistent,
-    csp_value_oracle,
     extract_solution,
     find_extendable_assignment,
     gap_parameters,

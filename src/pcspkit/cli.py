@@ -28,7 +28,7 @@ from .core import (
     evaluate,
 )
 from .errors import PcspkitError
-from .labelcover import reduce_mcsp_to_llc
+from .labelcover import csp_value_oracle, reduce_mcsp_to_llc
 from .minion import (
     FiniteFunction,
     MinionSlice,
@@ -41,7 +41,6 @@ from .pas import (
     GapParameters,
     PasSequence,
     check_consistent,
-    csp_value_oracle,
     extract_solution,
     gap_parameters,
     is_m_solution,

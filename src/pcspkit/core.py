@@ -368,3 +368,28 @@ def all_solutions(
         if _satisfies(mapping, instance, side):
             found.append(Assignment(mapping, side=tag))
     return tuple(found)
+
+
+def partial_solution_table(
+    phi: Instance, side: RelationalStructure, k: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> dict:
+    """Map every k_i-subset of phi's variables to its partial solutions, as
+    value tuples aligned with the subset, in lexicographic order.
+
+    The arities must be non-increasing with the top one at most |V|.  Subsets
+    appear in first-occurrence layer order: by arity as listed in k, then
+    lexicographically.  An empty tuple marks a subset with no partial solution.
+    """
+    k = tuple(int(x) for x in k)
+    if any(a < b for a, b in zip(k, k[1:])):
+        raise InputError(f"arities {list(k)} must be non-increasing")
+    if k[0] > len(phi.variables):
+        raise InputError(
+            f"top arity {k[0]} exceeds the {len(phi.variables)} variables; pad the instance first"
+        )
+    table = {}
+    for size in dict.fromkeys(k):
+        for u in itertools.combinations(phi.variables, size):
+            sols = all_solutions(phi.induced(u), side, budget=budget)
+            table[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
+    return table

@@ -25,7 +25,3 @@ def read_json(path):
 
 def digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

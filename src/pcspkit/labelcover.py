@@ -1,4 +1,5 @@
-"""Layered label cover instances and the subset reduction from bounded-scope CSPs.
+"""Layered label cover instances, the subset reduction from bounded-scope CSPs,
+and the exact value decision through the reduction.
 
 Variables live in ordered layers; constraints are total maps that only point
 from lower to higher layer index, at most one per ordered pair.  A chain picks
@@ -13,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions
-from .errors import InputError, InvariantError, ResourceError, StructuralError
+from .core import DEFAULT_BUDGET, Instance, RelationalStructure, partial_solution_table
+from .errors import InputError, ResourceError, StructuralError
 from .pas import Pas, PasSequence, check_consistent
 
 
@@ -53,12 +54,6 @@ class LlcInstance:
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "constraints", cmap)
         object.__setattr__(self, "has_empty_domain", empty)
-
-    def layer_of(self, x: str) -> int:
-        for i, layer in enumerate(self.layers):
-            if x in layer:
-                return i
-        raise KeyError(x)
 
     def to_payload(self) -> dict:
         return {
@@ -131,12 +126,14 @@ def enumerate_chains(inst: LlcInstance) -> tuple:
 
 def weakly_satisfies(f: DAssignment, chain: Sequence[str], inst: LlcInstance) -> bool:
     """Does some constraint along the chain carry f's source set into the target?"""
-    mapping = f.mapping
+    return _weakly_satisfied(f.mapping, chain, inst)
+
+
+def _weakly_satisfied(choice: Mapping, chain: Sequence[str], inst: LlcInstance) -> bool:
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             psi = inst.constraints[(chain[i], chain[j])]
-            image = {psi[a] for a in mapping[chain[i]]}
-            if image & mapping[chain[j]]:
+            if {psi[a] for a in choice[chain[i]]} & choice[chain[j]]:
                 return True
     return False
 
@@ -167,39 +164,25 @@ def reduce_mcsp_to_llc(
     domains and the instance is flagged instead of rejected.
     """
     k = tuple(int(x) for x in k)
-    if any(a < b for a, b in zip(k, k[1:])):
-        raise InputError(f"arities {list(k)} must be non-increasing")
-    v = phi.variables
-    if k[0] > len(v):
-        raise InputError("top arity exceeds the number of variables")
+    return _llc_from_table(partial_solution_table(phi, side, k, budget=budget), k)
 
-    solutions = {}
-    layers = []
+
+def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
+    layers = [[u for u in table if len(u) == size] for size in k]
     domains = {}
-    for i, size in enumerate(k):
-        layer = []
-        for u in itertools.combinations(v, size):
-            if u not in solutions:
-                sols = all_solutions(phi.induced(u), side, budget=budget)
-                solutions[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
-            name = _llc_variable(i, u)
-            layer.append(name)
-            domains[name] = tuple(_encode_partial(g) for g in solutions[u])
-        layers.append(tuple(layer))
-
     constraints = {}
-    for i in range(len(k)):
-        for j in range(i + 1, len(k)):
-            for u in itertools.combinations(v, k[i]):
+    for i, layer in enumerate(layers):
+        for u in layer:
+            domains[_llc_variable(i, u)] = tuple(_encode_partial(g) for g in table[u])
+            for j in range(i + 1, len(k)):
                 for w in itertools.combinations(u, k[j]):
                     idx = [u.index(x) for x in w]
-                    psi = {
+                    constraints[(_llc_variable(i, u), _llc_variable(j, w))] = {
                         _encode_partial(g): _encode_partial(tuple(g[p] for p in idx))
-                        for g in solutions[u]
+                        for g in table[u]
                     }
-                    constraints[(_llc_variable(i, u), _llc_variable(j, w))] = psi
-
-    return LlcInstance(layers, domains, constraints)
+    names = [[_llc_variable(i, u) for u in layer] for i, layer in enumerate(layers)]
+    return LlcInstance(names, domains, constraints)
 
 
 @dataclass(frozen=True)
@@ -221,62 +204,83 @@ def combinatorial_layered_value(
     chain, found by exhaustive backtracking."""
     if inst.has_empty_domain:
         return LayeredValueResult(None, None)
-    chains = enumerate_chains(inst)
+    for d in range(1, max_d + 1):
+        chosen = _chain_search(inst, d, budget)
+        if chosen is not None:
+            return LayeredValueResult(d, DAssignment(chosen))
+    return LayeredValueResult(None, None)
+
+
+def csp_value_oracle(
+    phi: Instance,
+    side: RelationalStructure,
+    k: Sequence[int],
+    d: int,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Exact decision: does a consistent sequence with arities `k`, entries
+    drawn from partial solutions of phi, and entry sizes at most d exist?
+
+    Such a sequence is a d-assignment of the subset reduction that weakly
+    satisfies every chain, so this is one chain search at width d.
+    """
+    k = tuple(int(x) for x in k)
+    table = partial_solution_table(phi, side, k, budget=budget)
+    # Subsets in the order the search prices them: an empty one answers no
+    # unless one before it already has too many candidate entries.
+    for sols in table.values():
+        if not sols:
+            return False
+        _width_options(sols, d, budget)
+    return _chain_search(_llc_from_table(table, k), d, budget) is not None
+
+
+def _width_options(domain: Sequence, d: int, budget: int) -> list:
+    """The nonempty subsets of `domain` of size at most d."""
+    options = [
+        frozenset(combo)
+        for size in range(1, min(d, len(domain)) + 1)
+        for combo in itertools.combinations(domain, size)
+    ]
+    if len(options) > budget:
+        raise ResourceError(
+            f"chain search at d={d} has a slot with over {budget} candidate entries"
+        )
+    return options
+
+
+def _chain_search(inst: LlcInstance, d: int, budget: int) -> Optional[dict]:
+    """A d-assignment weakly satisfying every chain, or None.
+
+    Backtracks over the variables in layer order, trying each variable's
+    options in order, and judges a chain as soon as its last variable is set.
+    """
     order = [x for layer in inst.layers for x in layer]
+    options = [_width_options(inst.domains[x], d, budget) for x in order]
     position = {x: n for n, x in enumerate(order)}
     finish_at = {}
-    for chain in chains:
-        last = max(position[x] for x in chain)
-        finish_at.setdefault(last, []).append(chain)
+    for chain in enumerate_chains(inst):
+        finish_at.setdefault(max(position[x] for x in chain), []).append(chain)
 
-    for d in range(1, max_d + 1):
-        options = {}
-        for x in order:
-            dom = inst.domains[x]
-            opts = [
-                frozenset(combo)
-                for size in range(1, min(d, len(dom)) + 1)
-                for combo in itertools.combinations(dom, size)
-            ]
-            if len(opts) > budget:
-                raise ResourceError(
-                    f"layered value search at d={d} exceeds the budget of {budget}"
-                )
-            options[x] = opts
+    chosen = {}
+    visited = 0
 
-        chosen = {}
-        visited = [0]
+    def search(n) -> bool:
+        nonlocal visited
+        if n == len(order):
+            return True
+        for opt in options[n]:
+            visited += 1
+            if visited > budget:
+                raise ResourceError(f"chain search visited over {budget} nodes")
+            chosen[order[n]] = opt
+            if all(_weakly_satisfied(chosen, c, inst) for c in finish_at.get(n, ())):
+                if search(n + 1):
+                    return True
+        chosen.pop(order[n], None)
+        return False
 
-        def satisfied(chain) -> bool:
-            for i in range(len(chain)):
-                for j in range(i + 1, len(chain)):
-                    psi = inst.constraints[(chain[i], chain[j])]
-                    image = {psi[a] for a in chosen[chain[i]]}
-                    if image & chosen[chain[j]]:
-                        return True
-            return False
-
-        def search(n) -> bool:
-            if n == len(order):
-                return True
-            x = order[n]
-            for opt in options[x]:
-                visited[0] += 1
-                if visited[0] > budget:
-                    raise ResourceError(
-                        f"layered value search visited over {budget} nodes"
-                    )
-                chosen[x] = opt
-                if all(satisfied(c) for c in finish_at.get(n, ())):
-                    if search(n + 1):
-                        return True
-            chosen.pop(x, None)
-            return False
-
-        if search(0):
-            witness = DAssignment({x: chosen[x] for x in order})
-            return LayeredValueResult(d, witness)
-    return LayeredValueResult(None, None)
+    return chosen if search(0) else None
 
 
 def d_assignment_to_pas(
@@ -290,33 +294,27 @@ def d_assignment_to_pas(
     sequence of partial assignment systems over the original variables.
 
     The reduced instance is rebuilt deterministically from (phi, k); the
-    assignment must weakly satisfy all of its chains.
+    assignment must weakly satisfy all of its chains, which is exactly the
+    consistency of the decoded sequence.
     """
-    inst = reduce_mcsp_to_llc(phi, side, k, budget=budget)
-    if inst.has_empty_domain:
+    k = tuple(int(x) for x in k)
+    table = partial_solution_table(phi, side, k, budget=budget)
+    if not all(table.values()):
         raise InputError("the reduced instance has an empty domain; no assignment exists")
     mapping = f.mapping
-    for x in inst.domains:
-        if x not in mapping:
-            raise InputError(f"assignment is missing variable {x!r}")
-        if not set(mapping[x]) <= set(inst.domains[x]):
-            raise InputError(f"assignment for {x!r} leaves its domain")
-    for chain in enumerate_chains(inst):
-        if not weakly_satisfies(f, chain, inst):
-            raise InputError(f"assignment fails weak satisfaction on chain {chain}")
-
-    v = phi.variables
     systems = []
     for i, size in enumerate(k):
         entries = {}
-        for u in itertools.combinations(v, size):
+        for u in itertools.combinations(phi.variables, size):
             name = _llc_variable(i, u)
+            if name not in mapping:
+                raise InputError(f"assignment is missing variable {name!r}")
+            if not mapping[name] <= {_encode_partial(g) for g in table[u]}:
+                raise InputError(f"assignment for {name!r} leaves its domain")
             entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
-        systems.append(Pas(v, side.domain, size, entries))
+        systems.append(Pas(phi.variables, side.domain, size, entries))
     seq = PasSequence(systems)
     cons = check_consistent(seq)
     if not cons:
-        raise InvariantError(
-            f"a weakly satisfying assignment decoded to an inconsistent sequence ({cons.chain})"
-        )
+        raise InputError(f"assignment fails weak satisfaction on the subset chain {cons.chain}")
     return seq

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Assignment, DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions
+from .core import Assignment
 from .errors import (
     InputError,
     InvariantError,
@@ -155,29 +155,32 @@ def pas_value(system: Pas) -> int:
     return max(len(group) for group in system.entries.values())
 
 
-def sequence_value(seq: PasSequence) -> int:
-    return max(pas_value(s) for s in seq.systems)
-
-
 def is_m_solution(f, system: Pas, m: int) -> bool:
     """True iff every m-subset restriction of f appears among the projections
     of some entry of the system."""
     if m > system.arity:
         raise InputError(f"m={m} exceeds the system arity {system.arity}")
     fmap = f.mapping if isinstance(f, Assignment) else dict(f)
-    v = system.variables
-    for u in itertools.combinations(v, m):
+    for u in itertools.combinations(system.variables, m):
         want = tuple(fmap[x] for x in u)
-        ok = False
-        for w in itertools.combinations(v, system.arity):
-            if not set(u) <= set(w):
-                continue
-            if any(_proj(g, w, u) == want for g in system.entries[w]):
-                ok = True
-                break
-        if not ok:
+        if not any(
+            _proj(g, w, u) == want
+            for w in _supersets(system.variables, u, system.arity)
+            for g in system.entries[w]
+        ):
             return False
     return True
+
+
+def _supersets(variables: tuple, base, size: int):
+    """The size-`size` subsets of the sorted `variables` that contain `base`,
+    in lexicographic order; none when base is larger than size."""
+    base = set(base)
+    if len(base) > size:
+        return
+    rest = [x for x in variables if x not in base]
+    for extra in itertools.combinations(rest, size - len(base)):
+        yield tuple(sorted(base.union(extra)))
 
 
 @dataclass(frozen=True)
@@ -261,24 +264,12 @@ def has_property(
         raise InputError("X must be a set and f must assign exactly its elements")
     if len(xs) > system.arity or l > system.arity:
         raise InputError("|X| and l must not exceed the system arity")
-    v = system.variables
-    k = system.arity
-    for w in itertools.combinations(v, l):
-        base = tuple(sorted(set(xs) | set(w)))
-        if len(base) > k:
-            return PropertyCheck(False, w)
-        rest = [x for x in v if x not in base]
-        found = False
-        for extra in itertools.combinations(rest, k - len(base)):
-            u = tuple(sorted(base + extra))
-            extends = any(_proj(g, u, xs) == f for g in system.entries[u])
-            if which is LocalProperty.EXTENSION and extends:
-                found = True
-                break
-            if which is LocalProperty.AVOIDANCE and not extends:
-                found = True
-                break
-        if not found:
+    wanted = which is LocalProperty.EXTENSION
+    for w in itertools.combinations(system.variables, l):
+        if not any(
+            any(_proj(g, u, xs) == f for g in system.entries[u]) == wanted
+            for u in _supersets(system.variables, set(xs) | set(w), system.arity)
+        ):
             return PropertyCheck(False, w)
     return PropertyCheck(True, None)
 
@@ -373,22 +364,15 @@ def split_to_value_one(
         need = set(y)
         for xs in itertools.combinations(y, k_prime):
             need |= set(witnesses[xs])
-        ex[y] = _lex_superset(v, need, k)
+        ex[y] = next(_supersets(v, need, k), None)
+        if ex[y] is None:
+            raise InvariantError(f"cannot extend a {len(need)}-set to size {k}")
     refined = refine(system, k_dblprime, ex)
 
     pair = PasSequence([refined, value_one])
     if not check_consistent(pair):
         raise InvariantError("split produced an inconsistent pair")
     return refined, value_one
-
-
-def _lex_superset(variables: tuple, base: set, size: int) -> tuple:
-    """Lexicographically-first size-`size` subset of `variables` containing base."""
-    if len(base) > size:
-        raise InvariantError(f"cannot extend a {len(base)}-set to size {size}")
-    rest = [x for x in variables if x not in base]
-    extra = rest[: size - len(base)]
-    return tuple(sorted(base | set(extra)))
 
 
 # -- parameter recursion ------------------------------------------------------
@@ -518,7 +502,9 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
                 f"l[{i}]={l[i]} split[{i}]=({kdd},{kd}) k[{i}]={kdd}+C({kdd},{kd})*{l[i]}={k[i]}"
             )
         if k[i] > PARAMETER_LIMIT:
-            raise ResourceError(f"arity k[{i}]={k[i]} exceeds the limit {PARAMETER_LIMIT}")
+            raise ResourceError(
+                f"arity k[{i}] has {k[i].bit_length()} bits, over the limit {PARAMETER_LIMIT}"
+            )
 
     l[0] = p[0] + sum(comb(p[0], p[j]) * (k[j] - p[j]) for j in range(1, r + 1))
     s = sum(split[i][1] if split[i] else 1 for i in range(1, r + 1))
@@ -528,7 +514,9 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
     k[0] = max(raw, k[1])
     trace.append(f"l[0]={l[0]} sum k'={s} k0_raw={raw} k[0]=max(raw,k[1])={k[0]}")
     if k[0] > PARAMETER_LIMIT:
-        raise ResourceError(f"arity k[0]={k[0]} exceeds the limit {PARAMETER_LIMIT}")
+        raise ResourceError(
+            f"arity k[0] has {k[0].bit_length()} bits, over the limit {PARAMETER_LIMIT}"
+        )
 
     if any(a < b for a, b in zip(k, k[1:])):
         raise InvariantError(f"parameter recursion produced increasing arities {k}")
@@ -709,10 +697,7 @@ def _subset_selector(system: Pas, l: int, size: int):
 def _avoiding_superset(system: Pas, xs: tuple, f: tuple, need: set) -> tuple:
     """Lexicographically-first arity-sized superset of X union `need` none of
     whose entry elements extends f on X."""
-    base = set(xs) | set(need)
-    for u in itertools.combinations(system.variables, system.arity):
-        if not base <= set(u):
-            continue
+    for u in _supersets(system.variables, set(xs) | set(need), system.arity):
         if all(_proj(g, u, xs) != f for g in system.entries[u]):
             return u
     raise InvariantError(f"no avoiding superset exists for {xs}; avoidance property broken")
@@ -721,110 +706,7 @@ def _avoiding_superset(system: Pas, xs: tuple, f: tuple, need: set) -> tuple:
 def _extending_superset(system: Pas, xs: tuple, f: tuple, need: set) -> tuple:
     """Lexicographically-first arity-sized superset of X union `need` whose
     entry contains an extension of f on X."""
-    base = set(xs) | set(need)
-    for u in itertools.combinations(system.variables, system.arity):
-        if not base <= set(u):
-            continue
+    for u in _supersets(system.variables, set(xs) | set(need), system.arity):
         if any(_proj(g, u, xs) == f for g in system.entries[u]):
             return u
     raise InvariantError(f"no extending superset exists for {xs}; extension property broken")
-
-
-# -- exact instance-level value oracle ---------------------------------------
-
-
-def csp_value_oracle(
-    phi: Instance,
-    side: RelationalStructure,
-    k: Sequence[int],
-    d: int,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Exact decision: does a consistent sequence with arities `k`, entries
-    drawn from partial solutions of phi, and entry sizes at most d exist?
-
-    Enumerates candidate sequences by backtracking over (position, subset)
-    slots in layer-major order, pruning a branch as soon as some fully decided
-    chain admits no agreeing pair.
-    """
-    k = tuple(int(x) for x in k)
-    if any(a < b for a, b in zip(k, k[1:])):
-        raise InputError(f"arities {list(k)} must be non-increasing")
-    v = phi.variables
-    if k[0] > len(v):
-        raise InputError("top arity exceeds the number of variables")
-
-    partials = {}
-    for size in sorted(set(k)):
-        for u in itertools.combinations(v, size):
-            sols = all_solutions(phi.induced(u), side, budget=budget)
-            partials[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
-
-    slots = []
-    for i, size in enumerate(k):
-        for u in itertools.combinations(v, size):
-            slots.append((i, u))
-
-    candidates = []
-    for i, u in slots:
-        pool = partials[u]
-        if not pool:
-            return False
-        options = [
-            frozenset(combo)
-            for size in range(1, min(d, len(pool)) + 1)
-            for combo in itertools.combinations(pool, size)
-        ]
-        if len(options) > budget:
-            raise ResourceError(f"value oracle slot with over {budget} candidate entries")
-        candidates.append(options)
-
-    slot_index = {su: n for n, su in enumerate(slots)}
-    chains = []
-    r = len(k) - 1
-
-    def build(prefix):
-        if len(prefix) == r + 1:
-            chains.append(tuple(prefix))
-            return
-        pool = v if not prefix else prefix[-1]
-        for u in itertools.combinations(pool, k[len(prefix)]):
-            build(prefix + [u])
-
-    build([])
-    # A chain can only be judged once its last slot (layer-major order) is set.
-    finish_at = {}
-    for chain in chains:
-        last = max(slot_index[(i, u)] for i, u in enumerate(chain))
-        finish_at.setdefault(last, []).append(chain)
-
-    chosen = [None] * len(slots)
-    visited = [0]
-
-    def consistent_chain(chain) -> bool:
-        for i in range(len(chain)):
-            gi = chosen[slot_index[(i, chain[i])]]
-            for j in range(i + 1, len(chain)):
-                gj = chosen[slot_index[(j, chain[j])]]
-                down = {_proj(g, chain[i], chain[j]) for g in gi}
-                if down & gj:
-                    return True
-        return False
-
-    def search(n) -> bool:
-        if n == len(slots):
-            return True
-        for option in candidates[n]:
-            visited[0] += 1
-            if visited[0] > budget:
-                raise ResourceError(
-                    f"value oracle visited over {budget} candidate entries"
-                )
-            chosen[n] = option
-            if all(consistent_chain(c) for c in finish_at.get(n, ())):
-                if search(n + 1):
-                    return True
-        chosen[n] = None
-        return False
-
-    return search(0)

@@ -29,9 +29,9 @@ from .core import (
     Instance,
     PcspTemplate,
     RelationalStructure,
-    all_solutions,
     brute_force_solve,
     evaluate,
+    partial_solution_table,
 )
 from .errors import (
     InputError,
@@ -126,29 +126,16 @@ def build_auxiliary(
     An empty partial-solution set is a broken promise and is rejected.
     """
     k = tuple(int(x) for x in k)
-    if any(a < b for a, b in zip(k, k[1:])):
-        raise InputError(f"arities {list(k)} must be non-increasing")
     v = phi.variables
-    if k[0] > len(v):
-        raise InputError("top arity exceeds the number of variables; pad the instance first")
+    solutions = partial_solution_table(phi, strict_side, k, budget=budget)
+    for u, sols in solutions.items():
+        if not sols:
+            raise PromiseViolationError(
+                f"no partial solution on subset {_subset_name(u)}; "
+                "the strict side is unsolvable"
+            )
 
-    order = []
-    layer_map: dict = {}
-    solutions: dict = {}
-    for i, size in enumerate(k):
-        for u in itertools.combinations(v, size):
-            if u not in solutions:
-                sols = all_solutions(phi.induced(u), strict_side, budget=budget)
-                solutions[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
-                if not solutions[u]:
-                    raise PromiseViolationError(
-                        f"no partial solution on subset {_subset_name(u)}; "
-                        "the strict side is unsolvable"
-                    )
-                order.append(u)
-            layer_map.setdefault(u, []).append(i)
-
-    fitted = max(len(solutions[u]) for u in order)
+    fitted = max(len(sols) for sols in solutions.values())
     uniform_size = len(strict_side.domain) ** k[0]
     if c_mode == "fitted":
         size = fitted
@@ -165,19 +152,16 @@ def build_auxiliary(
     width = len(str(size - 1))
     c_labels = tuple(f"c{i:0{width}d}" for i in range(size))
 
-    variables = []
-    by_name = {}
-    for u in order:
-        sigma = {g: c_labels[idx] for idx, g in enumerate(solutions[u])}
-        var = PsiVariable(
+    variables = {
+        u: PsiVariable(
             name=_subset_name(u),
             subset=u,
-            layers=tuple(layer_map[u]),
-            solutions=solutions[u],
-            sigma=sigma,
+            layers=tuple(i for i, ki in enumerate(k) if ki == len(u)),
+            solutions=sols,
+            sigma={g: c_labels[idx] for idx, g in enumerate(sols)},
         )
-        variables.append(var)
-        by_name[var.name] = var
+        for u, sols in solutions.items()
+    }
 
     pairs = set()
     for i in range(len(k)):
@@ -187,7 +171,7 @@ def build_auxiliary(
                     pairs.add((u, w))
     constraints = []
     for u, w in sorted(pairs):
-        uvar, wvar = by_name[_subset_name(u)], by_name[_subset_name(w)]
+        uvar, wvar = variables[u], variables[w]
         idx = [u.index(x) for x in w]
         cmap = {
             uvar.sigma[g]: wvar.sigma[tuple(g[p] for p in idx)] for g in uvar.solutions
@@ -200,7 +184,7 @@ def build_auxiliary(
         c_mode=c_mode,
         uniform_c_size=uniform_size,
         source_variables=v,
-        variables=tuple(variables),
+        variables=tuple(variables.values()),
         constraints=tuple(constraints),
     )
 
@@ -532,7 +516,8 @@ def pipeline_reduce(
     are padded with unconstrained variables.  A detected promise violation
     (the strict side has no partial solutions at some subset) certifies the
     input as a no-instance, which is mapped to a fixed relaxed-unsolvable
-    gadget of the target.
+    gadget of the target.  Any other source with more variables than a compact
+    parameter record's top arity is refused with a ParameterError.
     """
     m = max(rel.arity for rel in source.strict.relations.values())
     if params is None:
@@ -566,6 +551,15 @@ def pipeline_reduce(
         )
         return PipelineResult(gadget, layout, params)
 
+    # Compact arities are only shown to decode sources that fit in one
+    # top-arity subset.  On a larger one (the 5-cycle at k=(4,4)) the extension
+    # search at position zero needs an arity above k[0], and recovery would
+    # fail only after the whole long-code step had run.
+    if params.mode == "compact" and len(padded.variables) > params.k[0]:
+        raise ParameterError(
+            f"compact parameters cover sources of at most k[0]={params.k[0]} variables, "
+            f"this one has {len(padded.variables)}"
+        )
     instance, layout = longcode_reduce(aux, target, budget=budget, padding=pads)
     return PipelineResult(instance, layout, params)
 

@@ -62,6 +62,11 @@ class TestCommands:
         assert json.loads(out.read_text())["k"] == [3, 2]
         assert "k = [3, 2]" in capsys.readouterr().out
 
+    def test_gap_params_over_the_limit_is_one_short_error_line(self, capsys):
+        assert main(["gap", "params", "--domain-size", "2", "--m", "2", "--values", "3,3,3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
     def test_poly_enum_count(self, files, capsys):
         assert main(["poly", "enum", "--template", files["t22.json"], "--arity", "2"]) == 0
         assert "4 polymorphism" in capsys.readouterr().out

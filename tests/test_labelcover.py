@@ -3,11 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pcspkit as pk
-from pcspkit.errors import InputError, StructuralError
+from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from conftest import triangle_instance, unary_instance
+from conftest import ALLOWED_SETS, triangle_instance, unary_instance
+from reference_oracle import csp_value_oracle as reference_oracle
 
 
 def tiny_llc():
@@ -158,6 +160,55 @@ class TestValueAgreement:
                     pk.reduce_mcsp_to_llc(phi, side, k), d
                 )
                 assert oracle == (layered.value is not None), (phi.to_payload(), d)
+
+
+UNARY_SIDE = pk.structure(["0", "1"], only0=(1, {("0",)}), only1=(1, {("1",)}))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A graph or unary instance on at most 5 variables, arities, a width and
+    a budget, small enough that some draws run out of budget."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([k for k in ((2, 1), (3, 2), (3, 3)) if k[0] <= n]))
+    variables = [f"x{i}" for i in range(n)]
+    if draw(st.booleans()):
+        pairs = [(a, b) for i, a in enumerate(variables) for b in variables[i:]]
+        scopes = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+        phi, side = pk.Instance(variables, [(s, "neq") for s in scopes]), pk.complete_graph(2)
+    else:
+        allowed = draw(st.lists(st.sampled_from(ALLOWED_SETS), min_size=n, max_size=n))
+        phi, side = unary_instance(variables, allowed), UNARY_SIDE
+    d = draw(st.sampled_from((1, 2)))
+    budget = draw(st.sampled_from((4, 30, 300, 3000)))
+    return phi, side, k, d, budget
+
+
+# The first 3-subset has 8 partial solutions, so 36 candidate entries at d=2,
+# over a budget of 30, while a later subset has none: the over-budget slot
+# comes first in slot order, so both oracles must fail on the budget.
+PRICED_BEFORE_EMPTY = (
+    unary_instance(["x0", "x1", "x2", "x3"], [ALLOWED_SETS[3]] * 3 + [ALLOWED_SETS[0]]),
+    UNARY_SIDE,
+    (3, 2),
+    2,
+    30,
+)
+
+
+def _decide(oracle, phi, side, k, d, budget):
+    try:
+        return oracle(phi, side, k, d, budget=budget)
+    except ResourceError:
+        return "over budget"
+
+
+class TestOracleAgainstReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    @example(case=PRICED_BEFORE_EMPTY)
+    def test_same_answer_and_same_budget_failures(self, case):
+        assert _decide(pk.csp_value_oracle, *case) == _decide(reference_oracle, *case)
 
 
 class TestRoundTrip:

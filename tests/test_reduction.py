@@ -8,7 +8,7 @@ import pcspkit as pk
 from pcspkit.errors import InputError, ParameterError, PromiseViolationError
 from pcspkit.reduction import _pad_instance
 
-from conftest import triangle_instance
+from conftest import cycle_instance, triangle_instance
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,12 @@ class TestPipeline:
         result = pk.pipeline_reduce(triangle_instance(), t22, t22, ident22)
         assert result.layout.gadget
         assert pk.brute_force_solve(result.instance, k2) is None
+
+    def test_compact_parameters_refuse_a_source_past_the_top_arity(self, t22, ident22):
+        # every 4-subset of the 5-cycle is 2-colourable, so no promise
+        # violation shows, yet k=(4,4) cannot decode a 5-variable source
+        with pytest.raises(ParameterError):
+            pk.pipeline_reduce(cycle_instance(5), t22, t22, ident22)
 
     def test_gadget_layout_refuses_decoding(self, t22, ident22):
         result = pk.pipeline_reduce(triangle_instance(), t22, t22, ident22)
