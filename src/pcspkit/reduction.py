@@ -3,15 +3,15 @@
 The pipeline has two stages.  First the source instance is rewritten over its
 bounded-size variable subsets: one variable per subset, whose values are the
 partial solutions on that subset, renamed into a fixed label set C so that the
-constraints become graphs of maps C -> C.  Second comes the long-code step:
-every variable of the subset instance gets a cloud of positions indexed by the
-functions C -> A, every constraint a cloud indexed by functions on its graph,
-constraints force each cloud to behave like a function application compatible
-with the target template, and merges identify variable-cloud positions with
-the corresponding projection positions of constraint clouds.
+constraints become graphs of maps C -> C.  Second comes the long-code step,
+emitted as a minor condition: every subset variable gets a cloud of positions
+indexed by the functions from its own labels to A, each cloud is constrained
+to behave like a polymorphism of the target, and a constraint u -> w with map
+pi identifies position g of w with position g o pi of u, so that the function
+at w is the minor of the function at u along pi.
 
-The decoder walks the same data backwards: cloud functions are restricted to
-their determining coordinates, re-indexed by partial solutions, pushed through
+The decoder walks the same data backwards: cloud functions are checked
+against the minor condition, re-indexed by partial solutions, pushed through
 a set-valued chain-preserving table, and assembled into a sequence of partial
 assignment systems from which the extraction machinery recovers a solution.
 """
@@ -19,7 +19,8 @@ assignment systems from which the extraction machinery recovers a solution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -85,9 +86,6 @@ class PsiConstraint:
     w: str
     cmap: dict  # C label -> C label, the renamed restriction map
 
-    def graph(self) -> tuple:
-        return tuple(sorted((a, b) for a, b in self.cmap.items()))
-
 
 @dataclass(frozen=True)
 class AuxiliaryInstance:
@@ -103,11 +101,12 @@ class AuxiliaryInstance:
     variables: tuple  # PsiVariable, first-occurrence order
     constraints: tuple  # PsiConstraint
 
+    @cached_property
+    def _by_name(self) -> dict:
+        return {var.name: var for var in self.variables}
+
     def variable(self, name: str) -> PsiVariable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(name)
+        return self._by_name[name]
 
 
 def build_auxiliary(
@@ -191,13 +190,14 @@ def build_auxiliary(
 
 # -- clouds and the long-code step ---------------------------------------------
 
+LAYOUT_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class Cloud:
     id: str
-    kind: str  # "variable" or "constraint"
-    ref: str  # psi variable name, or "u>w" for a constraint
-    index_labels: tuple  # coordinates of the positions: C labels or graph pairs
+    ref: str  # subset variable name
+    index_labels: tuple  # the variable's own C labels, the coordinates of its positions
 
     def size(self, alphabet: int) -> int:
         return alphabet ** len(self.index_labels)
@@ -205,8 +205,9 @@ class Cloud:
 
 @dataclass(frozen=True)
 class CloudLayout:
-    """Everything the decoder needs: the subset instance, the clouds, and the
-    union-find representatives of merged positions."""
+    """Everything the decoder needs: the subset instance, one cloud per subset
+    variable, and the representatives of positions the minor condition
+    identified."""
 
     target: PcspTemplate
     aux: Optional[AuxiliaryInstance]
@@ -219,29 +220,19 @@ class CloudLayout:
     def rep(self, position: str) -> str:
         return self.reps.get(position, position)
 
-    def cloud_by_ref(self, kind: str, ref: str) -> Cloud:
-        for cloud in self.clouds:
-            if cloud.kind == kind and cloud.ref == ref:
-                return cloud
-        raise KeyError((kind, ref))
-
     def position(self, cloud: Cloud, index: int) -> str:
         width = len(str(cloud.size(len(self.target.strict.domain)) - 1))
         return f"{cloud.id}p{index:0{width}d}"
 
     def to_payload(self) -> dict:
         payload = {
+            "format": LAYOUT_FORMAT,
             "target": self.target.to_payload(),
             "gadget": self.gadget,
             "gadget_reason": self.gadget_reason,
             "padding": list(self.padding),
             "clouds": [
-                {
-                    "id": c.id,
-                    "kind": c.kind,
-                    "ref": c.ref,
-                    "index_labels": [list(x) if isinstance(x, tuple) else x for x in c.index_labels],
-                }
+                {"id": c.id, "ref": c.ref, "index_labels": list(c.index_labels)}
                 for c in self.clouds
             ],
             "reps": dict(self.reps),
@@ -271,6 +262,14 @@ class CloudLayout:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "CloudLayout":
+        # Older layouts carried constraint clouds and clouds over all of C;
+        # reading one as this format would misplace every position.
+        found = payload.get("format") if isinstance(payload, Mapping) else None
+        if found != LAYOUT_FORMAT:
+            raise InputError(
+                f"layout format {found!r} is not the supported format {LAYOUT_FORMAT}; "
+                "write the layout again with reduce pcsp"
+            )
         aux = None
         if "aux" in payload:
             data = payload["aux"]
@@ -299,14 +298,7 @@ class CloudLayout:
                 ),
             )
         clouds = tuple(
-            Cloud(
-                id=c["id"],
-                kind=c["kind"],
-                ref=c["ref"],
-                index_labels=tuple(
-                    tuple(x) if isinstance(x, list) else x for x in c["index_labels"]
-                ),
-            )
+            Cloud(id=c["id"], ref=c["ref"], index_labels=tuple(c["index_labels"]))
             for c in payload["clouds"]
         )
         return CloudLayout(
@@ -318,27 +310,6 @@ class CloudLayout:
             gadget=payload["gadget"],
             gadget_reason=payload.get("gadget_reason", ""),
         )
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
 
 
 def _function_index(digits: Sequence[int], base: int) -> int:
@@ -356,109 +327,80 @@ def longcode_reduce(
 ) -> tuple:
     """Emit the long-code instance of the target promise CSP plus its layout.
 
-    Per variable cloud (positions: functions C -> A) and per constraint cloud
-    (positions: functions on the constraint's graph) and per target relation,
-    one constraint for every matrix of relation tuples indexed by the cloud's
-    coordinates: the scope collects the positions given by the matrix rows.
-    Merges identify each variable-cloud position f with the constraint-cloud
-    position f composed with the corresponding graph projection; scopes then
-    reference the lexicographically least member of each merge class.
+    Every subset variable gets one cloud whose positions are the functions
+    from its own labels to A, in mixed-radix order.  Per cloud and per target
+    relation, one constraint for every matrix of relation tuples indexed by
+    the cloud's labels: the scope collects the positions given by the matrix
+    rows.  A constraint u -> w with map pi is the minor condition F_w = F_u
+    minored along pi: position g of w is identified with position g o pi of
+    u.  Scopes reference the least position of each identification class.
     """
-    a1 = target.strict.domain
-    base = len(a1)
-    digit = {atom: i for i, atom in enumerate(a1)}
+    base = len(target.strict.domain)
+    digit = {atom: i for i, atom in enumerate(target.strict.domain)}
+    width = len(str(max(len(aux.variables) - 1, 0)))
+    clouds = tuple(
+        Cloud(id=f"u{n:0{width}d}", ref=var.name, index_labels=var.labels())
+        for n, var in enumerate(aux.variables)
+    )
 
-    vwidth = len(str(max(len(aux.variables) - 1, 0)))
-    ewidth = len(str(max(len(aux.constraints) - 1, 0)))
-    clouds = []
-    cloud_of_var = {}
-    cloud_of_con = {}
-    for n, var in enumerate(aux.variables):
-        cloud = Cloud(
-            id=f"u{n:0{vwidth}d}", kind="variable", ref=var.name, index_labels=aux.c_labels
-        )
-        clouds.append(cloud)
-        cloud_of_var[var.name] = cloud
-    for n, con in enumerate(aux.constraints):
-        cloud = Cloud(
-            id=f"e{n:0{ewidth}d}",
-            kind="constraint",
-            ref=f"{con.u}>{con.w}",
-            index_labels=con.graph(),
-        )
-        clouds.append(cloud)
-        cloud_of_con[(con.u, con.w)] = cloud
-
-    total_positions = 0
-    total_matrices = 0
-    for cloud in clouds:
-        size = cloud.size(base)
-        total_positions += size
-        for rel in target.strict.relations.values():
-            total_matrices += len(rel.tuples) ** len(cloud.index_labels)
+    total_positions = sum(cloud.size(base) for cloud in clouds)
+    total_matrices = sum(
+        len(rel.tuples) ** len(cloud.index_labels)
+        for cloud in clouds
+        for rel in target.strict.relations.values()
+    )
     if total_positions > budget or total_matrices > budget:
         raise ResourceError(
             f"cloud enumeration needs {total_positions} positions and "
             f"{total_matrices} matrices, over the budget of {budget}"
         )
 
-    layout_stub = CloudLayout(
-        target=target,
-        aux=aux,
-        clouds=tuple(clouds),
-        reps={},
-        padding=tuple(padding),
-    )
+    # Positions are ints: the cloud's offset plus the function's index.
+    layout = CloudLayout(target=target, aux=aux, clouds=clouds, reps={}, padding=tuple(padding))
+    offset = {}
+    names = []
+    for cloud in clouds:
+        offset[cloud.ref] = len(names)
+        names.extend(layout.position(cloud, idx) for idx in range(cloud.size(base)))
 
-    uf = _UnionFind()
-    cpos = {c: i for i, c in enumerate(aux.c_labels)}
+    parent = list(range(len(names)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    labels = {cloud.ref: cloud.index_labels for cloud in clouds}
     for con in aux.constraints:
-        econ = cloud_of_con[(con.u, con.w)]
-        graph = econ.index_labels
-        for side_idx, varname in ((0, con.u), (1, con.w)):
-            vcloud = cloud_of_var[varname]
-            perm = [cpos[pair[side_idx]] for pair in graph]
-            for fidx, fdigits in enumerate(
-                itertools.product(range(base), repeat=len(aux.c_labels))
-            ):
-                gidx = _function_index([fdigits[p] for p in perm], base)
-                uf.union(
-                    layout_stub.position(vcloud, fidx), layout_stub.position(econ, gidx)
-                )
+        column = {label: i for i, label in enumerate(labels[con.w])}
+        pick = [column[con.cmap[a]] for a in labels[con.u]]
+        for gidx, g in enumerate(itertools.product(range(base), repeat=len(column))):
+            ru = find(offset[con.u] + _function_index([g[p] for p in pick], base))
+            rw = find(offset[con.w] + gidx)
+            if ru != rw:
+                parent[max(ru, rw)] = min(ru, rw)
 
     emitted = set()
     for cloud in clouds:
+        start = offset[cloud.ref]
         nlabels = len(cloud.index_labels)
         for rel_name, rel in sorted(target.strict.relations.items()):
-            cols = rel.sorted_tuples
+            cols = [[digit[atom] for atom in t] for t in rel.sorted_tuples]
             for matrix in itertools.product(cols, repeat=nlabels):
-                scope = []
-                for row in range(rel.arity):
-                    digits = [digit[matrix[c][row]] for c in range(nlabels)]
-                    pos = layout_stub.position(cloud, _function_index(digits, base))
-                    scope.append(uf.find(pos))
-                emitted.add((rel_name, tuple(scope)))
+                scope = tuple(
+                    names[find(start + _function_index([col[row] for col in matrix], base))]
+                    for row in range(rel.arity)
+                )
+                emitted.add((rel_name, scope))
 
-    roots = set()
-    for cloud in clouds:
-        size = cloud.size(base)
-        for idx in range(size):
-            roots.add(uf.find(layout_stub.position(cloud, idx)))
-
-    reps = {x: uf.find(x) for x in uf.parent}
-    reps = {x: r for x, r in reps.items() if x != r}
-    layout = CloudLayout(
-        target=target,
-        aux=aux,
-        clouds=tuple(clouds),
-        reps=reps,
-        padding=tuple(padding),
-    )
+    roots = [find(x) for x in range(len(names))]
+    reps = {names[x]: names[r] for x, r in enumerate(roots) if x != r}
     instance = Instance(
-        sorted(roots),
+        sorted({names[r] for r in roots}),
         [Constraint(scope, rel_name) for rel_name, scope in sorted(emitted)],
     )
-    return instance, layout
+    return instance, replace(layout, reps=reps)
 
 
 # -- the full pipeline ----------------------------------------------------------
@@ -577,8 +519,6 @@ def read_cloud_functions(
     a1 = layout.target.strict.domain
     out = {}
     for cloud in layout.clouds:
-        if cloud.kind != "variable":
-            continue
         table = []
         for idx in range(cloud.size(len(a1))):
             pos = layout.rep(layout.position(cloud, idx))
@@ -605,23 +545,13 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
         star[var.name] = var.sigma[restriction]
 
     values = {}
-
-    def put(position, value):
-        rep = layout.rep(position)
-        if values.setdefault(rep, value) != value:
-            raise InvariantError("merge classes received clashing lifted values")
-
-    base = len(layout.target.strict.domain)
     a1 = layout.target.strict.domain
     for cloud in layout.clouds:
-        if cloud.kind == "variable":
-            pick = cloud.index_labels.index(star[cloud.ref])
-        else:
-            uname, wname = cloud.ref.split(">")
-            pair = (star[uname], star[wname])
-            pick = cloud.index_labels.index(pair)
+        pick = cloud.index_labels.index(star[cloud.ref])
         for idx, args in enumerate(itertools.product(a1, repeat=len(cloud.index_labels))):
-            put(layout.position(cloud, idx), args[pick])
+            rep = layout.rep(layout.position(cloud, idx))
+            if values.setdefault(rep, args[pick]) != args[pick]:
+                raise InvariantError("merge classes received clashing lifted values")
     return Assignment(values, side="strict")
 
 

@@ -1,0 +1,192 @@
+"""The long-code step built the long way: one cloud per subset variable over
+all of C, one cloud per constraint over the constraint's graph, and a string
+union-find that merges each variable-cloud position with the matching
+projection position of every constraint cloud.  Tests use it as the reference
+for pcspkit.longcode_reduce, whose output must be the same instance up to a
+renaming of variables."""
+
+import itertools
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from pcspkit.core import DEFAULT_BUDGET, Constraint, Instance, PcspTemplate
+from pcspkit.errors import ResourceError
+from pcspkit.reduction import AuxiliaryInstance
+
+
+@dataclass(frozen=True)
+class Cloud:
+    id: str
+    kind: str  # "variable" or "constraint"
+    ref: str  # psi variable name, or "u>w" for a constraint
+    index_labels: tuple  # coordinates of the positions: C labels or graph pairs
+
+    def size(self, alphabet: int) -> int:
+        return alphabet ** len(self.index_labels)
+
+
+@dataclass(frozen=True)
+class CloudLayout:
+    """The clouds and the union-find representatives of merged positions."""
+
+    target: PcspTemplate
+    aux: Optional[AuxiliaryInstance]
+    clouds: tuple
+    reps: dict  # position name -> representative, identity entries omitted
+    padding: tuple  # variables added to reach the top arity
+    gadget: bool = False
+    gadget_reason: str = ""
+
+    def rep(self, position: str) -> str:
+        return self.reps.get(position, position)
+
+    def cloud_by_ref(self, kind: str, ref: str) -> Cloud:
+        for cloud in self.clouds:
+            if cloud.kind == kind and cloud.ref == ref:
+                return cloud
+        raise KeyError((kind, ref))
+
+    def position(self, cloud: Cloud, index: int) -> str:
+        width = len(str(cloud.size(len(self.target.strict.domain)) - 1))
+        return f"{cloud.id}p{index:0{width}d}"
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        while self.parent.get(x, x) != x:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+
+
+def _function_index(digits: Sequence[int], base: int) -> int:
+    idx = 0
+    for d in digits:
+        idx = idx * base + d
+    return idx
+
+
+def longcode_reduce(
+    aux: AuxiliaryInstance,
+    target: PcspTemplate,
+    budget: int = DEFAULT_BUDGET,
+    padding: Sequence[str] = (),
+) -> tuple:
+    """Emit the long-code instance of the target promise CSP plus its layout.
+
+    Per variable cloud (positions: functions C -> A) and per constraint cloud
+    (positions: functions on the constraint's graph) and per target relation,
+    one constraint for every matrix of relation tuples indexed by the cloud's
+    coordinates: the scope collects the positions given by the matrix rows.
+    Merges identify each variable-cloud position f with the constraint-cloud
+    position f composed with the corresponding graph projection; scopes then
+    reference the lexicographically least member of each merge class.
+    """
+    a1 = target.strict.domain
+    base = len(a1)
+    digit = {atom: i for i, atom in enumerate(a1)}
+
+    vwidth = len(str(max(len(aux.variables) - 1, 0)))
+    ewidth = len(str(max(len(aux.constraints) - 1, 0)))
+    clouds = []
+    cloud_of_var = {}
+    cloud_of_con = {}
+    for n, var in enumerate(aux.variables):
+        cloud = Cloud(
+            id=f"u{n:0{vwidth}d}", kind="variable", ref=var.name, index_labels=aux.c_labels
+        )
+        clouds.append(cloud)
+        cloud_of_var[var.name] = cloud
+    for n, con in enumerate(aux.constraints):
+        cloud = Cloud(
+            id=f"e{n:0{ewidth}d}",
+            kind="constraint",
+            ref=f"{con.u}>{con.w}",
+            index_labels=tuple(sorted((a, b) for a, b in con.cmap.items())),
+        )
+        clouds.append(cloud)
+        cloud_of_con[(con.u, con.w)] = cloud
+
+    total_positions = 0
+    total_matrices = 0
+    for cloud in clouds:
+        size = cloud.size(base)
+        total_positions += size
+        for rel in target.strict.relations.values():
+            total_matrices += len(rel.tuples) ** len(cloud.index_labels)
+    if total_positions > budget or total_matrices > budget:
+        raise ResourceError(
+            f"cloud enumeration needs {total_positions} positions and "
+            f"{total_matrices} matrices, over the budget of {budget}"
+        )
+
+    layout_stub = CloudLayout(
+        target=target,
+        aux=aux,
+        clouds=tuple(clouds),
+        reps={},
+        padding=tuple(padding),
+    )
+
+    uf = _UnionFind()
+    cpos = {c: i for i, c in enumerate(aux.c_labels)}
+    for con in aux.constraints:
+        econ = cloud_of_con[(con.u, con.w)]
+        graph = econ.index_labels
+        for side_idx, varname in ((0, con.u), (1, con.w)):
+            vcloud = cloud_of_var[varname]
+            perm = [cpos[pair[side_idx]] for pair in graph]
+            for fidx, fdigits in enumerate(
+                itertools.product(range(base), repeat=len(aux.c_labels))
+            ):
+                gidx = _function_index([fdigits[p] for p in perm], base)
+                uf.union(
+                    layout_stub.position(vcloud, fidx), layout_stub.position(econ, gidx)
+                )
+
+    emitted = set()
+    for cloud in clouds:
+        nlabels = len(cloud.index_labels)
+        for rel_name, rel in sorted(target.strict.relations.items()):
+            cols = rel.sorted_tuples
+            for matrix in itertools.product(cols, repeat=nlabels):
+                scope = []
+                for row in range(rel.arity):
+                    digits = [digit[matrix[c][row]] for c in range(nlabels)]
+                    pos = layout_stub.position(cloud, _function_index(digits, base))
+                    scope.append(uf.find(pos))
+                emitted.add((rel_name, tuple(scope)))
+
+    roots = set()
+    for cloud in clouds:
+        size = cloud.size(base)
+        for idx in range(size):
+            roots.add(uf.find(layout_stub.position(cloud, idx)))
+
+    reps = {x: uf.find(x) for x in uf.parent}
+    reps = {x: r for x, r in reps.items() if x != r}
+    layout = CloudLayout(
+        target=target,
+        aux=aux,
+        clouds=tuple(clouds),
+        reps=reps,
+        padding=tuple(padding),
+    )
+    instance = Instance(
+        sorted(roots),
+        [Constraint(scope, rel_name) for rel_name, scope in sorted(emitted)],
+    )
+    return instance, layout

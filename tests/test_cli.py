@@ -133,6 +133,32 @@ class TestCommands:
         recovered = pk.Assignment.from_payload(json.loads(sol_out.read_text()))
         assert pk.evaluate(phi, k2, recovered) == []
 
+    def test_decode_rejects_a_layout_without_format(self, files, tmp_path, capsys):
+        src = tmp_path / "edge.json"
+        jsonio.write_canonical(src, pk.Instance(["x", "y"], [(("x", "y"), "neq")]).to_payload())
+        layout_path = tmp_path / "layout.json"
+        assert main([
+            "reduce", "pcsp", "--source", str(src), "--source-template", files["t22.json"],
+            "--target-template", files["t22.json"], "--dr-table", files["xi.json"],
+            "--out", str(tmp_path / "out.json"), "--layout", str(layout_path),
+        ]) == 0
+        old = json.loads(layout_path.read_text())
+        del old["format"]
+        jsonio.write_canonical(layout_path, old)
+        assign_path = tmp_path / "assign.json"
+        jsonio.write_canonical(assign_path, {"values": {}})
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main([
+            "decode", "--assignment", str(assign_path), "--layout", str(layout_path),
+            "--dr-table", files["xi.json"], "--source", str(src),
+            "--source-template", files["t22.json"], "--out", str(tmp_path / "sol.json"),
+            "--report", str(report),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "format" in json.loads(report.read_text())["payload"]["error"]
+
     def test_verify_consistent(self, files):
         assert main(["verify", "consistent", "--pas", files["seq.json"]]) == 0
 

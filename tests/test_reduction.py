@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pcspkit as pk
+from pcspkit import jsonio
 from pcspkit.errors import InputError, ParameterError, PromiseViolationError
 from pcspkit.reduction import _pad_instance
 
+import reference_longcode
 from conftest import cycle_instance, triangle_instance
 
 
@@ -22,6 +25,11 @@ def edge_instance():
 
 def path_instance():
     return pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")])
+
+
+def fork_instance():
+    # x=y is forced, so the 2-subset solutions with x!=y extend to no 3-superset
+    return pk.Instance(["x", "y", "z"], [(("x", "z"), "neq"), (("y", "z"), "neq")])
 
 
 class TestBuildAuxiliary:
@@ -70,8 +78,8 @@ class TestLongCode:
     def test_cloud_sizes(self, k2, t22):
         aux = pk.build_auxiliary(edge_instance(), k2, (2, 1))
         out, layout = pk.longcode_reduce(aux, t22)
-        sizes = {c.ref: c.size(2) for c in layout.clouds if c.kind == "variable"}
-        assert sizes["x,y"] == 4  # |C| = 2, positions are maps C -> {0,1}
+        sizes = {c.ref: c.size(2) for c in layout.clouds}
+        assert sizes["x,y"] == 4
         assert sizes["x"] == 4
 
     def test_strict_solution_restricted_to_cloud_is_a_polymorphism(self, k2, t22, ident22):
@@ -84,35 +92,21 @@ class TestLongCode:
         assert all(pk.is_polymorphism(f, t22) for f in fns.values())
 
     def test_merge_classes_respect_minor_semantics(self, k2, t22, ident22):
-        # the variable-cloud function is the projection minor of the
-        # constraint-cloud function under any strict solution
-        result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
-        layout = result.layout
-        padded, _ = _pad_instance(path_instance(), result.params.k[0])
-        h = pk.brute_force_solve(padded, k2)
-        lift = pk.lift_strict_solution(h, layout).mapping
-        base = len(k2.domain)
-        for con in layout.aux.constraints:
-            econ = layout.cloud_by_ref("constraint", f"{con.u}>{con.w}")
-            table = [
-                lift[layout.rep(layout.position(econ, i))]
-                for i in range(econ.size(base))
-            ]
-            tcon = pk.FiniteFunction(
-                [pk.minion.tuple_label(p) for p in econ.index_labels],
-                k2.domain, k2.domain, table,
-            )
-            for side, name in ((0, con.u), (1, con.w)):
-                vcloud = layout.cloud_by_ref("variable", name)
-                vtable = [
-                    lift[layout.rep(layout.position(vcloud, i))]
-                    for i in range(vcloud.size(base))
-                ]
-                vfn = pk.FiniteFunction(vcloud.index_labels, k2.domain, k2.domain, vtable)
-                pi = {
-                    pk.minion.tuple_label(p): p[side] for p in econ.index_labels
-                }
-                assert pk.minor(tcon, pi, target=vcloud.index_labels) == vfn
+        # under any strict solution the function at w is the minor of the
+        # function at u along the constraint's map: at the pipeline's (4,4)
+        # the only constraint is the identity self-constraint, at (3,2) the
+        # 2-subsets sit below the 3-subset
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        nested = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)[1]
+        padded, _ = _pad_instance(phi, result.params.k[0])
+        for layout, source in ((result.layout, padded), (nested, phi)):
+            h = pk.brute_force_solve(source, k2)
+            lift = pk.lift_strict_solution(h, layout)
+            fns = pk.read_cloud_functions(lift.mapping, layout, k2.domain)
+            for con in layout.aux.constraints:
+                target = layout.aux.variable(con.w).labels()
+                assert pk.minor(fns[con.u], con.cmap, target=target) == fns[con.w]
 
     def test_output_is_brute_force_solvable_when_source_is(self, k2, t22, ident22):
         result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
@@ -199,6 +193,32 @@ class TestDecode:
         assert loaded.aux.c_labels == result.layout.aux.c_labels
         assert loaded.reps == result.layout.reps
         assert loaded.clouds == result.layout.clouds
+
+    @pytest.mark.parametrize("fmt", [None, 1, "2"])
+    def test_layout_of_another_format_is_rejected(self, t22, ident22, fmt):
+        payload = pk.pipeline_reduce(edge_instance(), t22, t22, ident22).layout.to_payload()
+        assert payload["format"] == 2
+        if fmt is None:
+            del payload["format"]
+        else:
+            payload["format"] = fmt
+        with pytest.raises(InputError):
+            pk.CloudLayout.from_payload(payload)
+
+    def test_nested_layers_end_to_end(self, k2, t22, ident22):
+        # at k=(3,2) the w-clouds of the 2-subsets are merged into the cloud
+        # of the 3-subset, so decoding runs through two distinct layers
+        phi = path_instance()
+        aux = pk.build_auxiliary(phi, k2, (3, 2))
+        _, layout = pk.longcode_reduce(aux, t22)
+        assert layout.reps
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        loaded = pk.CloudLayout.from_payload(layout.to_payload())
+        fns = pk.read_cloud_functions(lift.mapping, loaded, k2.domain)
+        seq = pk.decode_relaxed_solution(fns, loaded, ident22, phi, t22)
+        extraction = pk.extract_solution(seq, pk.gap_parameters(2, 1, (1, 1)), 1)
+        colouring = extraction.assignment.restrict(phi.variables)
+        assert pk.evaluate(phi, k2, colouring) == []
 
 
 class PostCompositionTable:
@@ -297,3 +317,87 @@ class TestGadgetSearch:
         full = pk.structure(["0", "1"], any2=(2, set(itertools.product("01", repeat=2))))
         template = pk.PcspTemplate(full, full)
         assert pk.find_unsolvable_gadget(template) is None
+
+
+class TestCModeOnlyRenames:
+    @pytest.mark.parametrize("phi, sizes", [(edge_instance(), (8, 16)), (path_instance(), (4, 16))])
+    def test_fitted_and_uniform_emit_the_same_instance(self, t22, ident22, phi, sizes):
+        # clouds are indexed by each variable's own labels, which are the
+        # first labels of C in either mode
+        results = [pk.pipeline_reduce(phi, t22, t22, ident22, c_mode=m) for m in ("fitted", "uniform")]
+        assert tuple(len(r.layout.aux.c_labels) for r in results) == sizes
+        fitted, uniform = (jsonio.canonical_dumps(r.instance.to_payload()) for r in results)
+        assert fitted == uniform
+
+
+def _renaming(old_layout, new_layout, base: int) -> dict:
+    """Map each old merge class to the new class of its variable-cloud
+    members, each restricted to that variable's own labels; fails if two
+    members of one old class land in different new classes."""
+    new_cloud = {cloud.ref: cloud for cloud in new_layout.clouds}
+    column = {label: i for i, label in enumerate(old_layout.aux.c_labels)}
+    rename = {}
+    for cloud in old_layout.clouds:
+        if cloud.kind != "variable":
+            continue
+        new = new_cloud[cloud.ref]
+        keep = [column[label] for label in new.index_labels]
+        for idx, digits in enumerate(itertools.product(range(base), repeat=len(cloud.index_labels))):
+            new_idx = 0
+            for p in keep:
+                new_idx = new_idx * base + digits[p]
+            old_name = old_layout.rep(old_layout.position(cloud, idx))
+            new_name = new_layout.rep(new_layout.position(new, new_idx))
+            assert rename.setdefault(old_name, new_name) == new_name, old_name
+    return rename
+
+
+def assert_same_up_to_renaming(phi, k):
+    k2 = pk.complete_graph(2)
+    t22 = pk.PcspTemplate(k2, k2)
+    aux = pk.build_auxiliary(phi, k2, k)
+    old, old_layout = reference_longcode.longcode_reduce(aux, t22)
+    new, new_layout = pk.longcode_reduce(aux, t22)
+    rename = _renaming(old_layout, new_layout, len(k2.domain))
+    assert set(rename) == set(old.variables)
+    assert sorted(rename.values()) == sorted(new.variables)
+    renamed = {(c.relation, tuple(rename[x] for x in c.scope)) for c in old.constraints}
+    assert renamed == {(c.relation, c.scope) for c in new.constraints}
+    assert len(old.constraints) == len(new.constraints)
+
+
+@st.composite
+def graph_cases(draw):
+    """A loop-free graph instance on at most 5 vertices with arities that fit,
+    whose subsets all carry a strict partial solution."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([k for k in ((2, 1), (3, 2), (3, 2, 1)) if k[0] <= n]))
+    variables = [f"x{i}" for i in range(n)]
+    pairs = list(itertools.combinations(variables, 2))
+    scopes = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    phi = pk.Instance(variables, [(s, "neq") for s in scopes])
+    try:
+        pk.build_auxiliary(phi, pk.complete_graph(2), k)
+    except PromiseViolationError:
+        assume(False)
+    return phi, k
+
+
+class TestMinorConditionAgainstReference:
+    @pytest.mark.parametrize(
+        "phi, k",
+        [
+            (edge_instance(), (2, 1)),
+            (path_instance(), (3, 2)),
+            (fork_instance(), (3, 2)),
+            (fork_instance(), (3, 2, 1)),
+            (cycle_instance(6), (3, 2)),
+        ],
+    )
+    def test_same_instance_up_to_renaming(self, phi, k):
+        assert_same_up_to_renaming(phi, k)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=graph_cases())
+    def test_graphs_on_at_most_five_vertices(self, case):
+        assert_same_up_to_renaming(*case)
