@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError, StructuralError
@@ -231,11 +232,12 @@ class Assignment:
     def mapping(self) -> dict:
         return dict(self.values)
 
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(self.values)
+
     def __getitem__(self, var: str) -> str:
-        for v, a in self.values:
-            if v == var:
-                return a
-        raise KeyError(var)
+        return self._lookup[var]
 
     def restrict(self, variables: Iterable[str]) -> "Assignment":
         keep = set(variables)

@@ -6,6 +6,10 @@ relation tuples without choosing bijections.  Tables are stored densely as
 |A|^|X| value vectors in mixed-radix order over the sorted arity labels, so
 function equality is table equality and serialization is bit-exact.
 
+Inside, a function is its table and an argument is a table index: a minor is
+an index remapping of the table, and a polymorphism check looks up, for every
+matrix of strict-relation columns, the table indices of its rows.
+
 A minion is infinite; everything here works with finite slices, and every
 homomorphism check is a bounded verification over the arity sets it is given.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import DEFAULT_BUDGET, PcspTemplate, RelationalStructure
@@ -58,20 +63,18 @@ class FiniteFunction:
 
     def index_of(self, args: Sequence[str]) -> int:
         base = len(self.in_domain)
-        pos = {a: i for i, a in enumerate(self.in_domain)}
+        digit = _digits(self.in_domain)
         idx = 0
         for value in args:
-            idx = idx * base + pos[value]
+            idx = idx * base + digit[value]
         return idx
 
     def apply(self, assignment) -> str:
-        """Evaluate on a mapping label -> atom or on a tuple aligned with the
-        sorted arity set."""
-        if isinstance(assignment, Mapping):
-            args = tuple(assignment[x] for x in self.arity_set)
-        else:
-            args = tuple(assignment)
-        return self.table[self.index_of(args)]
+        """Evaluate on a mapping label -> atom or on a sequence aligned with
+        the sorted arity set."""
+        if hasattr(assignment, "keys"):
+            assignment = [assignment[x] for x in self.arity_set]
+        return self.table[self.index_of(assignment)]
 
     def inputs(self):
         """All argument tuples in table order."""
@@ -92,21 +95,26 @@ class FiniteFunction:
         )
 
 
-def function_from_callable(arity_set, in_domain, out_domain, fn) -> FiniteFunction:
-    arity_set = tuple(sorted(arity_set))
-    in_domain = tuple(sorted(set(in_domain)))
-    table = [
-        fn(dict(zip(arity_set, args)))
-        for args in itertools.product(in_domain, repeat=len(arity_set))
-    ]
-    return FiniteFunction(arity_set, in_domain, out_domain, table)
+@lru_cache(maxsize=256)
+def _digits(domain: tuple) -> dict:
+    """Atom -> digit in a sorted domain, computed once per domain and shared
+    by every caller, which only reads it."""
+    return {a: i for i, a in enumerate(domain)}
+
+
+def _strides(base: int, n: int) -> list:
+    """Table-index weight of each of n coordinates: the first is the most
+    significant digit."""
+    return [base ** (n - 1 - j) for j in range(n)]
 
 
 def dictator(arity_set, domain, coordinate: str) -> FiniteFunction:
     """The projection onto one coordinate of the arity set."""
     if coordinate not in arity_set:
         raise InputError(f"{coordinate!r} is not in the arity set")
-    return function_from_callable(arity_set, domain, domain, lambda g: g[coordinate])
+    domain = tuple(sorted(set(domain)))
+    identity = FiniteFunction((coordinate,), domain, domain, domain)
+    return minor(identity, {coordinate: coordinate}, target=arity_set)
 
 
 def minor(
@@ -127,16 +135,65 @@ def minor(
         target = tuple(sorted(set(target)))
         if not set(pi.values()) <= set(target):
             raise InputError("minor map leaves the declared codomain")
-
-    def value(g):
-        return t.apply({x: g[pi[x]] for x in t.arity_set})
-
-    return function_from_callable(target, t.in_domain, t.out_domain, value)
+    # Digit d at coordinate y of s contributes d times the summed strides of
+    # y's preimages to the index into t's table.
+    base = len(t.in_domain)
+    weight = dict.fromkeys(target, 0)
+    for x, stride in zip(t.arity_set, _strides(base, len(t.arity_set))):
+        weight[pi[x]] += stride
+    idx = [0]
+    for y in target:
+        steps = [d * weight[y] for d in range(base)]
+        idx = [i + step for i in idx for step in steps]
+    table = t.table
+    return FiniteFunction(target, t.in_domain, t.out_domain, [table[i] for i in idx])
 
 
 def compose_maps(first: Mapping, second: Mapping) -> dict:
     """second o first as coordinate maps (apply `first`, then `second`)."""
     return {x: second[y] for x, y in first.items()}
+
+
+# Matrices whose row indices a membership check holds in memory at once.
+_BLOCK = 1 << 16
+
+
+def _row_index_sets(template: PcspTemplate, n: int) -> list:
+    """Per strict relation, the table indices of the rows of every matrix of
+    n columns: (relaxed tuples, head, tail).
+
+    offsets[j][c][i] is what column c at coordinate j adds to the index of
+    row i.  `tail` lists, per row, the indices over the last coordinates in
+    product order, for at most _BLOCK matrices, aligned across rows; the
+    leading coordinates' offsets, `head`, are walked lazily."""
+    digit = _digits(template.strict.domain)
+    out = []
+    for name, rel in template.strict.relations.items():
+        cols = rel.sorted_tuples
+        strides = _strides(len(digit), n)
+        offsets = [[[s * digit[a] for a in col] for col in cols] for s in strides]
+        split = n
+        while split and len(cols) ** (n - split + 1) <= _BLOCK:
+            split -= 1
+        tail = [[0]] * rel.arity
+        for coord in offsets[split:]:
+            tail = [[a + c[i] for a in row for c in coord] for i, row in enumerate(tail)]
+        out.append((template.relaxed.relations[name].tuples, offsets[:split], tail))
+    return out
+
+
+def _preserves(table: Sequence, row_sets: list) -> bool:
+    """Does the table send the rows of every matrix into the relaxed
+    relation?  Stops at the first block holding a matrix that fails."""
+    get = table.__getitem__
+    for target, head, tail in row_sets:
+        for parts in itertools.product(*head):
+            rows = tail
+            if parts:
+                rows = [[o + i for i in r] for o, r in zip(map(sum, zip(*parts)), tail)]
+            if not target.issuperset(zip(*[map(get, r) for r in rows])):
+                return False
+    return True
 
 
 def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:
@@ -145,19 +202,7 @@ def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:
     strict, relaxed = template.strict, template.relaxed
     if t.in_domain != strict.domain or t.out_domain != relaxed.domain:
         raise StructuralError("function domains do not match the template")
-    n = len(t.arity_set)
-    for name, rel in strict.relations.items():
-        target = relaxed.relations[name].tuples
-        cols = rel.sorted_tuples
-        for matrix in itertools.product(cols, repeat=n):
-            # matrix[j] is the column at arity coordinate j; row i collects
-            # the i-th entries across coordinates.
-            image = tuple(
-                t.apply(tuple(matrix[j][i] for j in range(n))) for i in range(rel.arity)
-            )
-            if image not in target:
-                return False
-    return True
+    return _preserves(t.table, _row_index_sets(template, len(t.arity_set)))
 
 
 def enumerate_polymorphisms(
@@ -171,13 +216,13 @@ def enumerate_polymorphisms(
         raise ResourceError(
             f"enumerating {count} candidate tables exceeds the budget of {budget}"
         )
-    found = []
+    row_sets = _row_index_sets(template, len(arity_set))
     size = len(a) ** len(arity_set)
-    for table in itertools.product(b, repeat=size):
-        fn = FiniteFunction(arity_set, a, b, table)
-        if is_polymorphism(fn, template):
-            found.append(fn)
-    return tuple(found)
+    return tuple(
+        FiniteFunction(arity_set, a, b, table)
+        for table in itertools.product(b, repeat=size)
+        if _preserves(table, row_sets)
+    )
 
 
 @dataclass(frozen=True)
@@ -668,10 +713,10 @@ def decode_partial_map_constraint(
             raise InputError(f"partial map is missing {x!r}")
         if pi[x] not in c2:
             raise InputError(f"partial map sends {x!r} outside its codomain")
-    t1 = restriction_to(s1, c1)
+    t1 = s1 if c1 == s1.arity_set else restriction_to(s1, c1)
     if t1 is None:
         return None
-    t2 = restriction_to(s2, c2)
+    t2 = s2 if c2 == s2.arity_set else restriction_to(s2, c2)
     if t2 is None:
         return None
     if minor(t1, dict(pi), target=c2) != t2:

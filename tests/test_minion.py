@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 from pcspkit.minion import LazyDictatorSlice, compose_maps, dictator, restriction_to
+
+import reference_minion
 
 
 def fn(arity, table, domain=("0", "1")):
@@ -309,3 +312,103 @@ class TestPartialMapDecode:
 
     def test_function_payload_round_trip(self):
         assert pk.FiniteFunction.from_payload(XOR.to_payload()) == XOR
+
+
+# -- the index-arithmetic kernel against the former one -------------------------
+
+K3 = pk.complete_graph(3)
+# a non-symmetric binary relation next to a unary one
+ORDER = pk.PcspTemplate(
+    pk.structure("01", lt=(2, {("0", "0"), ("0", "1")}), one=(1, {("1",)})),
+    pk.structure("01", lt=(2, {("0", "0"), ("0", "1"), ("1", "1")}), one=(1, {("1",)})),
+)
+# 1-in-3 against not-all-equal: a ternary relation
+ONE_IN_THREE = pk.PcspTemplate(
+    pk.structure("01", r=(3, {("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")})),
+    pk.structure("01", r=(3, set(itertools.product("01", repeat=3)) - {("0",) * 3, ("1",) * 3})),
+)
+TEMPLATES = {
+    "k2k2": pk.PcspTemplate(pk.complete_graph(2), pk.complete_graph(2)),
+    "k2k3": pk.PcspTemplate(pk.complete_graph(2), K3),
+    "k3k3": pk.PcspTemplate(K3, K3),
+    "order": ORDER,
+    "one_in_three": ONE_IN_THREE,
+}
+LABELS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def functions(draw, in_domain=("0", "1"), out_domain=("0", "1"), max_arity=4):
+    """A table at arity 1-4: a projection with a few entries rewritten, or
+    uniformly random, so both members and non-members of a slice come up."""
+    n = draw(st.integers(1, max_arity))
+    arity = tuple(sorted(draw(st.permutations(LABELS))[:n]))
+    size = len(in_domain) ** n
+    if draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        table = [args[c] if args[c] in out_domain else out_domain[0]
+                 for args in itertools.product(in_domain, repeat=n)]
+        for _ in range(draw(st.integers(0, 2))):
+            table[draw(st.integers(0, size - 1))] = draw(st.sampled_from(out_domain))
+    else:
+        table = draw(st.lists(st.sampled_from(out_domain), min_size=size, max_size=size))
+    return pk.FiniteFunction(arity, in_domain, out_domain, table)
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_enumeration_is_the_same(self, name):
+        template = TEMPLATES[name]
+        for n in (1, 2):
+            arity = LABELS[:n]
+            assert pk.enumerate_polymorphisms(template, arity) == (
+                reference_minion.enumerate_polymorphisms(template, arity)
+            )
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_membership_is_the_same(self, name, data):
+        template = TEMPLATES[name]
+        t = data.draw(functions(template.strict.domain, template.relaxed.domain))
+        expected = reference_minion.is_polymorphism(t, template)
+        assert pk.is_polymorphism(t, template) == expected
+        # matrices past the block size are walked block by block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pk.minion, "_BLOCK", 3)
+            assert pk.is_polymorphism(t, template) == expected
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_minor_is_the_same(self, data):
+        domain = data.draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+        t = data.draw(functions(domain, domain))
+        images = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(t.arity_set),
+                                    max_size=len(t.arity_set)))
+        pi = dict(zip(t.arity_set, images))
+        target = None
+        if data.draw(st.booleans()):
+            target = set(images) | set(data.draw(st.lists(st.sampled_from(LABELS), max_size=3)))
+        assert pk.minor(t, pi, target=target) == reference_minion.minor(t, pi, target=target)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_apply_is_the_same(self, data):
+        domain = data.draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+        t = data.draw(functions(domain, domain))
+        args = data.draw(st.lists(st.sampled_from(domain), min_size=len(t.arity_set),
+                                  max_size=len(t.arity_set)))
+        mapping = dict(zip(t.arity_set, args))
+        expected = reference_minion.apply(t, tuple(args))
+        for assignment in (mapping, types.MappingProxyType(mapping), tuple(args)):
+            assert reference_minion.apply(t, assignment) == expected
+            assert t.apply(assignment) == expected
+
+    @pytest.mark.parametrize("domain", [("0", "1"), ("0", "1", "2")])
+    def test_dictators_are_the_same(self, domain):
+        for n in (1, 2, 3):
+            arity = LABELS[:n]
+            for c in arity:
+                assert dictator(arity, domain, c) == reference_minion.function_from_callable(
+                    arity, domain, domain, lambda g: g[c]
+                )

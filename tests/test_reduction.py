@@ -1,5 +1,6 @@
 """The subset instance, the long-code step, the pipeline, and the decoder."""
 
+import collections
 import itertools
 
 import pytest
@@ -219,6 +220,51 @@ class TestDecode:
         extraction = pk.extract_solution(seq, pk.gap_parameters(2, 1, (1, 1)), 1)
         colouring = extraction.assignment.restrict(phi.variables)
         assert pk.evaluate(phi, k2, colouring) == []
+
+    def test_uncovered_decoded_function_is_input_error(self, k2, t22):
+        # an explicit table that covers none of the decoded functions
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        fns = pk.read_cloud_functions(lift.mapping, layout, k2.domain)
+        with pytest.raises(InputError, match="does not cover"):
+            pk.decode_relaxed_solution(fns, layout, pk.ExplicitDrTable(1, 1, {}), phi, t22)
+
+
+class TestMembershipCheckedOnce:
+    """One decode checks each distinct function for membership at most once,
+    and keeps no answer for the next decode."""
+
+    @staticmethod
+    def _decode_twice(monkeypatch, fns, layout, table, phi, template):
+        checked = collections.Counter()
+        real = pk.minion.is_polymorphism
+
+        def counting(t, tmpl):
+            checked[t] += 1
+            return real(t, tmpl)
+
+        monkeypatch.setattr(pk.minion, "is_polymorphism", counting)
+        pk.decode_relaxed_solution(fns, layout, table, phi, template)
+        assert checked and max(checked.values()) == 1
+        pk.decode_relaxed_solution(fns, layout, table, phi, template)
+        assert set(checked.values()) == {2}
+
+    def test_pipeline_case_at_k44(self, monkeypatch, k2, t22, ident22):
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        assert result.params.k == (4, 4)
+        padded, _ = _pad_instance(phi, result.params.k[0])
+        lift = pk.lift_strict_solution(pk.brute_force_solve(padded, k2), result.layout)
+        fns = pk.read_cloud_functions(lift.mapping, result.layout, k2.domain)
+        self._decode_twice(monkeypatch, fns, result.layout, ident22, phi, t22)
+
+    def test_nested_path_at_k32(self, monkeypatch, k2, t22, ident22):
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        fns = pk.read_cloud_functions(lift.mapping, layout, k2.domain)
+        self._decode_twice(monkeypatch, fns, layout, ident22, phi, t22)
 
 
 class PostCompositionTable:
