@@ -13,6 +13,7 @@ Exit codes: 0 success (or "solvable"), 1 domain-level negative or error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
     )
     try:
         code = args.func(args, report)
-    except PcspkitError as exc:
+    except (PcspkitError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.payload["error"] = str(exc)
         report.finish(args.report)

@@ -126,10 +126,7 @@ def enumerate_chains(inst: LlcInstance) -> tuple:
 
 def weakly_satisfies(f: DAssignment, chain: Sequence[str], inst: LlcInstance) -> bool:
     """Does some constraint along the chain carry f's source set into the target?"""
-    return _weakly_satisfied(f.mapping, chain, inst)
-
-
-def _weakly_satisfied(choice: Mapping, chain: Sequence[str], inst: LlcInstance) -> bool:
+    choice = f.mapping
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             psi = inst.constraints[(chain[i], chain[j])]
@@ -231,16 +228,17 @@ def csp_value_oracle(
     for sols in table.values():
         if not sols:
             return False
-        _width_options(sols, d, budget)
+        _width_options(len(sols), d, budget)
     return _chain_search(_llc_from_table(table, k), d, budget) is not None
 
 
-def _width_options(domain: Sequence, d: int, budget: int) -> list:
-    """The nonempty subsets of `domain` of size at most d."""
+def _width_options(size: int, d: int, budget: int) -> list:
+    """The nonempty sets of at most d of a domain's `size` atoms, as bitmasks
+    over the atoms' indices."""
     options = [
-        frozenset(combo)
-        for size in range(1, min(d, len(domain)) + 1)
-        for combo in itertools.combinations(domain, size)
+        sum(1 << a for a in combo)
+        for n in range(1, min(d, size) + 1)
+        for combo in itertools.combinations(range(size), n)
     ]
     if len(options) > budget:
         raise ResourceError(
@@ -252,35 +250,84 @@ def _width_options(domain: Sequence, d: int, budget: int) -> list:
 def _chain_search(inst: LlcInstance, d: int, budget: int) -> Optional[dict]:
     """A d-assignment weakly satisfying every chain, or None.
 
-    Backtracks over the variables in layer order, trying each variable's
-    options in order, and judges a chain as soon as its last variable is set.
+    Backtracks over the variables in the order of `_chain_order`, trying each
+    variable's options in order, and judges a chain as soon as its last
+    variable is set.  Options are bitmasks over domain indices; per
+    constraint, each source option maps to the bitmask of its image.
     """
-    order = [x for layer in inst.layers for x in layer]
-    options = [_width_options(inst.domains[x], d, budget) for x in order]
-    position = {x: n for n, x in enumerate(order)}
-    finish_at = {}
-    for chain in enumerate_chains(inst):
-        finish_at.setdefault(max(position[x] for x in chain), []).append(chain)
+    options = {x: _width_options(len(dom), d, budget) for x, dom in inst.domains.items()}
+    order, judged_at = _chain_order(inst, {x: len(opts) for x, opts in options.items()})
+    step = {x: n for n, x in enumerate(order)}
+    images = {}
+    for (x, y), psi in inst.constraints.items():
+        bit = {b: 1 << i for i, b in enumerate(inst.domains[y])}
+        to = [bit[psi[a]] for a in inst.domains[x]]
+        images[x, y] = {
+            opt: sum({t for a, t in enumerate(to) if opt >> a & 1}) for opt in options[x]
+        }
+    # Per step, the chains judged there, each as its pairs (i, image, j).
+    judged = [
+        [[(step[a], images[a, b], step[b]) for a, b in itertools.combinations(c, 2)] for c in chains]
+        for chains in judged_at
+    ]
 
-    chosen = {}
+    picked = [0] * len(order)
     visited = 0
 
     def search(n) -> bool:
         nonlocal visited
         if n == len(order):
             return True
-        for opt in options[n]:
+        for opt in options[order[n]]:
             visited += 1
             if visited > budget:
                 raise ResourceError(f"chain search visited over {budget} nodes")
-            chosen[order[n]] = opt
-            if all(_weakly_satisfied(chosen, c, inst) for c in finish_at.get(n, ())):
+            picked[n] = opt
+            if all(
+                any(image[picked[i]] & picked[j] for i, image, j in pairs)
+                for pairs in judged[n]
+            ):
                 if search(n + 1):
                     return True
-        chosen.pop(order[n], None)
         return False
 
-    return chosen if search(0) else None
+    if not search(0):
+        return None
+    return {
+        x: {a for i, a in enumerate(inst.domains[x]) if picked[n] >> i & 1}
+        for n, x in enumerate(order)
+    }
+
+
+def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
+    """The search order, fixed before the search starts, and per step the
+    chains whose last variable is set there.
+
+    Next comes the variable that completes the most chains among those already
+    placed; ties go to the one touching the most partly placed chains, then to
+    the fewest options (`sizes`), then to layer order.
+    """
+    names = [x for layer in inst.layers for x in layer]
+    chains = enumerate_chains(inst)
+    member_of = {x: [c for c in chains if x in c] for x in names}
+    placed = dict.fromkeys(chains, 0)
+
+    def priority(n):
+        mine = member_of[names[n]]
+        completes = sum(placed[c] == len(c) - 1 for c in mine)
+        touches = sum(placed[c] > 0 for c in mine)
+        return completes, touches, -sizes[names[n]], -n
+
+    left = set(range(len(names)))
+    order, judged_at = [], []
+    while left:
+        n = max(left, key=priority)
+        left.remove(n)
+        for c in member_of[names[n]]:
+            placed[c] += 1
+        order.append(names[n])
+        judged_at.append([c for c in member_of[names[n]] if placed[c] == len(c)])
+    return order, judged_at
 
 
 def d_assignment_to_pas(

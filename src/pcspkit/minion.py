@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import DEFAULT_BUDGET, PcspTemplate, RelationalStructure
@@ -527,9 +527,12 @@ def check_dr_homomorphism(
         if total > budget:
             raise ResourceError(f"chain enumeration exceeds the budget of {budget}")
 
+    # Membership of each function is checked once per call: `image` raises
+    # InputError on an uncovered function, so nothing is cached for it.
+    image = cache(table.image)
     for t0 in source.all_functions():
         for chain, maps in _chains_from(t0, source, r):
-            if not _chain_admits_pair(table, chain, maps):
+            if not _chain_admits_pair(image, chain, maps):
                 return ChainCheck(False, (chain, maps))
     return ChainCheck(True, None)
 
@@ -550,18 +553,17 @@ def _chains_from(t0: FiniteFunction, source: MinionSlice, r: int):
     yield from extend([t0], [])
 
 
-def _chain_admits_pair(table, chain, maps) -> bool:
-    for i in range(len(chain)):
-        if not table.covers(chain[i]):
-            raise InputError(f"table does not cover a chain member of arity {chain[i].arity_set}")
+def _chain_admits_pair(image, chain, maps) -> bool:
+    # Every member first, so an uncovered one raises even if an early pair agrees.
+    images = [image(t) for t in chain]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             composed = maps[i]
             for step in maps[i + 1 : j]:
                 composed = compose_maps(composed, step)
-            for g in table.image(chain[i]):
+            for g in images[i]:
                 target = minor(g, composed, target=chain[j].arity_set)
-                if any(target == h for h in table.image(chain[j])):
+                if any(target == h for h in images[j]):
                     return True
     return False
 

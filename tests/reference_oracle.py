@@ -1,8 +1,8 @@
 """An independent value oracle: a backtracking search over (layer, subset)
 slots that compares projections of partial-solution sets directly, with no
 layered instance in between.  Tests use it as the reference for
-pcspkit.csp_value_oracle, which must give the same answers and run out of
-budget on the same inputs."""
+pcspkit.csp_value_oracle, which must give the same answer wherever this one
+finishes within its budget."""
 
 import itertools
 from typing import Sequence

@@ -177,3 +177,24 @@ class TestCommands:
         jsonio.write_canonical(bad, {"variables": ["x"], "constraints": [{"scope": ["x", "q"], "relation": "neq"}]})
         main(["solve", "--instance", str(bad), "--template", files["k2.json"], "--report", str(report)])
         assert "error" in json.loads(report.read_text())["payload"]
+
+
+class TestUnreadableInput:
+    def _solve(self, instance, files, report, capsys):
+        capsys.readouterr()
+        code = main([
+            "solve", "--instance", instance, "--template", files["k2.json"],
+            "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "error" in json.loads(report.read_text())["payload"]
+
+    def test_bad_json_is_one_error_line(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        self._solve(str(bad), files, tmp_path / "rep.json", capsys)
+
+    def test_missing_file_is_one_error_line(self, files, tmp_path, capsys):
+        self._solve(str(tmp_path / "absent.json"), files, tmp_path / "rep.json", capsys)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from conftest import ALLOWED_SETS, triangle_instance, unary_instance
+from conftest import ALLOWED_SETS, cycle_instance, triangle_instance, unary_instance
 from reference_oracle import csp_value_oracle as reference_oracle
 
 
@@ -166,11 +166,11 @@ UNARY_SIDE = pk.structure(["0", "1"], only0=(1, {("0",)}), only1=(1, {("1",)}))
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, arities=((2, 1), (3, 2), (3, 3))):
     """A graph or unary instance on at most 5 variables, arities, a width and
     a budget, small enough that some draws run out of budget."""
     n = draw(st.integers(2, 5))
-    k = draw(st.sampled_from([k for k in ((2, 1), (3, 2), (3, 3)) if k[0] <= n]))
+    k = draw(st.sampled_from([k for k in arities if k[0] <= n]))
     variables = [f"x{i}" for i in range(n)]
     if draw(st.booleans()):
         pairs = [(a, b) for i, a in enumerate(variables) for b in variables[i:]]
@@ -186,7 +186,7 @@ def oracle_cases(draw):
 
 # The first 3-subset has 8 partial solutions, so 36 candidate entries at d=2,
 # over a budget of 30, while a later subset has none: the over-budget slot
-# comes first in slot order, so both oracles must fail on the budget.
+# comes first in slot order, so the oracle must fail on the budget.
 PRICED_BEFORE_EMPTY = (
     unary_instance(["x0", "x1", "x2", "x3"], [ALLOWED_SETS[3]] * 3 + [ALLOWED_SETS[0]]),
     UNARY_SIDE,
@@ -204,11 +204,65 @@ def _decide(oracle, phi, side, k, d, budget):
 
 
 class TestOracleAgainstReference:
+    # The search visits variables in another order than the reference, so it
+    # may finish where the reference runs out of budget, but never the other
+    # way round.
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(case=oracle_cases())
     @example(case=PRICED_BEFORE_EMPTY)
-    def test_same_answer_and_same_budget_failures(self, case):
-        assert _decide(pk.csp_value_oracle, *case) == _decide(reference_oracle, *case)
+    def test_same_answer_wherever_the_reference_finishes(self, case):
+        expected = _decide(reference_oracle, *case)
+        if expected != "over budget":
+            assert _decide(pk.csp_value_oracle, *case) == expected
+
+    def test_slot_priced_before_an_empty_one_is_over_budget(self):
+        phi, side, k, d, budget = PRICED_BEFORE_EMPTY
+        with pytest.raises(ResourceError):
+            pk.csp_value_oracle(phi, side, k, d, budget=budget)
+
+
+def _five_vertex_graph(edges):
+    names = [f"v{i}" for i in range(5)]
+    return pk.Instance(names, [((names[a], names[b]), "neq") for a, b in edges])
+
+
+# The reference needs about 155,000 nodes here, so it too finishes.
+C5_AT_K32 = (cycle_instance(5), pk.complete_graph(2), (3, 2), 1, 200_000)
+
+
+class TestChainSearch:
+    # Two disjoint edges plus an isolated vertex (a yes-instance) and C5 (a
+    # no-instance, searched to the end) each need over 150,000 nodes unless
+    # chains are judged early.  Budgets count nodes, not time.
+    @pytest.mark.parametrize(
+        "phi, expected",
+        [(_five_vertex_graph(((0, 1), (2, 3))), True), (cycle_instance(5), False)],
+    )
+    def test_both_deciders_finish_within_a_thousand_nodes(self, k2, phi, expected):
+        assert pk.csp_value_oracle(phi, k2, (3, 2), 1, budget=1000) is expected
+        inst = pk.reduce_mcsp_to_llc(phi, k2, (3, 2))
+        result = pk.combinatorial_layered_value(inst, 1, budget=1000)
+        assert bool(result) is expected
+
+    # Three layers give chains with more than one pair to judge.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
+    @example(case=C5_AT_K32)
+    def test_every_witness_weakly_satisfies_every_chain(self, case):
+        phi, side, k, d, budget = case
+        inst = pk.reduce_mcsp_to_llc(phi, side, k)
+        try:
+            result = pk.combinatorial_layered_value(inst, d, budget=budget)
+        except ResourceError:
+            return
+        expected = _decide(reference_oracle, *case)
+        if expected != "over budget":
+            assert bool(result) is expected
+        if result:
+            f = result.witness
+            assert f.width <= result.value
+            assert all(f.mapping[x] <= set(inst.domains[x]) for x in inst.domains)
+            assert all(pk.weakly_satisfies(f, c, inst) for c in pk.enumerate_chains(inst))
 
 
 class TestRoundTrip:

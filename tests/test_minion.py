@@ -1,5 +1,6 @@
 """Finite functions, minors, polymorphisms, chain tables, free templates."""
 
+import collections
 import itertools
 import random
 import types
@@ -200,6 +201,25 @@ class TestDrTables:
             {t: (dictator(t.arity_set, ("0", "1"), _depended(t)[0]),) for t in sl.all_functions()},
         )
         assert pk.check_dr_homomorphism(table, sl)
+
+    def test_each_function_checked_once_per_call(self, monkeypatch, t22):
+        sl = pk.polymorphism_slice(t22, [("x",), ("x", "y"), ("x", "y", "z")])
+        checked = collections.Counter()
+        real = pk.minion.is_polymorphism
+
+        def counting(t, tmpl):
+            checked[t] += 1
+            return real(t, tmpl)
+
+        monkeypatch.setattr(pk.minion, "is_polymorphism", counting)
+        assert pk.check_dr_homomorphism(pk.IdentityDrTable(t22, r=2), sl)
+        assert sum(checked.values()) <= 22 and max(checked.values()) == 1
+
+    def test_uncovered_chain_member_is_input_error(self, t22):
+        sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
+        table = pk.ExplicitDrTable(1, 1, {t: (t,) for t in sl.members(("x",))})
+        with pytest.raises(InputError, match="does not cover"):
+            pk.check_dr_homomorphism(table, sl)
 
     def test_oversized_image_is_structural(self):
         neg = fn(("x",), ("1", "0"))
