@@ -47,7 +47,6 @@ from .minion import (
     check_minor_closure,
     decode_partial_map_constraint,
     dictator,
-    dictator_slice,
     enumerate_polymorphisms,
     free_relation,
     is_polymorphism,

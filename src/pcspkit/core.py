@@ -210,10 +210,26 @@ class Instance:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "Instance":
-        return Instance(
-            payload["variables"],
-            [Constraint(c["scope"], c["relation"]) for c in payload["constraints"]],
-        )
+        variables = _payload_field(payload, "", "variables", list)
+        constraints = []
+        for i, c in enumerate(_payload_field(payload, "", "constraints", list)):
+            path = f"constraints[{i}]"
+            scope = _payload_field(c, path, "scope", list)
+            constraints.append(Constraint(scope, _payload_field(c, path, "relation", str)))
+        return Instance(variables, constraints)
+
+
+def _payload_field(payload, path: str, key: str, kind: type):
+    """payload[key] read from JSON: an InputError names the field's path when
+    it is missing or of another kind, so a string never passes as a list."""
+    if not isinstance(payload, Mapping):
+        raise InputError(f"{path or 'payload'}: expected an object")
+    path = f"{path}.{key}" if path else key
+    if key not in payload:
+        raise InputError(f"{path}: missing")
+    if not isinstance(payload[key], kind):
+        raise InputError(f"{path}: expected a {'list' if kind is list else 'string'}")
+    return payload[key]
 
 
 @dataclass(frozen=True)

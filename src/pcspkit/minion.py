@@ -135,18 +135,22 @@ def minor(
         target = tuple(sorted(set(target)))
         if not set(pi.values()) <= set(target):
             raise InputError("minor map leaves the declared codomain")
-    # Digit d at coordinate y of s contributes d times the summed strides of
-    # y's preimages to the index into t's table.
-    base = len(t.in_domain)
+    idx = _minor_index(len(t.in_domain), t.arity_set, pi, target)
+    return FiniteFunction(target, t.in_domain, t.out_domain, map(t.table.__getitem__, idx))
+
+
+def _minor_index(base: int, arity_set: Sequence, pi: Mapping, target: Sequence) -> list:
+    """Per table index of f on the sorted `target`, the table index of f o pi
+    on the sorted `arity_set`, where the pi-minor reads.  Digit d at coordinate
+    y adds d times the summed strides of y's preimages."""
     weight = dict.fromkeys(target, 0)
-    for x, stride in zip(t.arity_set, _strides(base, len(t.arity_set))):
+    for x, stride in zip(arity_set, _strides(base, len(arity_set))):
         weight[pi[x]] += stride
     idx = [0]
     for y in target:
         steps = [d * weight[y] for d in range(base)]
         idx = [i + step for i in idx for step in steps]
-    table = t.table
-    return FiniteFunction(target, t.in_domain, t.out_domain, [table[i] for i in idx])
+    return idx
 
 
 def compose_maps(first: Mapping, second: Mapping) -> dict:
@@ -160,12 +164,12 @@ _BLOCK = 1 << 16
 
 def _row_index_sets(template: PcspTemplate, n: int) -> list:
     """Per strict relation, the table indices of the rows of every matrix of
-    n columns: (relaxed tuples, head, tail).
+    n columns: (name, relaxed tuples, head, tail).
 
     offsets[j][c][i] is what column c at coordinate j adds to the index of
     row i.  `tail` lists, per row, the indices over the last coordinates in
     product order, for at most _BLOCK matrices, aligned across rows; the
-    leading coordinates' offsets, `head`, are walked lazily."""
+    leading coordinates' offsets, `head`, are walked lazily by _blocks."""
     digit = _digits(template.strict.domain)
     out = []
     for name, rel in template.strict.relations.items():
@@ -178,19 +182,27 @@ def _row_index_sets(template: PcspTemplate, n: int) -> list:
         tail = [[0]] * rel.arity
         for coord in offsets[split:]:
             tail = [[a + c[i] for a in row for c in coord] for i, row in enumerate(tail)]
-        out.append((template.relaxed.relations[name].tuples, offsets[:split], tail))
+        out.append((name, template.relaxed.relations[name].tuples, offsets[:split], tail))
     return out
+
+
+def _blocks(head: list, tail: list):
+    """The per-row index lists of each block of matrices: `tail` shifted by
+    every choice of columns at the leading coordinates."""
+    if not head:
+        return (tail,)
+    return (
+        [[o + i for i in r] for o, r in zip(map(sum, zip(*parts)), tail)]
+        for parts in itertools.product(*head)
+    )
 
 
 def _preserves(table: Sequence, row_sets: list) -> bool:
     """Does the table send the rows of every matrix into the relaxed
     relation?  Stops at the first block holding a matrix that fails."""
     get = table.__getitem__
-    for target, head, tail in row_sets:
-        for parts in itertools.product(*head):
-            rows = tail
-            if parts:
-                rows = [[o + i for i in r] for o, r in zip(map(sum, zip(*parts)), tail)]
+    for _, target, head, tail in row_sets:
+        for rows in _blocks(head, tail):
             if not target.issuperset(zip(*[map(get, r) for r in rows])):
                 return False
     return True
@@ -288,18 +300,6 @@ def polymorphism_slice(
         template.relaxed.domain,
         {
             tuple(sorted(x)): enumerate_polymorphisms(template, x, budget=budget)
-            for x in arity_sets
-        },
-    )
-
-
-def dictator_slice(domain, arity_sets: Iterable) -> MinionSlice:
-    domain = tuple(sorted(set(domain)))
-    return MinionSlice(
-        domain,
-        domain,
-        {
-            tuple(sorted(x)): tuple(dictator(x, domain, c) for c in sorted(x))
             for x in arity_sets
         },
     )

@@ -591,13 +591,13 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
         system = seq[i]
         l_i = params.l[i]
         if params.values[i] == 1:
-            selector, bad = _singleton_selector(system, l_i)
+            selector, bad = _subset_selector(system, l_i, 1)
             if bad is None:
-                s = solve_value_one(system, l_i, selector)
+                s = solve_value_one(system, l_i, {x: a for (x,), (a,) in selector.items()})
                 if system.arity // (l_i + 1) < m:
                     raise InvariantError("selector lift solves for too small an m")
                 return _verified(seq, i, s, m)
-            blocked[i] = (bad,)
+            blocked[i] = bad
         else:
             sub = _gap_parameters(len(domain), m, (params.values[i], 1), params.mode)
             kdd, kd = sub.k
@@ -660,37 +660,18 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
     return _verified(seq, inner.index, inner.assignment, m)
 
 
-def _singleton_selector(system: Pas, l: int):
-    """Per-variable search for a value with the negated avoidance property.
-
-    Returns (selector, None) on full success or (partial, v) where v is the
-    first variable for which every value has the avoidance property.
-    """
-    selector = {}
-    for v in system.variables:
-        found = None
-        for a in system.domain:
-            if not has_property(system, (v,), (a,), l, LocalProperty.AVOIDANCE):
-                found = a
-                break
-        if found is None:
-            return selector, v
-        selector[v] = found
-    return selector, None
-
-
 def _subset_selector(system: Pas, l: int, size: int):
-    """Per-subset analogue of _singleton_selector over all size-`size` subsets."""
+    """Per size-`size` subset, the first value tuple with the negated avoidance
+    property.  Returns (selector, None) on full success or (partial, xs) where
+    xs is the first subset on which every value tuple has the property."""
     selector = {}
     for xs in itertools.combinations(system.variables, size):
-        found = None
         for f in itertools.product(system.domain, repeat=size):
             if not has_property(system, xs, f, l, LocalProperty.AVOIDANCE):
-                found = f
+                selector[xs] = f
                 break
-        if found is None:
+        else:
             return selector, xs
-        selector[xs] = found
     return selector, None
 
 

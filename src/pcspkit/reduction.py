@@ -46,7 +46,11 @@ from .errors import (
 from .minion import (
     FiniteFunction,
     LazyPolymorphismSlice,
+    _blocks,
+    _minor_index,
+    _row_index_sets,
     decode_partial_map_constraint,
+    dictator,
     minor,
     tuple_label,
 )
@@ -312,13 +316,6 @@ class CloudLayout:
         )
 
 
-def _function_index(digits: Sequence[int], base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
-
-
 def longcode_reduce(
     aux: AuxiliaryInstance,
     target: PcspTemplate,
@@ -330,13 +327,13 @@ def longcode_reduce(
     Every subset variable gets one cloud whose positions are the functions
     from its own labels to A, in mixed-radix order.  Per cloud and per target
     relation, one constraint for every matrix of relation tuples indexed by
-    the cloud's labels: the scope collects the positions given by the matrix
-    rows.  A constraint u -> w with map pi is the minor condition F_w = F_u
-    minored along pi: position g of w is identified with position g o pi of
-    u.  Scopes reference the least position of each identification class.
+    the cloud's labels: its scope is the positions of the matrix rows, the
+    indices `is_polymorphism` looks up.  A constraint u -> w with map pi is
+    the minor condition F_w = F_u minored along pi: position g of w is
+    identified with position g o pi of u, the index `minor` reads.  Scopes
+    reference the least position of each identification class.
     """
     base = len(target.strict.domain)
-    digit = {atom: i for i, atom in enumerate(target.strict.domain)}
     width = len(str(max(len(aux.variables) - 1, 0)))
     clouds = tuple(
         Cloud(id=f"u{n:0{width}d}", ref=var.name, index_labels=var.labels())
@@ -373,26 +370,19 @@ def longcode_reduce(
 
     labels = {cloud.ref: cloud.index_labels for cloud in clouds}
     for con in aux.constraints:
-        column = {label: i for i, label in enumerate(labels[con.w])}
-        pick = [column[con.cmap[a]] for a in labels[con.u]]
-        for gidx, g in enumerate(itertools.product(range(base), repeat=len(column))):
-            ru = find(offset[con.u] + _function_index([g[p] for p in pick], base))
-            rw = find(offset[con.w] + gidx)
+        u, w = offset[con.u], offset[con.w]
+        for gidx, fidx in enumerate(_minor_index(base, labels[con.u], con.cmap, labels[con.w])):
+            ru, rw = find(u + fidx), find(w + gidx)
             if ru != rw:
                 parent[max(ru, rw)] = min(ru, rw)
 
     emitted = set()
     for cloud in clouds:
         start = offset[cloud.ref]
-        nlabels = len(cloud.index_labels)
-        for rel_name, rel in sorted(target.strict.relations.items()):
-            cols = [[digit[atom] for atom in t] for t in rel.sorted_tuples]
-            for matrix in itertools.product(cols, repeat=nlabels):
-                scope = tuple(
-                    names[find(start + _function_index([col[row] for col in matrix], base))]
-                    for row in range(rel.arity)
-                )
-                emitted.add((rel_name, scope))
+        for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
+            for rows in _blocks(head, tail):
+                for scope in zip(*rows):
+                    emitted.add((rel_name, tuple(names[find(start + i)] for i in scope)))
 
     roots = [find(x) for x in range(len(names))]
     reps = {names[x]: names[r] for x, r in enumerate(roots) if x != r}
@@ -547,10 +537,10 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     values = {}
     a1 = layout.target.strict.domain
     for cloud in layout.clouds:
-        pick = cloud.index_labels.index(star[cloud.ref])
-        for idx, args in enumerate(itertools.product(a1, repeat=len(cloud.index_labels))):
+        evaluation = dictator(cloud.index_labels, a1, star[cloud.ref])
+        for idx, value in enumerate(evaluation.table):
             rep = layout.rep(layout.position(cloud, idx))
-            if values.setdefault(rep, args[pick]) != args[pick]:
+            if values.setdefault(rep, value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
     return Assignment(values, side="strict")
 

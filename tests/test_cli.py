@@ -190,6 +190,7 @@ class TestUnreadableInput:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "error" in json.loads(report.read_text())["payload"]
+        return err
 
     def test_bad_json_is_one_error_line(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -198,3 +199,25 @@ class TestUnreadableInput:
 
     def test_missing_file_is_one_error_line(self, files, tmp_path, capsys):
         self._solve(str(tmp_path / "absent.json"), files, tmp_path / "rep.json", capsys)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"variables": ["x", "y"]}, "constraints: missing"),
+            (
+                {"variables": "xy", "constraints": [{"scope": ["x", "y"], "relation": "neq"}]},
+                "variables: expected a list",
+            ),
+            (
+                {"variables": ["x", "y"], "constraints": [{"scope": "xy", "relation": "neq"}]},
+                "constraints[0].scope: expected a list",
+            ),
+        ],
+    )
+    def test_malformed_instance_names_its_json_path(
+        self, payload, message, files, tmp_path, capsys
+    ):
+        path = tmp_path / "inst.json"
+        jsonio.write_canonical(path, payload)
+        err = self._solve(str(path), files, tmp_path / "rep.json", capsys)
+        assert message in err

@@ -113,6 +113,20 @@ class TestLongCode:
         result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
         assert pk.brute_force_solve(result.instance, k2) is not None
 
+    @pytest.mark.parametrize("phi, k", [(edge_instance(), (2, 1)), (path_instance(), (3, 2))])
+    def test_scopes_are_the_same_when_walked_block_by_block(self, monkeypatch, k2, t22, phi, k):
+        # no desk input has a cloud large enough to reach the lazily walked
+        # leading coordinates, so the block size is shrunk to reach them
+        aux = pk.build_auxiliary(phi, k2, k)
+
+        def emitted():
+            instance, layout = pk.longcode_reduce(aux, t22)
+            return [jsonio.canonical_dumps(x.to_payload()) for x in (instance, layout)]
+
+        whole = emitted()
+        monkeypatch.setattr(pk.minion, "_BLOCK", 3)
+        assert emitted() == whole
+
 
 class TestPipeline:
     def test_solvable_edge_end_to_end(self, k2, t22, ident22):
