@@ -311,22 +311,26 @@ def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
     chains = enumerate_chains(inst)
     member_of = {x: [c for c in chains if x in c] for x in names}
     placed = dict.fromkeys(chains, 0)
+    # Per variable, its chains it would complete and its partly placed chains.
+    completes = {x: sum(len(c) == 1 for c in member_of[x]) for x in names}
+    touches = dict.fromkeys(names, 0)
 
-    def priority(n):
-        mine = member_of[names[n]]
-        completes = sum(placed[c] == len(c) - 1 for c in mine)
-        touches = sum(placed[c] > 0 for c in mine)
-        return completes, touches, -sizes[names[n]], -n
-
-    left = set(range(len(names)))
+    # `max` keeps the first of equals, so ties go to layer order.
+    left = list(names)
     order, judged_at = [], []
     while left:
-        n = max(left, key=priority)
-        left.remove(n)
-        for c in member_of[names[n]]:
+        x = max(left, key=lambda x: (completes[x], touches[x], -sizes[x]))
+        left.remove(x)
+        for c in member_of[x]:
             placed[c] += 1
-        order.append(names[n])
-        judged_at.append([c for c in member_of[names[n]] if placed[c] == len(c)])
+            if placed[c] == 1:
+                for y in c:
+                    touches[y] += 1
+            if placed[c] == len(c) - 1:
+                for y in c:
+                    completes[y] += 1
+        order.append(x)
+        judged_at.append([c for c in member_of[x] if placed[c] == len(c)])
     return order, judged_at
 
 

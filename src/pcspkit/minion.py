@@ -153,11 +153,6 @@ def _minor_index(base: int, arity_set: Sequence, pi: Mapping, target: Sequence) 
     return idx
 
 
-def compose_maps(first: Mapping, second: Mapping) -> dict:
-    """second o first as coordinate maps (apply `first`, then `second`)."""
-    return {x: second[y] for x, y in first.items()}
-
-
 # Matrices whose row indices a membership check holds in memory at once.
 _BLOCK = 1 << 16
 
@@ -355,21 +350,59 @@ class ClosureCheck:
         return self.ok
 
 
+class _MinorGraph:
+    """A slice's members at the given arities, numbered, and each member's
+    minor along every map between those arities, computed once.
+
+    Functions are interned: members come first, so an id below `size` is a
+    member.  `edges[i][m]` is the id of member i's minor along `maps[x][m]`,
+    the m-th (map, target) out of its arity set x: targets in the given
+    order, then images in product order.
+    """
+
+    def __init__(self, slice_, arities: Sequence[tuple]):
+        self.functions, self._ids, self._minors = [], {}, {}
+        for x in arities:
+            for t in slice_.members(x):
+                self.intern(t)
+        self.size = len(self.functions)
+        self.maps = {
+            x: [(dict(zip(x, images)), y) for y in arities
+                for images in itertools.product(y, repeat=len(x))]
+            for x in dict.fromkeys(t.arity_set for t in self.functions)
+        }
+        self.edges = [
+            [self.minor(i, m) for m in range(len(self.maps[t.arity_set]))]
+            for i, t in enumerate(self.functions[: self.size])
+        ]
+
+    def intern(self, fn: FiniteFunction) -> int:
+        i = self._ids.setdefault(fn, len(self.functions))
+        if i == len(self.functions):
+            self.functions.append(fn)
+        return i
+
+    def minor(self, f: int, m: int) -> int:
+        """The id of f's minor along the m-th map out of its arity set."""
+        if (f, m) not in self._minors:
+            fn = self.functions[f]
+            pi, y = self.maps[fn.arity_set][m]
+            self._minors[f, m] = self.intern(minor(fn, pi, target=y))
+        return self._minors[f, m]
+
+    def witness(self, i: int, m: int, s: int) -> tuple:
+        t = self.functions[i]
+        return t, self.maps[t.arity_set][m][0], self.functions[s]
+
+
 def check_minor_closure(slice_: MinionSlice) -> ClosureCheck:
     """Is the slice closed under every minor map between its declared arities?"""
-    for x in slice_.arity_sets:
-        for t in slice_.members(x):
-            for y in slice_.arity_sets:
-                for pi in _all_maps(x, y):
-                    s = minor(t, pi, target=y)
-                    if not slice_.contains(s):
-                        return ClosureCheck(False, (t, pi, s))
+    graph = _MinorGraph(slice_, slice_.arity_sets)
+    for i in range(graph.size):
+        for m, s in enumerate(graph.edges[i]):
+            if s >= graph.size:
+                return ClosureCheck(False, graph.witness(i, m, s))
     return ClosureCheck(True, None)
-
-
-def _all_maps(x: tuple, y: tuple):
-    for images in itertools.product(y, repeat=len(x)):
-        yield dict(zip(x, images))
 
 
 @dataclass(frozen=True)
@@ -387,22 +420,18 @@ def check_minion_homomorphism(
     declared: Optional[Iterable] = None,
 ) -> HomomorphismCheck:
     """Does xi preserve arities and every minor between the declared arities?"""
-    arities = tuple(tuple(sorted(x)) for x in (declared or source.arity_sets))
-    for x in arities:
-        for t in source.members(x):
-            if t not in xi:
-                raise InputError(f"map is not total: missing a function of arity {x}")
-            if xi[t].arity_set != t.arity_set:
-                raise StructuralError("map does not preserve arities")
-    for x in arities:
-        for t in source.members(x):
-            for y in arities:
-                for pi in _all_maps(x, y):
-                    s = minor(t, pi, target=y)
-                    if not source.contains(s):
-                        continue
-                    if minor(xi[t], pi, target=y) != xi[s]:
-                        return HomomorphismCheck(False, (t, pi, s))
+    graph = _MinorGraph(source, [tuple(sorted(x)) for x in (declared or source.arity_sets)])
+    members = graph.functions[: graph.size]
+    for t in members:
+        if t not in xi:
+            raise InputError(f"map is not total: missing a function of arity {t.arity_set}")
+        if xi[t].arity_set != t.arity_set:
+            raise StructuralError("map does not preserve arities")
+    images = [graph.intern(xi[t]) for t in members]
+    for i in range(graph.size):
+        for m, s in enumerate(graph.edges[i]):
+            if s < graph.size and graph.minor(images[i], m) != images[s]:
+                return HomomorphismCheck(False, graph.witness(i, m, s))
     return HomomorphismCheck(True, None)
 
 
@@ -527,45 +556,36 @@ def check_dr_homomorphism(
         if total > budget:
             raise ResourceError(f"chain enumeration exceeds the budget of {budget}")
 
-    # Membership of each function is checked once per call: `image` raises
-    # InputError on an uncovered function, so nothing is cached for it.
-    image = cache(table.image)
-    for t0 in source.all_functions():
-        for chain, maps in _chains_from(t0, source, r):
-            if not _chain_admits_pair(image, chain, maps):
+    graph = _MinorGraph(source, arities)
+
+    @cache
+    def image(i: int) -> tuple:
+        # `table.image` raises InputError on an uncovered member, never cached.
+        return tuple(map(graph.intern, table.image(graph.functions[i])))
+
+    def admits_pair(path, maps) -> bool:
+        # Every member first, so an uncovered one raises even if an early pair agrees.
+        images = [image(i) for i in path]
+        # Minors compose, so the maps from t_i to t_j apply one after another.
+        for i, found in enumerate(images):
+            for g in found:
+                for m, later in zip(maps[i:], images[i + 1 :]):
+                    g = graph.minor(g, m)
+                    if g in later:
+                        return True
+        return False
+
+    for t0 in range(graph.size):
+        paths = [((t0,), ())]
+        for _ in range(r):
+            paths = [(p + (j,), ms + (m,)) for p, ms in paths
+                     for m, j in enumerate(graph.edges[p[-1]]) if j < graph.size]
+        for path, maps in paths:
+            if not admits_pair(path, maps):
+                chain = tuple(graph.functions[i] for i in path)
+                maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, maps))
                 return ChainCheck(False, (chain, maps))
     return ChainCheck(True, None)
-
-
-def _chains_from(t0: FiniteFunction, source: MinionSlice, r: int):
-    def extend(chain, maps):
-        if len(maps) == r:
-            yield tuple(chain), tuple(maps)
-            return
-        current = chain[-1]
-        for y in source.arity_sets:
-            for pi in _all_maps(current.arity_set, y):
-                nxt = minor(current, pi, target=y)
-                if not source.contains(nxt):
-                    continue
-                yield from extend(chain + [nxt], maps + [pi])
-
-    yield from extend([t0], [])
-
-
-def _chain_admits_pair(image, chain, maps) -> bool:
-    # Every member first, so an uncovered one raises even if an early pair agrees.
-    images = [image(t) for t in chain]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            composed = maps[i]
-            for step in maps[i + 1 : j]:
-                composed = compose_maps(composed, step)
-            for g in images[i]:
-                target = minor(g, composed, target=chain[j].arity_set)
-                if any(target == h for h in images[j]):
-                    return True
-    return False
 
 
 # -- free templates ------------------------------------------------------------

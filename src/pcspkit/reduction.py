@@ -224,9 +224,16 @@ class CloudLayout:
     def rep(self, position: str) -> str:
         return self.reps.get(position, position)
 
-    def position(self, cloud: Cloud, index: int) -> str:
-        width = len(str(cloud.size(len(self.target.strict.domain)) - 1))
-        return f"{cloud.id}p{index:0{width}d}"
+    @cached_property
+    def position_names(self) -> dict:
+        """Per cloud, its position names in index order, formatted once per layout."""
+        base = len(self.target.strict.domain)
+        names = {}
+        for cloud in self.clouds:
+            size = cloud.size(base)
+            width = len(str(size - 1))
+            names[cloud] = [f"{cloud.id}p{index:0{width}d}" for index in range(size)]
+        return names
 
     def to_payload(self) -> dict:
         payload = {
@@ -358,7 +365,7 @@ def longcode_reduce(
     names = []
     for cloud in clouds:
         offset[cloud.ref] = len(names)
-        names.extend(layout.position(cloud, idx) for idx in range(cloud.size(base)))
+        names.extend(layout.position_names[cloud])
 
     parent = list(range(len(names)))
 
@@ -510,8 +517,8 @@ def read_cloud_functions(
     out = {}
     for cloud in layout.clouds:
         table = []
-        for idx in range(cloud.size(len(a1))):
-            pos = layout.rep(layout.position(cloud, idx))
+        for name in layout.position_names[cloud]:
+            pos = layout.rep(name)
             if pos not in assignment:
                 raise InputError(f"assignment is missing position {pos!r}")
             table.append(assignment[pos])
@@ -538,8 +545,8 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     a1 = layout.target.strict.domain
     for cloud in layout.clouds:
         evaluation = dictator(cloud.index_labels, a1, star[cloud.ref])
-        for idx, value in enumerate(evaluation.table):
-            rep = layout.rep(layout.position(cloud, idx))
+        for name, value in zip(layout.position_names[cloud], evaluation.table):
+            rep = layout.rep(name)
             if values.setdefault(rep, value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
     return Assignment(values, side="strict")

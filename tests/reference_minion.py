@@ -4,18 +4,30 @@
 former `FiniteFunction.apply`, `minor`, `is_polymorphism` and
 `enumerate_polymorphisms`, unchanged except that the method became a function
 of the evaluated `FiniteFunction`, and `index_of` and `function_from_callable`
-(which they call) came along with them.  Only the property tests in
-tests/test_minion.py use this module.
+(which they call) came along with them.
+
+`check_minor_closure`, `check_minion_homomorphism` and `check_dr_homomorphism`
+are the audits as they were before they shared one minor graph, unchanged,
+with `_all_maps`, `_chains_from`, `_chain_admits_pair` and `compose_maps`;
+they call this module's `minor`.  Only the property tests in tests/test_minion.py use this
+module.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Sequence
+from functools import cache
+from typing import Iterable, Mapping, Optional, Sequence
 
 from pcspkit.core import DEFAULT_BUDGET, PcspTemplate
 from pcspkit.errors import InputError, ResourceError, StructuralError
-from pcspkit.minion import FiniteFunction
+from pcspkit.minion import (
+    ChainCheck,
+    ClosureCheck,
+    FiniteFunction,
+    HomomorphismCheck,
+    MinionSlice,
+)
 
 
 def index_of(f: FiniteFunction, args: Sequence[str]) -> int:
@@ -105,3 +117,111 @@ def enumerate_polymorphisms(
         if is_polymorphism(fn, template):
             found.append(fn)
     return tuple(found)
+
+
+def compose_maps(first: Mapping, second: Mapping) -> dict:
+    """second o first as coordinate maps (apply `first`, then `second`)."""
+    return {x: second[y] for x, y in first.items()}
+
+
+def _all_maps(x: tuple, y: tuple):
+    for images in itertools.product(y, repeat=len(x)):
+        yield dict(zip(x, images))
+
+
+def check_minor_closure(slice_: MinionSlice) -> ClosureCheck:
+    """Is the slice closed under every minor map between its declared arities?"""
+    for x in slice_.arity_sets:
+        for t in slice_.members(x):
+            for y in slice_.arity_sets:
+                for pi in _all_maps(x, y):
+                    s = minor(t, pi, target=y)
+                    if not slice_.contains(s):
+                        return ClosureCheck(False, (t, pi, s))
+    return ClosureCheck(True, None)
+
+
+def check_minion_homomorphism(
+    xi: Mapping[FiniteFunction, FiniteFunction],
+    source: MinionSlice,
+    declared: Optional[Iterable] = None,
+) -> HomomorphismCheck:
+    """Does xi preserve arities and every minor between the declared arities?"""
+    arities = tuple(tuple(sorted(x)) for x in (declared or source.arity_sets))
+    for x in arities:
+        for t in source.members(x):
+            if t not in xi:
+                raise InputError(f"map is not total: missing a function of arity {x}")
+            if xi[t].arity_set != t.arity_set:
+                raise StructuralError("map does not preserve arities")
+    for x in arities:
+        for t in source.members(x):
+            for y in arities:
+                for pi in _all_maps(x, y):
+                    s = minor(t, pi, target=y)
+                    if not source.contains(s):
+                        continue
+                    if minor(xi[t], pi, target=y) != xi[s]:
+                        return HomomorphismCheck(False, (t, pi, s))
+    return HomomorphismCheck(True, None)
+
+
+def check_dr_homomorphism(
+    table, source: MinionSlice, budget: int = DEFAULT_BUDGET
+) -> ChainCheck:
+    """Verify the weak chain condition on every length-r minor chain whose
+    members stay inside the source slice:
+
+    for the chain t_0 -> ... -> t_r there must be i < j and g in xi(t_i),
+    h in xi(t_j) with h equal to the composed-map minor of g.
+    """
+    r = table.r
+    arities = source.arity_sets
+    total = 0
+    for shape in itertools.product(arities, repeat=r + 1):
+        steps = len(source.members(shape[0]))
+        for x, y in zip(shape, shape[1:]):
+            steps *= len(y) ** len(x)
+        total += steps
+        if total > budget:
+            raise ResourceError(f"chain enumeration exceeds the budget of {budget}")
+
+    # Membership of each function is checked once per call: `image` raises
+    # InputError on an uncovered function, so nothing is cached for it.
+    image = cache(table.image)
+    for t0 in source.all_functions():
+        for chain, maps in _chains_from(t0, source, r):
+            if not _chain_admits_pair(image, chain, maps):
+                return ChainCheck(False, (chain, maps))
+    return ChainCheck(True, None)
+
+
+def _chains_from(t0: FiniteFunction, source: MinionSlice, r: int):
+    def extend(chain, maps):
+        if len(maps) == r:
+            yield tuple(chain), tuple(maps)
+            return
+        current = chain[-1]
+        for y in source.arity_sets:
+            for pi in _all_maps(current.arity_set, y):
+                nxt = minor(current, pi, target=y)
+                if not source.contains(nxt):
+                    continue
+                yield from extend(chain + [nxt], maps + [pi])
+
+    yield from extend([t0], [])
+
+
+def _chain_admits_pair(image, chain, maps) -> bool:
+    # Every member first, so an uncovered one raises even if an early pair agrees.
+    images = [image(t) for t in chain]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            composed = maps[i]
+            for step in maps[i + 1 : j]:
+                composed = compose_maps(composed, step)
+            for g in images[i]:
+                target = minor(g, composed, target=chain[j].arity_set)
+                if any(target == h for h in images[j]):
+                    return True
+    return False

@@ -2,13 +2,19 @@
 slots that compares projections of partial-solution sets directly, with no
 layered instance in between.  Tests use it as the reference for
 pcspkit.csp_value_oracle, which must give the same answer wherever this one
-finishes within its budget."""
+finishes within its budget.
+
+`_chain_order` is the chain search's variable order as it was before it kept
+its counts up to date, unchanged: it scores every unplaced variable from its
+chains at every step.  Tests require the same order and the same judged
+chains from pcspkit.labelcover._chain_order."""
 
 import itertools
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from pcspkit.core import DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions
 from pcspkit.errors import InputError, ResourceError
+from pcspkit.labelcover import LlcInstance, enumerate_chains
 from pcspkit.pas import _proj
 
 
@@ -107,3 +113,34 @@ def csp_value_oracle(
         return False
 
     return search(0)
+
+
+def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
+    """The search order, fixed before the search starts, and per step the
+    chains whose last variable is set there.
+
+    Next comes the variable that completes the most chains among those already
+    placed; ties go to the one touching the most partly placed chains, then to
+    the fewest options (`sizes`), then to layer order.
+    """
+    names = [x for layer in inst.layers for x in layer]
+    chains = enumerate_chains(inst)
+    member_of = {x: [c for c in chains if x in c] for x in names}
+    placed = dict.fromkeys(chains, 0)
+
+    def priority(n):
+        mine = member_of[names[n]]
+        completes = sum(placed[c] == len(c) - 1 for c in mine)
+        touches = sum(placed[c] > 0 for c in mine)
+        return completes, touches, -sizes[names[n]], -n
+
+    left = set(range(len(names)))
+    order, judged_at = [], []
+    while left:
+        n = max(left, key=priority)
+        left.remove(n)
+        for c in member_of[names[n]]:
+            placed[c] += 1
+        order.append(names[n])
+        judged_at.append([c for c in member_of[names[n]] if placed[c] == len(c)])
+    return order, judged_at

@@ -8,6 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
+from pcspkit.core import DEFAULT_BUDGET
+from pcspkit.labelcover import _chain_order, _width_options
+
+import reference_oracle as oracle_module
 from conftest import ALLOWED_SETS, cycle_instance, triangle_instance, unary_instance
 from reference_oracle import csp_value_oracle as reference_oracle
 
@@ -263,6 +267,18 @@ class TestChainSearch:
             assert f.width <= result.value
             assert all(f.mapping[x] <= set(inst.domains[x]) for x in inst.domains)
             assert all(pk.weakly_satisfies(f, c, inst) for c in pk.enumerate_chains(inst))
+
+
+    # The counts kept up to date must pick the variables the rescoring picks.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
+    @example(case=C5_AT_K32)
+    def test_order_is_the_rescored_order(self, case):
+        phi, side, k, d, _ = case
+        inst = pk.reduce_mcsp_to_llc(phi, side, k)
+        sizes = {x: len(_width_options(len(dom), d, DEFAULT_BUDGET))
+                 for x, dom in inst.domains.items()}
+        assert _chain_order(inst, sizes) == oracle_module._chain_order(inst, sizes)
 
 
 class TestRoundTrip:

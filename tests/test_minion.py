@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
-from pcspkit.minion import LazyDictatorSlice, compose_maps, dictator, restriction_to
+from pcspkit.minion import LazyDictatorSlice, dictator, restriction_to
 
 import reference_minion
+from reference_minion import compose_maps
 
 
 def fn(arity, table, domain=("0", "1")):
@@ -214,6 +215,19 @@ class TestDrTables:
         monkeypatch.setattr(pk.minion, "is_polymorphism", counting)
         assert pk.check_dr_homomorphism(pk.IdentityDrTable(t22, r=2), sl)
         assert sum(checked.values()) <= 22 and max(checked.values()) == 1
+
+    def test_each_minor_computed_once_per_call(self, monkeypatch, t22):
+        sl = pk.polymorphism_slice(t22, [("x",), ("x", "y"), ("x", "y", "z")])
+        computed = collections.Counter()
+        real = pk.minion.minor
+
+        def counting(t, pi, target=None):
+            computed[t, tuple(sorted(pi.items())), tuple(sorted(target))] += 1
+            return real(t, pi, target=target)
+
+        monkeypatch.setattr(pk.minion, "minor", counting)
+        assert pk.check_dr_homomorphism(pk.IdentityDrTable(t22, r=2), sl)
+        assert sum(computed.values()) <= 644 and max(computed.values()) == 1
 
     def test_uncovered_chain_member_is_input_error(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
@@ -432,3 +446,105 @@ class TestKernelAgainstReference:
                 assert dictator(arity, domain, c) == reference_minion.function_from_callable(
                     arity, domain, domain, lambda g: g[c]
                 )
+
+
+# Pol(K2,K2) at arities 1-3 and Pol(K2,K3) at arities 1-2.
+AUDITED = {
+    "k2k2": pk.polymorphism_slice(TEMPLATES["k2k2"], [LABELS[:n] for n in (1, 2, 3)]),
+    "k2k3": pk.polymorphism_slice(TEMPLATES["k2k3"], [LABELS[:n] for n in (1, 2)]),
+}
+
+
+def _xi(f):
+    """x -> [f(x) > f(not x)]: a minion homomorphism from Pol(K2,K3) to
+    Pol(K2,K2), and the identity on Pol(K2,K2)."""
+    n = len(f.table)
+    return fn(f.arity_set, ["1" if f.table[i] > f.table[n - 1 - i] else "0" for i in range(n)])
+
+
+@st.composite
+def _images(draw, t):
+    """A function of t's arity over {0,1}: a member of Pol(K2,K2) or any table."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(AUDITED["k2k2"].members(t.arity_set)))
+    size = len(t.table)
+    return fn(t.arity_set, draw(st.lists(st.sampled_from("01"), min_size=size, max_size=size)))
+
+
+@st.composite
+def _rewritten_xi(draw, members):
+    """x -> [f(x) > f(not x)] with a few images rewritten, so the audits see
+    both homomorphisms and maps that fail somewhere."""
+    xi = {t: [_xi(t)] for t in members}
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.sampled_from(members))
+        xi[t] = [draw(_images(t))]
+    return xi
+
+
+def _outcome(audit, *args):
+    try:
+        return audit(*args)
+    except (InputError, ResourceError, StructuralError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAuditsAgainstReference:
+    """The audits over one minor graph against the audits that minor every
+    member along every map where they meet it: the same answer, the same first
+    counterexample and the same error."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_chain_audit_is_the_same(self, data):
+        sl = AUDITED[data.draw(st.sampled_from(sorted(AUDITED)))]
+        members = list(sl.all_functions())
+        d, r = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        mapping = data.draw(_rewritten_xi(members))
+        for _ in range(data.draw(st.integers(0, 3)) if d == 2 else 0):
+            t = data.draw(st.sampled_from(members))
+            g = data.draw(_images(t))
+            if g not in mapping[t]:
+                mapping[t].insert(data.draw(st.integers(0, 1)), g)
+        if data.draw(st.integers(0, 5)) == 0:
+            del mapping[data.draw(st.sampled_from(members))]
+        table = pk.ExplicitDrTable(d, r, mapping)
+        budget = data.draw(st.sampled_from((pk.minion.DEFAULT_BUDGET, 2_000, 20_000)))
+        assert _outcome(pk.check_dr_homomorphism, table, sl, budget) == _outcome(
+            reference_minion.check_dr_homomorphism, table, sl, budget
+        )
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_homomorphism_audit_is_the_same(self, data):
+        sl = AUDITED[data.draw(st.sampled_from(sorted(AUDITED)))]
+        members = list(sl.all_functions())
+        xi = {t: images[0] for t, images in data.draw(_rewritten_xi(members)).items()}
+        if data.draw(st.integers(0, 5)) == 0:
+            del xi[data.draw(st.sampled_from(members))]
+        if data.draw(st.integers(0, 5)) == 0:
+            xi[data.draw(st.sampled_from(members))] = fn(("z",), ("0", "1"))
+        declared = None
+        if data.draw(st.booleans()):
+            pool = sl.arity_sets + (LABELS[1:3],)
+            declared = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        assert _outcome(pk.check_minion_homomorphism, xi, sl, declared) == _outcome(
+            reference_minion.check_minion_homomorphism, xi, sl, declared
+        )
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_closure_audit_is_the_same(self, data):
+        full = AUDITED[data.draw(st.sampled_from(sorted(AUDITED)))]
+        arities = data.draw(st.lists(st.sampled_from(full.arity_sets), min_size=1, unique=True))
+        grouped = {}
+        for x in arities:
+            # most members, and now and then a table that is no member
+            grouped[x] = [t for t in full.members(x) if data.draw(st.integers(0, 3))]
+            if data.draw(st.integers(0, 2)) == 0:
+                size = len(full.in_domain) ** len(x)
+                table = data.draw(st.lists(st.sampled_from(full.out_domain),
+                                           min_size=size, max_size=size))
+                grouped[x].append(pk.FiniteFunction(x, full.in_domain, full.out_domain, table))
+        sl = pk.MinionSlice(full.in_domain, full.out_domain, grouped)
+        assert pk.check_minor_closure(sl) == reference_minion.check_minor_closure(sl)

@@ -235,6 +235,16 @@ class TestDecode:
         colouring = extraction.assignment.restrict(phi.variables)
         assert pk.evaluate(phi, k2, colouring) == []
 
+    def test_absent_position_is_input_error_naming_it(self, k2, t22):
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        cloud = layout.clouds[-1]
+        absent = layout.rep(layout.position_names[cloud][-1])
+        partial = {pos: v for pos, v in lift.mapping.items() if pos != absent}
+        with pytest.raises(InputError, match=f"missing position '{absent}'"):
+            pk.read_cloud_functions(partial, layout, k2.domain)
+
     def test_uncovered_decoded_function_is_input_error(self, k2, t22):
         # an explicit table that covers none of the decoded functions
         phi = path_instance()
@@ -407,7 +417,7 @@ def _renaming(old_layout, new_layout, base: int) -> dict:
             for p in keep:
                 new_idx = new_idx * base + digits[p]
             old_name = old_layout.rep(old_layout.position(cloud, idx))
-            new_name = new_layout.rep(new_layout.position(new, new_idx))
+            new_name = new_layout.rep(new_layout.position_names[new][new_idx])
             assert rename.setdefault(old_name, new_name) == new_name, old_name
     return rename
 
