@@ -246,7 +246,7 @@ def _cmd_decode(args, report: _Report) -> int:
     for path in (args.assignment, args.layout, args.dr_table, args.source, args.source_template):
         report.add_input(path)
     assignment = jsonio.read_json(args.assignment)["values"]
-    layout = CloudLayout.from_payload(jsonio.read_json(args.layout))
+    layout = CloudLayout.from_payload(jsonio.read_json(args.layout), budget=args.budget)
     table = dr_table_from_payload(jsonio.read_json(args.dr_table))
     phi = Instance.from_payload(jsonio.read_json(args.source))
     source = PcspTemplate.from_payload(jsonio.read_json(args.source_template))

@@ -219,6 +219,11 @@ class Instance:
         return Instance(variables, constraints)
 
 
+_KIND_NAMES = {
+    list: "a list", str: "a string", Mapping: "an object", int: "an integer", bool: "a boolean"
+}
+
+
 def _payload_field(payload, path: str, key: str, kind: type):
     """payload[key] read from JSON: an InputError names the field's path when
     it is missing or of another kind, so a string never passes as a list."""
@@ -228,7 +233,7 @@ def _payload_field(payload, path: str, key: str, kind: type):
     if key not in payload:
         raise InputError(f"{path}: missing")
     if not isinstance(payload[key], kind):
-        raise InputError(f"{path}: expected a {'list' if kind is list else 'string'}")
+        raise InputError(f"{path}: expected {_KIND_NAMES[kind]}")
     return payload[key]
 
 
@@ -329,20 +334,29 @@ def evaluate(instance: Instance, side: RelationalStructure, f: Assignment) -> li
     return violated
 
 
-def _candidate_count(instance: Instance, side: RelationalStructure) -> int:
-    return len(side.domain) ** len(instance.variables)
-
-
-def _iter_assignments(instance: Instance, side: RelationalStructure):
-    for values in itertools.product(side.domain, repeat=len(instance.variables)):
-        yield dict(zip(instance.variables, values))
-
-
 def _satisfies(mapping: dict, instance: Instance, side: RelationalStructure) -> bool:
     for c in instance.constraints:
         if tuple(mapping[v] for v in c.scope) not in side.relations[c.relation].tuples:
             return False
     return True
+
+
+def _solutions(instance: Instance, side: RelationalStructure, budget: int, tag: Optional[str]):
+    """Solutions in lexicographic variable/domain order.
+
+    The candidate space |domain|^|V| is checked against `budget` before the
+    first candidate; an exceeded budget is an error, never a silent truncation.
+    """
+    _validate_against(instance, side)
+    total = len(side.domain) ** len(instance.variables)
+    if total > budget:
+        raise ResourceError(
+            f"brute force would enumerate {total} candidates, over the budget of {budget}"
+        )
+    for values in itertools.product(side.domain, repeat=len(instance.variables)):
+        mapping = dict(zip(instance.variables, values))
+        if _satisfies(mapping, instance, side):
+            yield Assignment(mapping, side=tag)
 
 
 def brute_force_solve(
@@ -351,21 +365,8 @@ def brute_force_solve(
     budget: int = DEFAULT_BUDGET,
     tag: Optional[str] = None,
 ) -> Optional[Assignment]:
-    """First solution in lexicographic variable/domain order, or None.
-
-    The candidate space |domain|^|V| is checked against `budget` up front; an
-    exceeded budget is an error, never a silent truncation.
-    """
-    _validate_against(instance, side)
-    total = _candidate_count(instance, side)
-    if total > budget:
-        raise ResourceError(
-            f"brute force would enumerate {total} candidates, over the budget of {budget}"
-        )
-    for mapping in _iter_assignments(instance, side):
-        if _satisfies(mapping, instance, side):
-            return Assignment(mapping, side=tag)
-    return None
+    """First solution in lexicographic variable/domain order, or None."""
+    return next(_solutions(instance, side, budget, tag), None)
 
 
 def all_solutions(
@@ -375,17 +376,7 @@ def all_solutions(
     tag: Optional[str] = None,
 ) -> tuple:
     """Every solution, in lexicographic order."""
-    _validate_against(instance, side)
-    total = _candidate_count(instance, side)
-    if total > budget:
-        raise ResourceError(
-            f"brute force would enumerate {total} candidates, over the budget of {budget}"
-        )
-    found = []
-    for mapping in _iter_assignments(instance, side):
-        if _satisfies(mapping, instance, side):
-            found.append(Assignment(mapping, side=tag))
-    return tuple(found)
+    return tuple(_solutions(instance, side, budget, tag))
 
 
 def partial_solution_table(

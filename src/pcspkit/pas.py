@@ -162,12 +162,7 @@ def is_m_solution(f, system: Pas, m: int) -> bool:
         raise InputError(f"m={m} exceeds the system arity {system.arity}")
     fmap = f.mapping if isinstance(f, Assignment) else dict(f)
     for u in itertools.combinations(system.variables, m):
-        want = tuple(fmap[x] for x in u)
-        if not any(
-            _proj(g, w, u) == want
-            for w in _supersets(system.variables, u, system.arity)
-            for g in system.entries[w]
-        ):
+        if _first_superset(system, u, tuple(fmap[x] for x in u), (), extends=True) is None:
             return False
     return True
 
@@ -181,6 +176,15 @@ def _supersets(variables: tuple, base, size: int):
     rest = [x for x in variables if x not in base]
     for extra in itertools.combinations(rest, size - len(base)):
         yield tuple(sorted(base.union(extra)))
+
+
+def _first_superset(system: Pas, xs: tuple, f: tuple, need, extends: bool) -> Optional[tuple]:
+    """Lexicographically-first arity-sized superset of X union `need` whose
+    entry does (`extends`) or does not contain an extension of f on X, or None."""
+    for u in _supersets(system.variables, set(xs) | set(need), system.arity):
+        if any(_proj(g, u, xs) == f for g in system.entries[u]) == extends:
+            return u
+    return None
 
 
 @dataclass(frozen=True)
@@ -266,10 +270,7 @@ def has_property(
         raise InputError("|X| and l must not exceed the system arity")
     wanted = which is LocalProperty.EXTENSION
     for w in itertools.combinations(system.variables, l):
-        if not any(
-            any(_proj(g, u, xs) == f for g in system.entries[u]) == wanted
-            for u in _supersets(system.variables, set(xs) | set(w), system.arity)
-        ):
+        if _first_superset(system, xs, f, w, extends=wanted) is None:
             return PropertyCheck(False, w)
     return PropertyCheck(True, None)
 
@@ -629,7 +630,9 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
             for j in range(i + 1, r + 1):
                 for z in itertools.combinations(y, p[j]):
                     need |= set(ex[j][z])
-            ex[i][y] = _avoiding_superset(seq[i], x_i, f_i, need)
+            ex[i][y] = _first_superset(seq[i], x_i, f_i, need, extends=False)
+            if ex[i][y] is None:
+                raise InvariantError(f"no avoiding superset for {x_i}; avoidance property broken")
 
     stripped = {}
     x_idx = xs
@@ -638,7 +641,9 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
         for j in range(1, r + 1):
             for z in itertools.combinations(y, p[j]):
                 need |= set(ex[j][z])
-        u = _extending_superset(seq[0], x_idx, f, need)
+        u = _first_superset(seq[0], x_idx, f, need, extends=True)
+        if u is None:
+            raise InvariantError(f"no extending superset for {x_idx}; extension property broken")
         survivors = frozenset(
             _proj(g, u, y) for g in seq[0].entries[u] if _proj(g, u, x_idx) != f
         )
@@ -674,20 +679,3 @@ def _subset_selector(system: Pas, l: int, size: int):
             return selector, xs
     return selector, None
 
-
-def _avoiding_superset(system: Pas, xs: tuple, f: tuple, need: set) -> tuple:
-    """Lexicographically-first arity-sized superset of X union `need` none of
-    whose entry elements extends f on X."""
-    for u in _supersets(system.variables, set(xs) | set(need), system.arity):
-        if all(_proj(g, u, xs) != f for g in system.entries[u]):
-            return u
-    raise InvariantError(f"no avoiding superset exists for {xs}; avoidance property broken")
-
-
-def _extending_superset(system: Pas, xs: tuple, f: tuple, need: set) -> tuple:
-    """Lexicographically-first arity-sized superset of X union `need` whose
-    entry contains an extension of f on X."""
-    for u in _supersets(system.variables, set(xs) | set(need), system.arity):
-        if any(_proj(g, u, xs) == f for g in system.entries[u]):
-            return u
-    raise InvariantError(f"no extending superset exists for {xs}; extension property broken")

@@ -14,13 +14,16 @@ The decoder walks the same data backwards: cloud functions are checked
 against the minor condition, re-indexed by partial solutions, pushed through
 a set-valued chain-preserving table, and assembled into a sequence of partial
 assignment systems from which the extraction machinery recovers a solution.
+The subset instance is fixed by the padded source, the strict side, k and
+|C|, so a layout records those and its reader rebuilds the instance with
+`build_auxiliary`; decoding refuses a source or strict side that differs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
@@ -31,6 +34,7 @@ from .core import (
     Instance,
     PcspTemplate,
     RelationalStructure,
+    _payload_field,
     brute_force_solve,
     evaluate,
     partial_solution_table,
@@ -101,7 +105,8 @@ class AuxiliaryInstance:
     c_labels: tuple
     c_mode: str
     uniform_c_size: int
-    source_variables: tuple
+    source: Instance  # the (padded) source instance the subsets are taken from
+    strict: RelationalStructure  # the strict side the partial solutions solve
     variables: tuple  # PsiVariable, first-occurrence order
     constraints: tuple  # PsiConstraint
 
@@ -186,7 +191,8 @@ def build_auxiliary(
         c_labels=c_labels,
         c_mode=c_mode,
         uniform_c_size=uniform_size,
-        source_variables=v,
+        source=phi,
+        strict=strict_side,
         variables=tuple(variables.values()),
         constraints=tuple(constraints),
     )
@@ -194,7 +200,7 @@ def build_auxiliary(
 
 # -- clouds and the long-code step ---------------------------------------------
 
-LAYOUT_FORMAT = 2
+LAYOUT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -209,13 +215,17 @@ class Cloud:
 
 @dataclass(frozen=True)
 class CloudLayout:
-    """Everything the decoder needs: the subset instance, one cloud per subset
-    variable, and the representatives of positions the minor condition
-    identified."""
+    """Everything the decoder needs: the subset instance, and the
+    representatives of positions the minor condition identified.
+
+    The payload records only what the subset instance is built from (the
+    padded source, the strict side, k, the C mode and |C|); `from_payload`
+    rebuilds it with `build_auxiliary` under the caller's budget, and the
+    clouds are derived from it in `clouds`.
+    """
 
     target: PcspTemplate
     aux: Optional[AuxiliaryInstance]
-    clouds: tuple
     reps: dict  # position name -> representative, identity entries omitted
     padding: tuple  # variables added to reach the top arity
     gadget: bool = False
@@ -223,6 +233,17 @@ class CloudLayout:
 
     def rep(self, position: str) -> str:
         return self.reps.get(position, position)
+
+    @cached_property
+    def clouds(self) -> tuple:
+        """One cloud per subset variable, in the subset instance's order and
+        indexed by the variable's own labels; none for a gadget."""
+        variables = self.aux.variables if self.aux is not None else ()
+        width = len(str(max(len(variables) - 1, 0)))
+        return tuple(
+            Cloud(id=f"u{n:0{width}d}", ref=var.name, index_labels=var.labels())
+            for n, var in enumerate(variables)
+        )
 
     @cached_property
     def position_names(self) -> dict:
@@ -242,85 +263,46 @@ class CloudLayout:
             "gadget": self.gadget,
             "gadget_reason": self.gadget_reason,
             "padding": list(self.padding),
-            "clouds": [
-                {"id": c.id, "ref": c.ref, "index_labels": list(c.index_labels)}
-                for c in self.clouds
-            ],
             "reps": dict(self.reps),
         }
         if self.aux is not None:
             payload["aux"] = {
+                "source": self.aux.source.to_payload(),
+                "strict": self.aux.strict.to_payload(),
                 "k": list(self.aux.k),
-                "c_labels": list(self.aux.c_labels),
                 "c_mode": self.aux.c_mode,
-                "uniform_c_size": self.aux.uniform_c_size,
-                "source_variables": list(self.aux.source_variables),
-                "variables": [
-                    {
-                        "name": var.name,
-                        "subset": list(var.subset),
-                        "layers": list(var.layers),
-                        "solutions": [list(g) for g in var.solutions],
-                        "sigma": {tuple_label(g): c for g, c in var.sigma.items()},
-                    }
-                    for var in self.aux.variables
-                ],
-                "constraints": [
-                    {"u": c.u, "w": c.w, "map": dict(c.cmap)} for c in self.aux.constraints
-                ],
+                "c_size": len(self.aux.c_labels),
             }
         return payload
 
     @staticmethod
-    def from_payload(payload: Mapping) -> "CloudLayout":
-        # Older layouts carried constraint clouds and clouds over all of C;
-        # reading one as this format would misplace every position.
+    def from_payload(payload: Mapping, budget: int = DEFAULT_BUDGET) -> "CloudLayout":
+        # Older layouts carried the subset instance itself, or clouds over all
+        # of C; reading one as this format would misplace every position.
         found = payload.get("format") if isinstance(payload, Mapping) else None
         if found != LAYOUT_FORMAT:
             raise InputError(
                 f"layout format {found!r} is not the supported format {LAYOUT_FORMAT}; "
                 "write the layout again with reduce pcsp"
             )
+        field = partial(_payload_field, payload, "")
+        target = PcspTemplate.from_payload(field("target", Mapping))
+        reps, padding = field("reps", Mapping), field("padding", list)
+        gadget, gadget_reason = field("gadget", bool), field("gadget_reason", str)
         aux = None
         if "aux" in payload:
-            data = payload["aux"]
-            variables = []
-            for item in data["variables"]:
-                solutions = tuple(tuple(g) for g in item["solutions"])
-                sigma = {g: item["sigma"][tuple_label(g)] for g in solutions}
-                variables.append(
-                    PsiVariable(
-                        name=item["name"],
-                        subset=tuple(item["subset"]),
-                        layers=tuple(item["layers"]),
-                        solutions=solutions,
-                        sigma=sigma,
-                    )
-                )
-            aux = AuxiliaryInstance(
-                k=tuple(data["k"]),
-                c_labels=tuple(data["c_labels"]),
-                c_mode=data["c_mode"],
-                uniform_c_size=data["uniform_c_size"],
-                source_variables=tuple(data["source_variables"]),
-                variables=tuple(variables),
-                constraints=tuple(
-                    PsiConstraint(c["u"], c["w"], dict(c["map"])) for c in data["constraints"]
-                ),
-            )
-        clouds = tuple(
-            Cloud(id=c["id"], ref=c["ref"], index_labels=tuple(c["index_labels"]))
-            for c in payload["clouds"]
-        )
-        return CloudLayout(
-            target=PcspTemplate.from_payload(payload["target"]),
-            aux=aux,
-            clouds=clouds,
-            reps=dict(payload["reps"]),
-            padding=tuple(payload["padding"]),
-            gadget=payload["gadget"],
-            gadget_reason=payload.get("gadget_reason", ""),
-        )
+            aux_field = partial(_payload_field, field("aux", Mapping), "aux")
+            phi = Instance.from_payload(aux_field("source", Mapping))
+            strict = RelationalStructure.from_payload(aux_field("strict", Mapping))
+            k = aux_field("k", list)
+            if not k or not all(type(x) is int and x > 0 for x in k):
+                raise InputError("aux.k: expected a nonempty list of positive integers")
+            c_mode, c_size = aux_field("c_mode", str), aux_field("c_size", int)
+            try:
+                aux = build_auxiliary(phi, strict, k, c_mode, c_size, budget=budget)
+            except (ParameterError, PromiseViolationError, StructuralError) as exc:
+                raise InputError(f"aux does not build a subset instance: {exc}") from exc
+        return CloudLayout(target, aux, dict(reps), tuple(padding), gadget, gadget_reason)
 
 
 def longcode_reduce(
@@ -341,12 +323,8 @@ def longcode_reduce(
     reference the least position of each identification class.
     """
     base = len(target.strict.domain)
-    width = len(str(max(len(aux.variables) - 1, 0)))
-    clouds = tuple(
-        Cloud(id=f"u{n:0{width}d}", ref=var.name, index_labels=var.labels())
-        for n, var in enumerate(aux.variables)
-    )
-
+    layout = CloudLayout(target=target, aux=aux, reps={}, padding=tuple(padding))
+    clouds = layout.clouds
     total_positions = sum(cloud.size(base) for cloud in clouds)
     total_matrices = sum(
         len(rel.tuples) ** len(cloud.index_labels)
@@ -360,7 +338,6 @@ def longcode_reduce(
         )
 
     # Positions are ints: the cloud's offset plus the function's index.
-    layout = CloudLayout(target=target, aux=aux, clouds=clouds, reps={}, padding=tuple(padding))
     offset = {}
     names = []
     for cloud in clouds:
@@ -482,7 +459,6 @@ def pipeline_reduce(
         layout = CloudLayout(
             target=target,
             aux=None,
-            clouds=(),
             reps={},
             padding=pads,
             gadget=True,
@@ -575,8 +551,8 @@ def decode_relaxed_solution(
     padded, pads = _pad_instance(phi, aux.k[0])
     if pads != layout.padding:
         raise InputError("instance does not match the layout's padding record")
-    if padded.variables != aux.source_variables:
-        raise InputError("instance variables do not match the layout")
+    if padded != aux.source or source.strict != aux.strict:
+        raise InputError("instance or strict source side does not match the layout")
 
     # Each function is checked for membership once; the memo dies with this call.
     target_polys = SimpleNamespace(

@@ -221,3 +221,83 @@ class TestUnreadableInput:
         jsonio.write_canonical(path, payload)
         err = self._solve(str(path), files, tmp_path / "rep.json", capsys)
         assert message in err
+
+
+def _path_and_empty():
+    edges = [(("x", "y"), "neq"), (("y", "z"), "neq")]
+    return pk.Instance(["x", "y", "z"], edges), pk.Instance(["x", "y", "z"], [])
+
+
+class TestDecodeAgainstTheLayout:
+    """A layout records the padded source and strict side it was built from;
+    decoding against anything else, or reading a layout with a field taken
+    out, is an InputError: exit 1, one error line and a written report."""
+
+    def _reduce(self, phi, files, tmp_path, k2):
+        src = tmp_path / "built.json"
+        jsonio.write_canonical(src, phi.to_payload())
+        layout_path = tmp_path / "layout.json"
+        assert main([
+            "reduce", "pcsp", "--source", str(src), "--source-template", files["t22.json"],
+            "--target-template", files["t22.json"], "--dr-table", files["xi.json"],
+            "--out", str(tmp_path / "out.json"), "--layout", str(layout_path),
+        ]) == 0
+        layout = pk.CloudLayout.from_payload(json.loads(layout_path.read_text()))
+        h = pk.brute_force_solve(layout.aux.source, k2)
+        assign_path = tmp_path / "assign.json"
+        jsonio.write_canonical(assign_path, pk.lift_strict_solution(h, layout).to_payload())
+        return layout_path, assign_path
+
+    def _decode(self, layout_path, assign_path, phi, files, tmp_path, capsys):
+        src = tmp_path / "decoded.json"
+        jsonio.write_canonical(src, phi.to_payload())
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main([
+            "decode", "--assignment", str(assign_path), "--layout", str(layout_path),
+            "--dr-table", files["xi.json"], "--source", str(src),
+            "--source-template", files["t22.json"], "--out", str(tmp_path / "sol.json"),
+            "--report", str(report),
+        ])
+        return code, capsys.readouterr().err, report
+
+    @pytest.mark.parametrize("built, decoded", [(0, 1), (1, 0)], ids=["path-as-empty", "empty-as-path"])
+    def test_another_instance_on_the_same_variables_is_refused(
+        self, built, decoded, files, tmp_path, k2, capsys
+    ):
+        # the path decoded as the empty instance used to "recover" a solution
+        # with exit 0; the reverse raised InvariantError
+        instances = _path_and_empty()
+        paths = self._reduce(instances[built], files, tmp_path, k2)
+        code, err, report = self._decode(*paths, instances[decoded], files, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "does not match the layout" in err
+        assert "does not match the layout" in json.loads(report.read_text())["payload"]["error"]
+
+    def test_the_instance_it_was_built_from_decodes(self, files, tmp_path, k2, capsys):
+        phi = _path_and_empty()[0]
+        paths = self._reduce(phi, files, tmp_path, k2)
+        code, err, _ = self._decode(*paths, phi, files, tmp_path, capsys)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "drop, message", [(("reps",), "reps: missing"), (("aux", "k"), "aux.k: missing")]
+    )
+    def test_a_missing_layout_field_is_named(
+        self, drop, message, files, tmp_path, k2, capsys
+    ):
+        phi = _path_and_empty()[0]
+        layout_path, assign_path = self._reduce(phi, files, tmp_path, k2)
+        payload = json.loads(layout_path.read_text())
+        *parents, key = drop
+        container = payload
+        for name in parents:
+            container = container[name]
+        del container[key]
+        jsonio.write_canonical(layout_path, payload)
+        code, err, report = self._decode(layout_path, assign_path, phi, files, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert message in json.loads(report.read_text())["payload"]["error"]

@@ -6,7 +6,7 @@ import pytest
 
 import pcspkit as pk
 from pcspkit.errors import ParameterError, StructuralError
-from pcspkit.pas import _avoiding_superset, _extending_superset, _proj
+from pcspkit.pas import _first_superset, _proj
 
 from conftest import seeded_value1_sequence
 from test_pas import two_global_pas
@@ -88,7 +88,7 @@ class TestRefinementHelpers:
 
     def test_avoiding_superset_avoids(self):
         single = pk.pas_from_assignment(self.f, self.variables, ["0", "1"], 3)
-        u = _avoiding_superset(single, ("v0",), ("1",), {"v1"})
+        u = _first_superset(single, ("v0",), ("1",), {"v1"}, extends=False)
         assert set(("v0", "v1")) <= set(u)
         assert all(_proj(hh, u, ("v0",)) != ("1",) for hh in single.entries[u])
 
@@ -99,12 +99,12 @@ class TestRefinementHelpers:
             value = "1" if u == ("v0", "v1", "v2") else "0"
             entries[u] = frozenset({tuple(value if x == "v0" else "0" for x in u)})
         system = pk.Pas(self.variables, ["0", "1"], 3, entries)
-        u = _avoiding_superset(system, ("v0",), ("1",), set())
+        u = _first_superset(system, ("v0",), ("1",), set(), extends=False)
         assert u != ("v0", "v1", "v2")
         assert all(_proj(hh, u, ("v0",)) != ("1",) for hh in system.entries[u])
 
     def test_extending_superset_extends(self):
-        u = _extending_superset(self.system, ("v0",), ("1",), {"v2"})
+        u = _first_superset(self.system, ("v0",), ("1",), {"v2"}, extends=True)
         assert any(_proj(hh, u, ("v0",)) == ("1",) for hh in self.system.entries[u])
 
     def test_strip_drops_the_value(self):
@@ -114,7 +114,7 @@ class TestRefinementHelpers:
         fval = ("0",)
         survivors = {}
         for y in itertools.combinations(self.variables, 2):
-            u = _extending_superset(self.system, xs, fval, set(y))
+            u = _first_superset(self.system, xs, fval, set(y), extends=True)
             survivors[y] = frozenset(
                 _proj(entry, u, y)
                 for entry in self.system.entries[u]

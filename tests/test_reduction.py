@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -209,16 +210,52 @@ class TestDecode:
         assert loaded.reps == result.layout.reps
         assert loaded.clouds == result.layout.clouds
 
-    @pytest.mark.parametrize("fmt", [None, 1, "2"])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, "3"])
     def test_layout_of_another_format_is_rejected(self, t22, ident22, fmt):
         payload = pk.pipeline_reduce(edge_instance(), t22, t22, ident22).layout.to_payload()
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         if fmt is None:
             del payload["format"]
         else:
             payload["format"] = fmt
         with pytest.raises(InputError):
             pk.CloudLayout.from_payload(payload)
+
+    def test_layout_records_only_what_the_subset_instance_is_built_from(self, t22, ident22):
+        payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
+        assert set(payload) == {"format", "target", "gadget", "gadget_reason", "padding", "reps", "aux"}
+        assert set(payload["aux"]) == {"source", "strict", "k", "c_mode", "c_size"}
+        assert payload["aux"]["source"]["variables"] == ["x", "y", "z", "~pad0"]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda aux: aux.update(c_size=1), "explicit"),
+            (lambda aux: aux.update(k=["3", 2]), "aux.k: expected"),
+            (lambda aux: aux.update(k=[]), "aux.k: expected"),
+            (lambda aux: aux.update(c_mode="other"), "unknown C mode"),
+            (lambda aux: aux["source"]["constraints"][0].update(relation="eq"), "unknown relation"),
+        ],
+    )
+    def test_recorded_inputs_that_build_nothing_are_input_errors(
+        self, t22, ident22, change, message
+    ):
+        payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
+        change(payload["aux"])
+        with pytest.raises(InputError, match=message):
+            pk.CloudLayout.from_payload(payload)
+
+    def test_a_strict_side_other_than_the_recorded_one_is_refused(self, k2, t22, ident22):
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        lift = pk.lift_strict_solution(
+            pk.brute_force_solve(result.layout.aux.source, k2), result.layout
+        )
+        k3 = pk.complete_graph(3)
+        with pytest.raises(InputError, match="does not match the layout"):
+            pk.recover_source_solution(
+                lift.mapping, result.layout, ident22, phi, pk.PcspTemplate(k3, k3)
+            )
 
     def test_nested_layers_end_to_end(self, k2, t22, ident22):
         # at k=(3,2) the w-clouds of the 2-subsets are merged into the cloud
@@ -451,6 +488,37 @@ def graph_cases(draw):
     except PromiseViolationError:
         assume(False)
     return phi, k
+
+
+@st.composite
+def layout_cases(draw):
+    """A K2 graph source on 2-4 variables whose subsets all carry a partial
+    solution, at k=(2,1) or (3,2), in fitted or uniform mode or with |C|=9."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.sampled_from([k for k in ((2, 1), (3, 2)) if k[0] <= n]))
+    variables = [f"x{i}" for i in range(n)]
+    scopes = draw(
+        st.lists(st.sampled_from(list(itertools.combinations(variables, 2))), unique=True)
+    )
+    phi = pk.Instance(variables, [(s, "neq") for s in scopes])
+    c_mode, c_size = draw(st.sampled_from([("fitted", None), ("uniform", None), ("fitted", 9)]))
+    try:
+        aux = pk.build_auxiliary(phi, pk.complete_graph(2), k, c_mode=c_mode, c_size=c_size)
+    except PromiseViolationError:
+        assume(False)
+    return aux
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(aux=layout_cases())
+def test_layout_round_trip_rebuilds_the_same_layout(t22, aux):
+    _, layout = pk.longcode_reduce(aux, t22)
+    text = jsonio.canonical_dumps(layout.to_payload())
+    loaded = pk.CloudLayout.from_payload(json.loads(text))
+    assert jsonio.canonical_dumps(loaded.to_payload()) == text
+    assert loaded.aux == layout.aux
+    assert loaded.clouds == layout.clouds
+    assert loaded.reps == layout.reps
 
 
 class TestMinorConditionAgainstReference:
