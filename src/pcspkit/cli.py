@@ -218,9 +218,7 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
     source = PcspTemplate.from_payload(jsonio.read_json(args.source_template))
     target = PcspTemplate.from_payload(jsonio.read_json(args.target_template))
     table = dr_table_from_payload(jsonio.read_json(args.dr_table))
-    result = pipeline_reduce(
-        phi, source, target, table, c_mode=args.mode, budget=args.budget
-    )
+    result = pipeline_reduce(phi, source, target, table, budget=args.budget)
     _emit(args.out, result.instance.to_payload(), report)
     if args.layout:
         jsonio.write_canonical(args.layout, result.layout.to_payload())
@@ -229,8 +227,6 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
     report.payload["k"] = list(result.params.k)
     report.payload["gadget"] = result.layout.gadget
     if result.layout.aux is not None:
-        report.payload["c_size"] = len(result.layout.aux.c_labels)
-        report.payload["uniform_c_size"] = result.layout.aux.uniform_c_size
         report.payload["cloud_sizes"] = {
             cloud.id: cloud.size(len(target.strict.domain)) for cloud in result.layout.clouds
         }
@@ -245,7 +241,7 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
 def _cmd_decode(args, report: _Report) -> int:
     for path in (args.assignment, args.layout, args.dr_table, args.source, args.source_template):
         report.add_input(path)
-    assignment = jsonio.read_json(args.assignment)["values"]
+    assignment = Assignment.from_payload(jsonio.read_json(args.assignment)).mapping
     layout = CloudLayout.from_payload(jsonio.read_json(args.layout), budget=args.budget)
     table = dr_table_from_payload(jsonio.read_json(args.dr_table))
     phi = Instance.from_payload(jsonio.read_json(args.source))
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-template", required=True)
     p.add_argument("--target-template", required=True)
     p.add_argument("--dr-table", required=True)
-    p.add_argument("--mode", choices=("fitted", "uniform"), default="fitted")
     p.add_argument("--layout", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_reduce_pcsp)

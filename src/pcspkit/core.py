@@ -72,8 +72,6 @@ class RelationalStructure:
         for name in sorted(relations):
             _check_label("relation name", name)
             rel = relations[name]
-            if not isinstance(rel, Relation):
-                rel = Relation(rel["arity"], frozenset(map(tuple, rel["tuples"])))
             for t in rel.tuples:
                 for entry in t:
                     if entry not in domain:
@@ -101,13 +99,7 @@ class RelationalStructure:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "RelationalStructure":
-        return RelationalStructure(
-            payload["domain"],
-            {
-                name: Relation(rel["arity"], frozenset(map(tuple, rel["tuples"])))
-                for name, rel in payload["relations"].items()
-            },
-        )
+        return _read_structure(payload, "")
 
 
 def structure(domain: Iterable[str], **relations) -> RelationalStructure:
@@ -150,10 +142,11 @@ class PcspTemplate:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "PcspTemplate":
-        return PcspTemplate(
-            RelationalStructure.from_payload(payload["strict"]),
-            RelationalStructure.from_payload(payload["relaxed"]),
+        strict, relaxed = (
+            _read_structure(_payload_field(payload, "", side, Mapping), side)
+            for side in ("strict", "relaxed")
         )
+        return PcspTemplate(strict, relaxed)
 
 
 @dataclass(frozen=True)
@@ -237,6 +230,23 @@ def _payload_field(payload, path: str, key: str, kind: type):
     return payload[key]
 
 
+def _read_structure(payload, path: str) -> RelationalStructure:
+    """A structure read from JSON, every field through `_payload_field`."""
+    at = f"{path}." if path else ""
+    domain = _payload_field(payload, path, "domain", list)
+    if not all(isinstance(a, str) for a in domain):
+        raise InputError(f"{at}domain: expected a list of strings")
+    relations = {}
+    for name, rel in _payload_field(payload, path, "relations", Mapping).items():
+        where = f"{at}relations.{name}"
+        tuples = _payload_field(rel, where, "tuples", list)
+        if not all(isinstance(t, list) and all(isinstance(a, str) for a in t) for t in tuples):
+            raise InputError(f"{where}.tuples: expected a list of lists of strings")
+        arity = _payload_field(rel, where, "arity", int)
+        relations[name] = Relation(arity, frozenset(map(tuple, tuples)))
+    return RelationalStructure(domain, relations)
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A total map variable -> atom, with an optional tag naming which
@@ -272,7 +282,8 @@ class Assignment:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "Assignment":
-        return Assignment(payload["values"], side=payload.get("side"))
+        values = _payload_field(payload, "", "values", Mapping)
+        return Assignment(values, side=payload.get("side"))
 
 
 def _validate_against(instance: Instance, side: RelationalStructure) -> None:

@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .core import DEFAULT_BUDGET, Instance, RelationalStructure, partial_solution_table
 from .errors import InputError, ResourceError, StructuralError
+from .minion import tuple_label
 from .pas import Pas, PasSequence, check_consistent
 
 
@@ -139,10 +140,6 @@ def _llc_variable(layer: int, subset) -> str:
     return f"L{layer}|{','.join(subset)}"
 
 
-def _encode_partial(values) -> str:
-    return ",".join(values)
-
-
 def _decode_partial(atom: str) -> tuple:
     return tuple(atom.split(","))
 
@@ -170,12 +167,12 @@ def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
     constraints = {}
     for i, layer in enumerate(layers):
         for u in layer:
-            domains[_llc_variable(i, u)] = tuple(_encode_partial(g) for g in table[u])
+            domains[_llc_variable(i, u)] = tuple(tuple_label(g) for g in table[u])
             for j in range(i + 1, len(k)):
                 for w in itertools.combinations(u, k[j]):
                     idx = [u.index(x) for x in w]
                     constraints[(_llc_variable(i, u), _llc_variable(j, w))] = {
-                        _encode_partial(g): _encode_partial(tuple(g[p] for p in idx))
+                        tuple_label(g): tuple_label(tuple(g[p] for p in idx))
                         for g in table[u]
                     }
     names = [[_llc_variable(i, u) for u in layer] for i, layer in enumerate(layers)]
@@ -360,7 +357,7 @@ def d_assignment_to_pas(
             name = _llc_variable(i, u)
             if name not in mapping:
                 raise InputError(f"assignment is missing variable {name!r}")
-            if not mapping[name] <= {_encode_partial(g) for g in table[u]}:
+            if not mapping[name] <= {tuple_label(g) for g in table[u]}:
                 raise InputError(f"assignment for {name!r} leaves its domain")
             entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
         systems.append(Pas(phi.variables, side.domain, size, entries))

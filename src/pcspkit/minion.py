@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, RelationalStructure
+from .core import DEFAULT_BUDGET, PcspTemplate, Relation, RelationalStructure
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -591,11 +591,11 @@ def check_dr_homomorphism(
 # -- free templates ------------------------------------------------------------
 
 
-def free_relation(c_labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozenset:
-    """The lift of a relation R over C to the slice's C-ary members: the tuples
-    (s_1, ..., s_m) obtained from each R-ary member by the coordinate
-    projections R -> C."""
-    c_labels = tuple(sorted(c_labels))
+def free_relation(labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozenset:
+    """The lift of a relation R over C = `labels` to the slice's C-ary
+    members: the tuples (s_1, ..., s_m) obtained from each R-ary member by
+    the coordinate projections R -> C."""
+    labels = tuple(sorted(labels))
     rel = sorted(tuple(t) for t in rel_tuples)
     if not rel:
         raise InputError("relations must be nonempty")
@@ -607,7 +607,7 @@ def free_relation(c_labels: Sequence[str], slice_, rel_tuples: Iterable) -> froz
         projected = []
         for i in range(m):
             pi = {lab: label_to_tuple[lab][i] for lab in arity_labels}
-            projected.append(minor(t, pi, target=c_labels))
+            projected.append(minor(t, pi, target=labels))
         out.add(tuple(projected))
     return frozenset(out)
 
@@ -621,29 +621,29 @@ class FreeTemplate:
 
 def build_free_template(
     m: int,
-    c_labels: Sequence[str],
+    labels: Sequence[str],
     slice_,
     relations: Optional[Mapping[str, Iterable]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> FreeTemplate:
-    """Strict side: C with relations of arity up to m (all nonempty ones, or
-    just the requested family); relaxed side: the C-ary slice members with the
-    corresponding free relations.
+    """Strict side: C = `labels` with relations of arity up to m (all
+    nonempty ones, or just the requested family); relaxed side: the C-ary
+    slice members with the corresponding free relations.
 
     The full relation family has sum_i (2^(|C|^i) - 1) members and is budget
     checked; reductions only ever request graphs of maps, so passing the
     needed family explicitly is the intended mode at scale.
     """
-    c_labels = tuple(sorted(set(c_labels)))
+    labels = tuple(sorted(set(labels)))
     if relations is None:
-        total = sum(2 ** (len(c_labels) ** i) - 1 for i in range(1, m + 1))
+        total = sum(2 ** (len(labels) ** i) - 1 for i in range(1, m + 1))
         if total > budget:
             raise ResourceError(
                 f"materializing {total} relations exceeds the budget of {budget}"
             )
         relations = {}
         for arity in range(1, m + 1):
-            universe = sorted(itertools.product(c_labels, repeat=arity))
+            universe = sorted(itertools.product(labels, repeat=arity))
             for idx, size in enumerate(_nonempty_subsets(universe)):
                 relations[f"r{arity}_{idx:04d}"] = size
     else:
@@ -652,7 +652,7 @@ def build_free_template(
             if not tuples or len(arities) != 1 or max(arities) > m:
                 raise InputError(f"relation {name!r} is empty or has bad arity")
 
-    members = slice_.members(c_labels)
+    members = slice_.members(labels)
     if not members:
         raise InputError("the slice has no members of the carrier arity")
     width = len(str(len(members) - 1))
@@ -664,33 +664,20 @@ def build_free_template(
     for name in sorted(relations):
         tuples = frozenset(tuple(t) for t in relations[name])
         arity = len(next(iter(tuples)))
-        strict_rels[name] = {"arity": arity, "tuples": tuples}
-        lifted = free_relation(c_labels, slice_, tuples)
+        strict_rels[name] = Relation(arity, tuples)
+        lifted = free_relation(labels, slice_, tuples)
         if not lifted:
             raise InputError(
                 f"the slice has no members of the arity needed for relation {name!r}"
             )
-        relaxed_rels[name] = {
-            "arity": arity,
-            "tuples": frozenset(tuple(label_of[fn] for fn in group) for group in lifted),
-        }
+        relaxed_rels[name] = Relation(
+            arity, frozenset(tuple(label_of[fn] for fn in group) for group in lifted)
+        )
 
-    strict = RelationalStructure(
-        c_labels,
-        {n: _as_relation(item) for n, item in strict_rels.items()},
+    template = PcspTemplate(
+        RelationalStructure(labels, strict_rels), RelationalStructure(carrier, relaxed_rels)
     )
-    relaxed = RelationalStructure(
-        carrier.keys(),
-        {n: _as_relation(item) for n, item in relaxed_rels.items()},
-    )
-    template = PcspTemplate(strict, relaxed)
-    return FreeTemplate(template, carrier, {n: strict_rels[n]["tuples"] for n in strict_rels})
-
-
-def _as_relation(item):
-    from .core import Relation
-
-    return Relation(item["arity"], item["tuples"])
+    return FreeTemplate(template, carrier, {n: rel.tuples for n, rel in strict_rels.items()})
 
 
 def _nonempty_subsets(universe):

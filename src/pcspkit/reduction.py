@@ -1,28 +1,28 @@
 """Instance-level reductions between promise CSPs.
 
 The pipeline has two stages.  First the source instance is rewritten over its
-bounded-size variable subsets: one variable per subset, whose values are the
-partial solutions on that subset, renamed into a fixed label set C so that the
-constraints become graphs of maps C -> C.  Second comes the long-code step,
-emitted as a minor condition: every subset variable gets a cloud of positions
-indexed by the functions from its own labels to A, each cloud is constrained
-to behave like a polymorphism of the target, and a constraint u -> w with map
-pi identifies position g of w with position g o pi of u, so that the function
-at w is the minor of the function at u along pi.
+bounded-size variable subsets: one variable per subset, labelled by the indices
+of its partial solutions, so that the constraints become the restriction maps
+between those indices.  Second comes the long-code step, emitted as a minor
+condition: every subset variable gets a cloud of positions indexed by the
+functions from its own labels to A, each cloud is constrained to behave like a
+polymorphism of the target, and a constraint u -> w with map pi identifies
+position g of w with position g o pi of u, so that the function at w is the
+minor of the function at u along pi.
 
 The decoder walks the same data backwards: cloud functions are checked
 against the minor condition, re-indexed by partial solutions, pushed through
 a set-valued chain-preserving table, and assembled into a sequence of partial
 assignment systems from which the extraction machinery recovers a solution.
-The subset instance is fixed by the padded source, the strict side, k and
-|C|, so a layout records those and its reader rebuilds the instance with
+The subset instance is fixed by the padded source, the strict side and k, so
+a layout records those and its reader rebuilds the instance with
 `build_auxiliary`; decoding refuses a source or strict side that differs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
@@ -81,30 +81,26 @@ class PsiVariable:
     subset: tuple
     layers: tuple
     solutions: tuple  # partial solutions as value tuples, lexicographic
-    sigma: dict  # value tuple -> C label
 
     def labels(self) -> tuple:
-        """C labels actually used by this variable, sorted."""
-        return tuple(sorted(self.sigma.values()))
+        """The variable's labels: the indices of its partial solutions."""
+        return tuple(range(len(self.solutions)))
 
 
 @dataclass(frozen=True)
 class PsiConstraint:
     u: str
     w: str
-    cmap: dict  # C label -> C label, the renamed restriction map
+    cmap: dict  # solution index on u -> index of its restriction on w
 
 
 @dataclass(frozen=True)
 class AuxiliaryInstance:
     """The subset instance: variables are subsets of the source variables,
-    values are their partial solutions renamed into C, and constraints are
-    graphs of the restriction maps."""
+    labelled by the indices of their partial solutions, and constraints are
+    the restriction maps between those indices."""
 
     k: tuple
-    c_labels: tuple
-    c_mode: str
-    uniform_c_size: int
     source: Instance  # the (padded) source instance the subsets are taken from
     strict: RelationalStructure  # the strict side the partial solutions solve
     variables: tuple  # PsiVariable, first-occurrence order
@@ -122,16 +118,11 @@ def build_auxiliary(
     phi: Instance,
     strict_side: RelationalStructure,
     k: Sequence[int],
-    c_mode: str = "fitted",
-    c_size: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> AuxiliaryInstance:
-    """Rewrite phi over its k_i-subsets with partial solutions renamed into C.
-
-    In fitted mode |C| is the largest number of partial solutions any subset
-    carries, which is the smallest C the renaming supports; uniform mode sizes C
-    as |A|^k_0 independently of the instance, which is reported either way.
-    An empty partial-solution set is a broken promise and is rejected.
+    """Rewrite phi over its k_i-subsets, each labelled by the indices of its
+    partial solutions.  An empty partial-solution set is a broken promise and
+    is rejected.
     """
     k = tuple(int(x) for x in k)
     v = phi.variables
@@ -143,30 +134,12 @@ def build_auxiliary(
                 "the strict side is unsolvable"
             )
 
-    fitted = max(len(sols) for sols in solutions.values())
-    uniform_size = len(strict_side.domain) ** k[0]
-    if c_mode == "fitted":
-        size = fitted
-    elif c_mode == "uniform":
-        size = uniform_size
-    else:
-        raise InputError(f"unknown C mode {c_mode!r}")
-    if c_size is not None:
-        if c_size < fitted:
-            raise ParameterError(f"explicit |C|={c_size} is below the required {fitted}")
-        size = c_size
-    if size > budget:
-        raise ResourceError(f"|C|={size} exceeds the budget of {budget}")
-    width = len(str(size - 1))
-    c_labels = tuple(f"c{i:0{width}d}" for i in range(size))
-
     variables = {
         u: PsiVariable(
             name=_subset_name(u),
             subset=u,
             layers=tuple(i for i, ki in enumerate(k) if ki == len(u)),
             solutions=sols,
-            sigma={g: c_labels[idx] for idx, g in enumerate(sols)},
         )
         for u, sols in solutions.items()
     }
@@ -181,16 +154,12 @@ def build_auxiliary(
     for u, w in sorted(pairs):
         uvar, wvar = variables[u], variables[w]
         idx = [u.index(x) for x in w]
-        cmap = {
-            uvar.sigma[g]: wvar.sigma[tuple(g[p] for p in idx)] for g in uvar.solutions
-        }
+        index_of = {h: n for n, h in enumerate(wvar.solutions)}
+        cmap = {n: index_of[tuple(g[p] for p in idx)] for n, g in enumerate(uvar.solutions)}
         constraints.append(PsiConstraint(uvar.name, wvar.name, cmap))
 
     return AuxiliaryInstance(
         k=k,
-        c_labels=c_labels,
-        c_mode=c_mode,
-        uniform_c_size=uniform_size,
         source=phi,
         strict=strict_side,
         variables=tuple(variables.values()),
@@ -200,14 +169,14 @@ def build_auxiliary(
 
 # -- clouds and the long-code step ---------------------------------------------
 
-LAYOUT_FORMAT = 3
+LAYOUT_FORMAT = 4
 
 
 @dataclass(frozen=True)
 class Cloud:
     id: str
     ref: str  # subset variable name
-    index_labels: tuple  # the variable's own C labels, the coordinates of its positions
+    index_labels: tuple  # the variable's own labels, the coordinates of its positions
 
     def size(self, alphabet: int) -> int:
         return alphabet ** len(self.index_labels)
@@ -219,9 +188,9 @@ class CloudLayout:
     representatives of positions the minor condition identified.
 
     The payload records only what the subset instance is built from (the
-    padded source, the strict side, k, the C mode and |C|); `from_payload`
-    rebuilds it with `build_auxiliary` under the caller's budget, and the
-    clouds are derived from it in `clouds`.
+    padded source, the strict side and k); `from_payload` rebuilds it with
+    `build_auxiliary` under the caller's budget, and the clouds are derived
+    from it in `clouds`.
     """
 
     target: PcspTemplate
@@ -270,15 +239,14 @@ class CloudLayout:
                 "source": self.aux.source.to_payload(),
                 "strict": self.aux.strict.to_payload(),
                 "k": list(self.aux.k),
-                "c_mode": self.aux.c_mode,
-                "c_size": len(self.aux.c_labels),
             }
         return payload
 
     @staticmethod
     def from_payload(payload: Mapping, budget: int = DEFAULT_BUDGET) -> "CloudLayout":
-        # Older layouts carried the subset instance itself, or clouds over all
-        # of C; reading one as this format would misplace every position.
+        # Older layouts carried the subset instance itself, clouds over a
+        # global label set, or its size; reading one as this format would
+        # misplace every position.
         found = payload.get("format") if isinstance(payload, Mapping) else None
         if found != LAYOUT_FORMAT:
             raise InputError(
@@ -297,10 +265,9 @@ class CloudLayout:
             k = aux_field("k", list)
             if not k or not all(type(x) is int and x > 0 for x in k):
                 raise InputError("aux.k: expected a nonempty list of positive integers")
-            c_mode, c_size = aux_field("c_mode", str), aux_field("c_size", int)
             try:
-                aux = build_auxiliary(phi, strict, k, c_mode, c_size, budget=budget)
-            except (ParameterError, PromiseViolationError, StructuralError) as exc:
+                aux = build_auxiliary(phi, strict, k, budget=budget)
+            except (PromiseViolationError, StructuralError) as exc:
                 raise InputError(f"aux does not build a subset instance: {exc}") from exc
         return CloudLayout(target, aux, dict(reps), tuple(padding), gadget, gadget_reason)
 
@@ -369,12 +336,12 @@ def longcode_reduce(
                     emitted.add((rel_name, tuple(names[find(start + i)] for i in scope)))
 
     roots = [find(x) for x in range(len(names))]
-    reps = {names[x]: names[r] for x, r in enumerate(roots) if x != r}
+    layout.reps.update((names[x], names[r]) for x, r in enumerate(roots) if x != r)
     instance = Instance(
         sorted({names[r] for r in roots}),
         [Constraint(scope, rel_name) for rel_name, scope in sorted(emitted)],
     )
-    return instance, replace(layout, reps=reps)
+    return instance, layout
 
 
 # -- the full pipeline ----------------------------------------------------------
@@ -422,7 +389,6 @@ def pipeline_reduce(
     target: PcspTemplate,
     dr_table,
     params: Optional[GapParameters] = None,
-    c_mode: str = "fitted",
     budget: int = DEFAULT_BUDGET,
 ) -> PipelineResult:
     """Reduce an instance of the source promise CSP to one of the target.
@@ -448,7 +414,7 @@ def pipeline_reduce(
 
     padded, pads = _pad_instance(phi, params.k[0])
     try:
-        aux = build_auxiliary(padded, source.strict, params.k, c_mode=c_mode, budget=budget)
+        aux = build_auxiliary(padded, source.strict, params.k, budget=budget)
     except PromiseViolationError as exc:
         gadget = find_unsolvable_gadget(target, budget=budget)
         if gadget is None:
@@ -513,9 +479,9 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     star = {}
     for var in aux.variables:
         restriction = tuple(hmap[x] for x in var.subset)
-        if restriction not in var.sigma:
+        if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
-        star[var.name] = var.sigma[restriction]
+        star[var.name] = var.solutions.index(restriction)
 
     values = {}
     a1 = layout.target.strict.domain
@@ -582,13 +548,13 @@ def decode_relaxed_solution(
         if var.name not in decoded:
             raise InvariantError(f"subset variable {var.name} is unconstrained")
 
-    # Re-index from C labels to partial-solution labels.  The relabelling is a
-    # bijective minor of a member, so it stays in the polymorphisms.
+    # Re-index from solution indices to partial-solution labels.  The
+    # relabelling is a bijective minor of a member, so it stays in the
+    # polymorphisms.
     functions: dict = {}
     for var in aux.variables:
-        label_of = {var.sigma[g]: tuple_label(g) for g in var.solutions}
-        sol_labels = tuple(sorted(label_of.values()))
-        functions[var.name] = minor(decoded[var.name], label_of, target=sol_labels)
+        label_of = {n: tuple_label(g) for n, g in enumerate(var.solutions)}
+        functions[var.name] = minor(decoded[var.name], label_of)
 
     for con in aux.constraints:
         uvar, wvar = aux.variable(con.u), aux.variable(con.w)

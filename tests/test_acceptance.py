@@ -234,7 +234,7 @@ def test_criterion_7_cli_determinism(tmp_path, k2, t22):
             [
                 "reduce", "pcsp", "--source", path3, "--source-template", t22_path,
                 "--target-template", t22_path, "--dr-table", xi,
-                "--mode", "fitted", "--out", out, "--layout", extra,
+                "--out", out, "--layout", extra,
             ]
         ),
     }

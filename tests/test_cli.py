@@ -114,7 +114,7 @@ class TestCommands:
         assert main([
             "reduce", "pcsp", "--source", str(src), "--source-template", files["t22.json"],
             "--target-template", files["t22.json"], "--dr-table", files["xi.json"],
-            "--mode", "fitted", "--out", str(out), "--layout", str(layout_path),
+            "--out", str(out), "--layout", str(layout_path),
         ]) == 0
 
         layout = pk.CloudLayout.from_payload(json.loads(layout_path.read_text()))
@@ -223,6 +223,39 @@ class TestUnreadableInput:
         assert message in err
 
 
+class TestUnreadableTemplate:
+    """A template file is read field by field: a relation whose tuples are a
+    string, or a template without a side, is one error line, not a guess."""
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            (
+                {"domain": ["0", "1"], "relations": {"u": {"arity": 1, "tuples": "01"}}},
+                "relations.u.tuples: expected a list",
+            ),
+            ({"domain": ["0", "1"], "relations": {"u": {"tuples": [["0"]]}}}, "relations.u.arity: missing"),
+            ({"domain": "01", "relations": {}}, "domain: expected a list"),
+            ({"domain": ["0"], "relations": [["0"]]}, "relations: expected an object"),
+        ],
+    )
+    def test_malformed_structure_names_its_json_path(
+        self, template, message, tmp_path, capsys
+    ):
+        instance, template_path, report = (tmp_path / n for n in ("i.json", "t.json", "r.json"))
+        jsonio.write_canonical(instance, pk.Instance(["x"], [(("x",), "u")]).to_payload())
+        jsonio.write_canonical(template_path, template)
+        code = main([
+            "solve", "--all", "--instance", str(instance), "--template", str(template_path),
+            "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert message in json.loads(report.read_text())["payload"]["error"]
+
+
 def _path_and_empty():
     edges = [(("x", "y"), "neq"), (("y", "z"), "neq")]
     return pk.Instance(["x", "y", "z"], edges), pk.Instance(["x", "y", "z"], [])
@@ -282,7 +315,12 @@ class TestDecodeAgainstTheLayout:
         assert code == 0 and err == ""
 
     @pytest.mark.parametrize(
-        "drop, message", [(("reps",), "reps: missing"), (("aux", "k"), "aux.k: missing")]
+        "drop, message",
+        [
+            (("reps",), "reps: missing"),
+            (("aux", "k"), "aux.k: missing"),
+            (("target", "strict"), "strict: missing"),
+        ],
     )
     def test_a_missing_layout_field_is_named(
         self, drop, message, files, tmp_path, k2, capsys
@@ -301,3 +339,12 @@ class TestDecodeAgainstTheLayout:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert message in json.loads(report.read_text())["payload"]["error"]
+
+    def test_an_assignment_without_values_is_named(self, files, tmp_path, k2, capsys):
+        phi = _path_and_empty()[0]
+        layout_path, assign_path = self._reduce(phi, files, tmp_path, k2)
+        jsonio.write_canonical(assign_path, {})
+        code, err, report = self._decode(layout_path, assign_path, phi, files, tmp_path, capsys)
+        assert code == 1
+        assert err == "error: values: missing\n"
+        assert "values: missing" in json.loads(report.read_text())["payload"]["error"]

@@ -36,6 +36,26 @@ class TestStructures:
     def test_payload_round_trip(self, k2):
         assert pk.RelationalStructure.from_payload(k2.to_payload()) == k2
 
+    def test_unary_tuples_as_a_string_are_refused(self):
+        # "01" used to be read as the two tuples ("0",) and ("1",)
+        payload = {"domain": ["0", "1"], "relations": {"u": {"arity": 1, "tuples": "01"}}}
+        with pytest.raises(InputError, match="^relations.u.tuples: expected a list$"):
+            pk.RelationalStructure.from_payload(payload)
+        with pytest.raises(InputError, match="^relations.u.tuples: expected a list of lists"):
+            pk.RelationalStructure.from_payload({**payload, "relations": {"u": {"arity": 1, "tuples": ["01"]}}})
+
+    def test_template_fields_are_named_with_their_side(self, k2):
+        payload = pk.PcspTemplate(k2, k2).to_payload()
+        with pytest.raises(InputError, match="^relaxed: missing$"):
+            pk.PcspTemplate.from_payload({"strict": payload["strict"]})
+        payload["strict"]["relations"]["neq"]["arity"] = "2"
+        with pytest.raises(InputError, match=r"^strict\.relations\.neq\.arity: expected an integer$"):
+            pk.PcspTemplate.from_payload(payload)
+
+    def test_an_assignment_without_values_is_refused(self):
+        with pytest.raises(InputError, match="^values: missing$"):
+            pk.Assignment.from_payload({})
+
 
 class TestCheckHomomorphism:
     def test_identity_on_k2(self, k2):

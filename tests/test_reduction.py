@@ -1,8 +1,10 @@
 """The subset instance, the long-code step, the pipeline, and the decoder."""
 
 import collections
+import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -51,8 +53,8 @@ class TestBuildAuxiliary:
         for con in aux.constraints:
             wvar = aux.variable(con.w)
             idx = top.subset.index(wvar.subset[0])
-            for g in top.solutions:
-                assert con.cmap[top.sigma[g]] == wvar.sigma[(g[idx],)]
+            for n, g in enumerate(top.solutions):
+                assert con.cmap[n] == wvar.solutions.index((g[idx],))
 
     def test_equal_arities_give_reflexive_pair(self, k2):
         phi = pk.Instance(["a", "b"], [(("a", "b"), "neq")])
@@ -64,16 +66,11 @@ class TestBuildAuxiliary:
         with pytest.raises(PromiseViolationError):
             pk.build_auxiliary(triangle_instance(), k2, (3, 2))
 
-    def test_fitted_c_is_the_largest_solution_set(self, k2):
+    def test_labels_are_the_solution_indices(self, k2):
         phi = pk.Instance(["x", "y", "z"], [(("x", "y"), "neq")])
         aux = pk.build_auxiliary(phi, k2, (2, 1))
-        assert len(aux.c_labels) == 4  # the unconstrained pair x,z
-        assert aux.uniform_c_size == 4
-
-    def test_explicit_c_must_cover(self, k2):
-        phi = pk.Instance(["x", "y", "z"], [(("x", "y"), "neq")])
-        with pytest.raises(ParameterError):
-            pk.build_auxiliary(phi, k2, (2, 1), c_size=3)
+        assert aux.variable("x,y").labels() == (0, 1)
+        assert aux.variable("x,z").labels() == (0, 1, 2, 3)  # unconstrained
 
 
 class TestLongCode:
@@ -83,6 +80,13 @@ class TestLongCode:
         sizes = {c.ref: c.size(2) for c in layout.clouds}
         assert sizes["x,y"] == 4
         assert sizes["x"] == 4
+
+    def test_the_returned_layout_keeps_its_position_names(self, k2, t22):
+        # lifting and reading the returned layout reuse the names formatted
+        # during the reduction instead of formatting them again
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(path_instance(), k2, (3, 2)), t22)
+        assert "position_names" in vars(layout)
+        assert layout.reps
 
     def test_strict_solution_restricted_to_cloud_is_a_polymorphism(self, k2, t22, ident22):
         result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
@@ -158,7 +162,7 @@ class TestPipeline:
         result = pk.pipeline_reduce(edge_instance(), t22, t22, ident22)
         assert result.params.k == (4, 4)
         assert result.layout.padding == ("~pad0", "~pad1")
-        assert len(result.layout.aux.c_labels) == 8
+        assert [var.labels() for var in result.layout.aux.variables] == [tuple(range(8))]
 
     def test_params_mismatch_rejected(self, t22, ident22):
         wrong = pk.gap_parameters(2, 1, (1, 1))
@@ -206,14 +210,14 @@ class TestDecode:
     def test_layout_payload_round_trip(self, t22, ident22):
         result = pk.pipeline_reduce(edge_instance(), t22, t22, ident22)
         loaded = pk.CloudLayout.from_payload(result.layout.to_payload())
-        assert loaded.aux.c_labels == result.layout.aux.c_labels
+        assert loaded.aux == result.layout.aux
         assert loaded.reps == result.layout.reps
         assert loaded.clouds == result.layout.clouds
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, "3"])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, "4"])
     def test_layout_of_another_format_is_rejected(self, t22, ident22, fmt):
         payload = pk.pipeline_reduce(edge_instance(), t22, t22, ident22).layout.to_payload()
-        assert payload["format"] == 3
+        assert payload["format"] == 4
         if fmt is None:
             del payload["format"]
         else:
@@ -224,16 +228,14 @@ class TestDecode:
     def test_layout_records_only_what_the_subset_instance_is_built_from(self, t22, ident22):
         payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
         assert set(payload) == {"format", "target", "gadget", "gadget_reason", "padding", "reps", "aux"}
-        assert set(payload["aux"]) == {"source", "strict", "k", "c_mode", "c_size"}
+        assert set(payload["aux"]) == {"source", "strict", "k"}
         assert payload["aux"]["source"]["variables"] == ["x", "y", "z", "~pad0"]
 
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda aux: aux.update(c_size=1), "explicit"),
             (lambda aux: aux.update(k=["3", 2]), "aux.k: expected"),
             (lambda aux: aux.update(k=[]), "aux.k: expected"),
-            (lambda aux: aux.update(c_mode="other"), "unknown C mode"),
             (lambda aux: aux["source"]["constraints"][0].update(relation="eq"), "unknown relation"),
         ],
     )
@@ -414,6 +416,26 @@ class TestRowProjectionClaim:
             assert applied_big["x"] == applied_small["x"]
 
 
+class TestEmittedBytes:
+    """The canonical bytes of two emitted instances, pinned by sha256."""
+
+    @staticmethod
+    def _sha(instance) -> str:
+        return hashlib.sha256(jsonio.canonical_dumps(instance.to_payload()).encode()).hexdigest()
+
+    def test_path_through_the_pipeline(self, t22, ident22):
+        result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
+        assert self._sha(result.instance) == (
+            "f9f50cb07fa62460d84a471eb04b82a47f540d91c91440aa53a614550b4c0182"
+        )
+
+    def test_six_cycle_at_k32(self, k2, t22):
+        instance, _ = pk.longcode_reduce(pk.build_auxiliary(cycle_instance(6), k2, (3, 2)), t22)
+        assert self._sha(instance) == (
+            "5ffbaa5b44a8e58a2b1665c9afee73dc52c6a1d0141da37b515378a72cff610e"
+        )
+
+
 class TestGadgetSearch:
     def test_k2_gadget_is_a_self_loop(self, t22):
         gadget = pk.find_unsolvable_gadget(t22)
@@ -424,17 +446,6 @@ class TestGadgetSearch:
         full = pk.structure(["0", "1"], any2=(2, set(itertools.product("01", repeat=2))))
         template = pk.PcspTemplate(full, full)
         assert pk.find_unsolvable_gadget(template) is None
-
-
-class TestCModeOnlyRenames:
-    @pytest.mark.parametrize("phi, sizes", [(edge_instance(), (8, 16)), (path_instance(), (4, 16))])
-    def test_fitted_and_uniform_emit_the_same_instance(self, t22, ident22, phi, sizes):
-        # clouds are indexed by each variable's own labels, which are the
-        # first labels of C in either mode
-        results = [pk.pipeline_reduce(phi, t22, t22, ident22, c_mode=m) for m in ("fitted", "uniform")]
-        assert tuple(len(r.layout.aux.c_labels) for r in results) == sizes
-        fitted, uniform = (jsonio.canonical_dumps(r.instance.to_payload()) for r in results)
-        assert fitted == uniform
 
 
 def _renaming(old_layout, new_layout, base: int) -> dict:
@@ -463,7 +474,13 @@ def assert_same_up_to_renaming(phi, k):
     k2 = pk.complete_graph(2)
     t22 = pk.PcspTemplate(k2, k2)
     aux = pk.build_auxiliary(phi, k2, k)
-    old, old_layout = reference_longcode.longcode_reduce(aux, t22)
+    # the reference indexes every cloud by one label set as large as the
+    # largest solution set, whose first labels are each variable's own
+    size = max(len(var.solutions) for var in aux.variables)
+    view = SimpleNamespace(
+        c_labels=range(size), variables=aux.variables, constraints=aux.constraints
+    )
+    old, old_layout = reference_longcode.longcode_reduce(view, t22)
     new, new_layout = pk.longcode_reduce(aux, t22)
     rename = _renaming(old_layout, new_layout, len(k2.domain))
     assert set(rename) == set(old.variables)
@@ -493,7 +510,7 @@ def graph_cases(draw):
 @st.composite
 def layout_cases(draw):
     """A K2 graph source on 2-4 variables whose subsets all carry a partial
-    solution, at k=(2,1) or (3,2), in fitted or uniform mode or with |C|=9."""
+    solution, at k=(2,1) or (3,2)."""
     n = draw(st.integers(2, 4))
     k = draw(st.sampled_from([k for k in ((2, 1), (3, 2)) if k[0] <= n]))
     variables = [f"x{i}" for i in range(n)]
@@ -501,9 +518,8 @@ def layout_cases(draw):
         st.lists(st.sampled_from(list(itertools.combinations(variables, 2))), unique=True)
     )
     phi = pk.Instance(variables, [(s, "neq") for s in scopes])
-    c_mode, c_size = draw(st.sampled_from([("fitted", None), ("uniform", None), ("fitted", 9)]))
     try:
-        aux = pk.build_auxiliary(phi, pk.complete_graph(2), k, c_mode=c_mode, c_size=c_size)
+        aux = pk.build_auxiliary(phi, pk.complete_graph(2), k)
     except PromiseViolationError:
         assume(False)
     return aux
