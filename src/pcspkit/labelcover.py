@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, Instance, RelationalStructure, partial_solution_table
+from .core import DEFAULT_BUDGET, Instance, RelationalStructure, evaluate, partial_solution_table
 from .errors import InputError, ResourceError, StructuralError
 from .minion import tuple_label
 from .pas import Pas, PasSequence, check_consistent
@@ -216,17 +216,13 @@ def csp_value_oracle(
     drawn from partial solutions of phi, and entry sizes at most d exist?
 
     Such a sequence is a d-assignment of the subset reduction that weakly
-    satisfies every chain, so this is one chain search at width d.
+    satisfies every chain, so this is one chain search at width d.  A subset
+    with no partial solution is an exact no before any search, as in
+    `combinatorial_layered_value`.
     """
     k = tuple(int(x) for x in k)
     table = partial_solution_table(phi, side, k, budget=budget)
-    # Subsets in the order the search prices them: an empty one answers no
-    # unless one before it already has too many candidate entries.
-    for sols in table.values():
-        if not sols:
-            return False
-        _width_options(len(sols), d, budget)
-    return _chain_search(_llc_from_table(table, k), d, budget) is not None
+    return all(table.values()) and _chain_search(_llc_from_table(table, k), d, budget) is not None
 
 
 def _width_options(size: int, d: int, budget: int) -> list:
@@ -332,23 +328,17 @@ def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
 
 
 def d_assignment_to_pas(
-    f: DAssignment,
-    phi: Instance,
-    side: RelationalStructure,
-    k: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
+    f: DAssignment, phi: Instance, side: RelationalStructure, k: Sequence[int]
 ) -> PasSequence:
     """Read a weakly satisfying d-assignment of the reduced instance back as a
     sequence of partial assignment systems over the original variables.
 
-    The reduced instance is rebuilt deterministically from (phi, k); the
-    assignment must weakly satisfy all of its chains, which is exactly the
-    consistency of the decoded sequence.
+    Every decoded entry must be a partial solution of phi on its subset, so
+    the choices lie in the reduced instance's domains; the assignment must
+    weakly satisfy all of its chains, which is exactly the consistency of the
+    decoded sequence.
     """
     k = tuple(int(x) for x in k)
-    table = partial_solution_table(phi, side, k, budget=budget)
-    if not all(table.values()):
-        raise InputError("the reduced instance has an empty domain; no assignment exists")
     mapping = f.mapping
     systems = []
     for i, size in enumerate(k):
@@ -357,9 +347,10 @@ def d_assignment_to_pas(
             name = _llc_variable(i, u)
             if name not in mapping:
                 raise InputError(f"assignment is missing variable {name!r}")
-            if not mapping[name] <= {tuple_label(g) for g in table[u]}:
-                raise InputError(f"assignment for {name!r} leaves its domain")
             entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
+            induced = phi.induced(u)
+            if any(evaluate(induced, side, dict(zip(u, g))) for g in entries[u]):
+                raise InputError(f"assignment for {name!r} leaves its domain")
         systems.append(Pas(phi.variables, side.domain, size, entries))
     seq = PasSequence(systems)
     cons = check_consistent(seq)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, Relation, RelationalStructure
+from .core import DEFAULT_BUDGET, PcspTemplate, Relation, RelationalStructure, _payload_field
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -516,15 +516,18 @@ class IdentityDrTable:
 
 
 def dr_table_from_payload(payload: Mapping):
-    if payload["kind"] == "identity":
-        return IdentityDrTable(PcspTemplate.from_payload(payload["template"]), r=payload["r"])
-    if payload["kind"] == "explicit":
-        source = [FiniteFunction.from_payload(p) for p in payload["source"]]
+    field = partial(_payload_field, payload, "")
+    kind = field("kind", str)
+    if kind == "identity":
+        template = PcspTemplate.from_payload(field("template", Mapping))
+        return IdentityDrTable(template, r=field("r", int))
+    if kind == "explicit":
+        source = [FiniteFunction.from_payload(p) for p in field("source", list)]
         images = [
-            tuple(FiniteFunction.from_payload(p) for p in group) for group in payload["images"]
+            tuple(FiniteFunction.from_payload(p) for p in group) for group in field("images", list)
         ]
-        return ExplicitDrTable(payload["d"], payload["r"], dict(zip(source, images)))
-    raise InputError(f"unknown table kind {payload['kind']!r}")
+        return ExplicitDrTable(field("d", int), field("r", int), dict(zip(source, images)))
+    raise InputError(f"unknown table kind {kind!r}")
 
 
 @dataclass(frozen=True)

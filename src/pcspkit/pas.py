@@ -160,7 +160,7 @@ def is_m_solution(f, system: Pas, m: int) -> bool:
     of some entry of the system."""
     if m > system.arity:
         raise InputError(f"m={m} exceeds the system arity {system.arity}")
-    fmap = f.mapping if isinstance(f, Assignment) else dict(f)
+    fmap = dict(f)
     for u in itertools.combinations(system.variables, m):
         if _first_superset(system, u, tuple(fmap[x] for x in u), (), extends=True) is None:
             return False

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -53,7 +52,6 @@ from .minion import (
     _blocks,
     _minor_index,
     _row_index_sets,
-    decode_partial_map_constraint,
     dictator,
     minor,
     tuple_label,
@@ -475,7 +473,7 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     if layout.gadget:
         raise InputError("cannot lift through a gadget layout")
     aux = layout.aux
-    hmap = h.mapping if isinstance(h, Assignment) else dict(h)
+    hmap = dict(h)
     star = {}
     for var in aux.variables:
         restriction = tuple(hmap[x] for x in var.subset)
@@ -505,11 +503,11 @@ def decode_relaxed_solution(
     """Turn a solution of the subset instance over the lifted side into a
     sequence of partial assignment systems for the relaxed source.
 
-    Every step the construction promises is re-verified here: restriction
-    uniqueness, the minor chain along every constraint, membership of the
-    decoded functions in the target's polymorphisms, entries being partial
-    solutions, the value bound, and consistency of the final sequence.  Any
-    breach aborts loudly.
+    Every step the construction promises is re-verified here: each subset
+    variable's function lives on its own labels and is a polymorphism of the
+    target, every constraint holds as a minor, the decoded entries are partial
+    solutions, the value bound holds, and the final sequence is consistent.
+    Any breach aborts loudly.
     """
     if layout.gadget:
         raise InputError("a gadget layout cannot be decoded")
@@ -521,54 +519,23 @@ def decode_relaxed_solution(
         raise InputError("instance or strict source side does not match the layout")
 
     # Each function is checked for membership once; the memo dies with this call.
-    target_polys = SimpleNamespace(
-        contains=cache(LazyPolymorphismSlice(layout.target, budget=budget).contains)
-    )
-
-    # Restriction step: each subset variable's function must be determined by
-    # its own labels, and the restrictions must commute with every constraint.
-    decoded: dict = {}
+    contains = cache(LazyPolymorphismSlice(layout.target, budget=budget).contains)
+    functions: dict = {}
+    for var in aux.variables:
+        if var.name not in s:
+            raise InputError(f"solution is missing subset variable {var.name!r}")
+        if s[var.name].arity_set != var.labels():
+            raise InputError(f"the function at {var.name} is not on the variable's labels")
+        if not contains(s[var.name]):
+            raise InputError(f"the function at {var.name} is not a polymorphism of the target")
+        # Re-index from solution indices to partial-solution labels: a
+        # bijective minor of a member, so it stays in the polymorphisms.
+        functions[var.name] = minor(s[var.name], dict(enumerate(map(tuple_label, var.solutions))))
     for con in aux.constraints:
-        uvar, wvar = aux.variable(con.u), aux.variable(con.w)
-        if con.u not in s or con.w not in s:
-            raise InputError(f"solution is missing subset variable {con.u!r} or {con.w!r}")
-        pair = decode_partial_map_constraint(
-            s[con.u], s[con.w], uvar.labels(), wvar.labels(), con.cmap, target_polys
-        )
-        if pair is None:
+        if minor(s[con.u], con.cmap, target=aux.variable(con.w).labels()) != s[con.w]:
             raise InputError(
                 f"constraint {con.u}->{con.w} is not satisfied in the lifted relation"
             )
-        t_u, t_w = pair
-        for name, t in ((con.u, t_u), (con.w, t_w)):
-            if decoded.setdefault(name, t) != t:
-                raise InvariantError(f"two constraints decoded {name} differently")
-
-    for var in aux.variables:
-        if var.name not in decoded:
-            raise InvariantError(f"subset variable {var.name} is unconstrained")
-
-    # Re-index from solution indices to partial-solution labels.  The
-    # relabelling is a bijective minor of a member, so it stays in the
-    # polymorphisms.
-    functions: dict = {}
-    for var in aux.variables:
-        label_of = {n: tuple_label(g) for n, g in enumerate(var.solutions)}
-        functions[var.name] = minor(decoded[var.name], label_of)
-
-    for con in aux.constraints:
-        uvar, wvar = aux.variable(con.u), aux.variable(con.w)
-        idx = [uvar.subset.index(x) for x in wvar.subset]
-        restriction = {
-            tuple_label(g): tuple_label(tuple(g[p] for p in idx)) for g in uvar.solutions
-        }
-        wanted = minor(
-            functions[con.u],
-            restriction,
-            target=functions[con.w].arity_set,
-        )
-        if wanted != functions[con.w]:
-            raise InvariantError(f"minor chain broken along {con.u}->{con.w}")
 
     # Push through the table and evaluate on the partial-solution matrices.
     relaxed_domain = source.relaxed.domain
@@ -591,11 +558,8 @@ def decode_relaxed_solution(
         if len(produced) > d_bound:
             raise InvariantError("entry exceeds the table's width bound")
         for x_tuple in produced:
-            check = evaluate(
-                padded.induced(var.subset),
-                source.relaxed,
-                Assignment(dict(zip(var.subset, x_tuple))),
-            )
+            entry = dict(zip(var.subset, x_tuple))
+            check = evaluate(padded.induced(var.subset), source.relaxed, entry)
             if check:
                 raise InvariantError(
                     f"decoded entry at {var.name} violates relaxed constraints {check}"

@@ -212,6 +212,11 @@ class TestUnreadableInput:
                 {"variables": ["x", "y"], "constraints": [{"scope": "xy", "relation": "neq"}]},
                 "constraints[0].scope: expected a list",
             ),
+            ({"variables": [["x"]], "constraints": []}, "variables[0]: expected a string"),
+            (
+                {"variables": ["x", "y"], "constraints": [{"scope": ["x", ["y"]], "relation": "neq"}]},
+                "constraints[0].scope[1]: expected a string",
+            ),
         ],
     )
     def test_malformed_instance_names_its_json_path(
@@ -281,14 +286,14 @@ class TestDecodeAgainstTheLayout:
         jsonio.write_canonical(assign_path, pk.lift_strict_solution(h, layout).to_payload())
         return layout_path, assign_path
 
-    def _decode(self, layout_path, assign_path, phi, files, tmp_path, capsys):
+    def _decode(self, layout_path, assign_path, phi, files, tmp_path, capsys, table="xi.json"):
         src = tmp_path / "decoded.json"
         jsonio.write_canonical(src, phi.to_payload())
         report = tmp_path / "report.json"
         capsys.readouterr()
         code = main([
             "decode", "--assignment", str(assign_path), "--layout", str(layout_path),
-            "--dr-table", files["xi.json"], "--source", str(src),
+            "--dr-table", files[table], "--source", str(src),
             "--source-template", files["t22.json"], "--out", str(tmp_path / "sol.json"),
             "--report", str(report),
         ])
@@ -348,3 +353,13 @@ class TestDecodeAgainstTheLayout:
         assert code == 1
         assert err == "error: values: missing\n"
         assert "values: missing" in json.loads(report.read_text())["payload"]["error"]
+
+    def test_a_table_without_kind_is_named(self, files, tmp_path, k2, capsys):
+        phi = _path_and_empty()[0]
+        paths = self._reduce(phi, files, tmp_path, k2)
+        jsonio.write_canonical(tmp_path / "empty-table.json", {})
+        files["empty-table.json"] = str(tmp_path / "empty-table.json")
+        code, err, report = self._decode(*paths, phi, files, tmp_path, capsys, "empty-table.json")
+        assert code == 1
+        assert err == "error: kind: missing\n"
+        assert "kind: missing" in json.loads(report.read_text())["payload"]["error"]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from pcspkit.core import DEFAULT_BUDGET
+from pcspkit.core import DEFAULT_BUDGET, partial_solution_table
 from pcspkit.labelcover import _chain_order, _width_options
 
 import reference_oracle as oracle_module
@@ -143,29 +143,6 @@ class TestLayeredValue:
         assert pk.combinatorial_layered_value(inst, 1).value is None
 
 
-class TestValueAgreement:
-    def test_oracle_and_layered_value_agree_at_small_widths(self, unary_side, k2):
-        # the width-d layered value of the reduced instance and the direct
-        # sequence-value decision coincide
-        cases = [
-            (unary_instance(["x0", "x1", "x2", "x3"], [frozenset({"0"})] * 4), unary_side),
-            (unary_instance(
-                ["x0", "x1", "x2", "x3"],
-                [frozenset(), frozenset({"0", "1"}), frozenset({"1"}), frozenset({"0", "1"})],
-            ), unary_side),
-            (pk.Instance(["x0", "x1", "x2", "x3"], [(("x0", "x1"), "neq"), (("x1", "x2"), "neq")]), k2),
-            (triangle_instance(), k2),
-        ]
-        for phi, side in cases:
-            k = (3, 2) if len(phi.variables) >= 3 else (2, 1)
-            for d in (1, 2):
-                oracle = pk.csp_value_oracle(phi, side, k, d)
-                layered = pk.combinatorial_layered_value(
-                    pk.reduce_mcsp_to_llc(phi, side, k), d
-                )
-                assert oracle == (layered.value is not None), (phi.to_payload(), d)
-
-
 UNARY_SIDE = pk.structure(["0", "1"], only0=(1, {("0",)}), only1=(1, {("1",)}))
 
 
@@ -189,8 +166,8 @@ def oracle_cases(draw, arities=((2, 1), (3, 2), (3, 3))):
 
 
 # The first 3-subset has 8 partial solutions, so 36 candidate entries at d=2,
-# over a budget of 30, while a later subset has none: the over-budget slot
-# comes first in slot order, so the oracle must fail on the budget.
+# over a budget of 30, while a later subset has none: the empty subset is an
+# exact no before any slot is priced.
 PRICED_BEFORE_EMPTY = (
     unary_instance(["x0", "x1", "x2", "x3"], [ALLOWED_SETS[3]] * 3 + [ALLOWED_SETS[0]]),
     UNARY_SIDE,
@@ -207,6 +184,45 @@ def _decide(oracle, phi, side, k, d, budget):
         return "over budget"
 
 
+def _layered(phi, side, k, d, budget):
+    try:
+        inst = pk.reduce_mcsp_to_llc(phi, side, k, budget=budget)
+        return bool(pk.combinatorial_layered_value(inst, d, budget=budget))
+    except ResourceError:
+        return "over budget"
+
+
+# The fixed cases the agreement property has always covered, at d = 1 and 2.
+AGREEMENT_CASES = [
+    (unary_instance(["x0", "x1", "x2", "x3"], [frozenset({"0"})] * 4), UNARY_SIDE),
+    (unary_instance(
+        ["x0", "x1", "x2", "x3"],
+        [frozenset(), frozenset({"0", "1"}), frozenset({"1"}), frozenset({"0", "1"})],
+    ), UNARY_SIDE),
+    (pk.Instance(["x0", "x1", "x2", "x3"], [(("x0", "x1"), "neq"), (("x1", "x2"), "neq")]),
+     pk.complete_graph(2)),
+    (triangle_instance(), pk.complete_graph(2)),
+]
+
+
+def _with_agreement_cases(test):
+    for (phi, side), d in itertools.product(AGREEMENT_CASES, (1, 2)):
+        test = example(case=(phi, side, (3, 2), d, DEFAULT_BUDGET))(test)
+    return example(case=PRICED_BEFORE_EMPTY)(test)
+
+
+class TestValueAgreement:
+    # The width-d layered value of the reduced instance and the direct
+    # sequence-value decision coincide wherever both finish.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    @_with_agreement_cases
+    def test_oracle_and_layered_value_agree_at_small_widths(self, case):
+        oracle, layered = _decide(pk.csp_value_oracle, *case), _layered(*case)
+        if "over budget" not in (oracle, layered):
+            assert oracle == layered
+
+
 class TestOracleAgainstReference:
     # The search visits variables in another order than the reference, so it
     # may finish where the reference runs out of budget, but never the other
@@ -219,10 +235,12 @@ class TestOracleAgainstReference:
         if expected != "over budget":
             assert _decide(pk.csp_value_oracle, *case) == expected
 
-    def test_slot_priced_before_an_empty_one_is_over_budget(self):
+    def test_an_empty_subset_answers_no_before_pricing(self):
         phi, side, k, d, budget = PRICED_BEFORE_EMPTY
-        with pytest.raises(ResourceError):
-            pk.csp_value_oracle(phi, side, k, d, budget=budget)
+        answer = pk.csp_value_oracle(phi, side, k, d, budget=budget)
+        assert answer is False
+        inst = pk.reduce_mcsp_to_llc(phi, side, k)
+        assert answer == bool(pk.combinatorial_layered_value(inst, d, budget=budget))
 
 
 def _five_vertex_graph(edges):
@@ -279,6 +297,72 @@ class TestChainSearch:
         sizes = {x: len(_width_options(len(dom), d, DEFAULT_BUDGET))
                  for x, dom in inst.domains.items()}
         assert _chain_order(inst, sizes) == oracle_module._chain_order(inst, sizes)
+
+
+@st.composite
+def d_assignment_cases(draw):
+    """An oracle case and a choice of one or two atoms per subset variable,
+    drawn from the variable's domain except on one subset, if any, or where
+    the domain is empty.  When `lifted`, every choice holds the restriction of
+    one total assignment, so the choices weakly satisfy every chain."""
+    phi, side, k, _, _ = draw(oracle_cases())
+    table = partial_solution_table(phi, side, k)
+    lifted = draw(st.booleans())
+    values = draw(st.lists(st.sampled_from(side.domain), min_size=len(phi.variables)))
+    h = dict(zip(phi.variables, values))
+    anywhere_at = draw(st.sampled_from([None, *table]))
+    choice = {}
+    for i, size in enumerate(k):
+        for u in itertools.combinations(phi.variables, size):
+            inside = [",".join(g) for g in table[u]]
+            anywhere = [",".join(g) for g in itertools.product(side.domain, repeat=size)]
+            pool = inside if inside and u != anywhere_at else anywhere
+            atoms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+            if lifted:
+                atoms.append(",".join(h[x] for x in u))
+            choice[f"L{i}|{','.join(u)}"] = atoms
+    return phi, side, k, choice, lifted
+
+
+# x3 has no value, so every subset holding it has an empty domain.
+EMPTY_AT_X3 = PRICED_BEFORE_EMPTY[0]
+
+
+def _all_zero_choice(phi, k):
+    return {
+        f"L{i}|{','.join(u)}": ["0" + ",0" * (size - 1)]
+        for i, size in enumerate(k)
+        for u in itertools.combinations(phi.variables, size)
+    }
+
+
+class TestDAssignmentDomains:
+    # The partial-solution table is the test oracle for the domains: an atom
+    # outside them is refused, and choices inside them are refused only for
+    # failing weak satisfaction, which a lifted choice never does.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=d_assignment_cases())
+    @example(case=(EMPTY_AT_X3, UNARY_SIDE, (3, 2), _all_zero_choice(EMPTY_AT_X3, (3, 2)), True))
+    def test_accepts_exactly_the_choices_inside_the_domains(self, case):
+        phi, side, k, choice, lifted = case
+        table = partial_solution_table(phi, side, k)
+        inside = all(
+            set(choice[f"L{i}|{','.join(u)}"]) <= {",".join(g) for g in table[u]}
+            for i, size in enumerate(k)
+            for u in itertools.combinations(phi.variables, size)
+        )
+        try:
+            seq = pk.d_assignment_to_pas(pk.DAssignment(choice), phi, side, k)
+        except InputError as exc:
+            if inside:
+                assert not lifted and "weak satisfaction" in str(exc)
+            else:
+                assert "leaves its domain" in str(exc)
+        else:
+            assert inside
+            for i, system in enumerate(seq.systems):
+                for u, entry in system.entries.items():
+                    assert {",".join(g) for g in entry} == set(choice[f"L{i}|{','.join(u)}"])
 
 
 class TestRoundTrip:

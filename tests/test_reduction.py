@@ -294,6 +294,81 @@ class TestDecode:
             pk.decode_relaxed_solution(fns, layout, pk.ExplicitDrTable(1, 1, {}), phi, t22)
 
 
+    def test_recover_takes_the_lifted_assignment_itself(self, k2, t22, ident22):
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        lift = pk.lift_strict_solution(
+            pk.brute_force_solve(result.layout.aux.source, k2), result.layout
+        )
+        solution = pk.recover_source_solution(lift, result.layout, ident22, phi, t22)
+        assert pk.evaluate(phi, k2, solution) == []
+
+
+def _nested_path_functions(k2, t22):
+    phi = path_instance()
+    _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+    lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+    return phi, layout, pk.read_cloud_functions(lift.mapping, layout, k2.domain)
+
+
+class TestDecodeRefusesBrokenClouds:
+    """Each subset variable's function is checked once: present, on the
+    variable's own labels, and a polymorphism of the target."""
+
+    def test_a_missing_subset_variable(self, k2, t22, ident22):
+        phi, layout, fns = _nested_path_functions(k2, t22)
+        del fns["x,z"]
+        with pytest.raises(InputError, match="missing subset variable 'x,z'"):
+            pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
+
+    def test_a_function_on_another_arity_set(self, k2, t22, ident22):
+        phi, layout, fns = _nested_path_functions(k2, t22)
+        fn = fns["x,y"]
+        fns["x,y"] = pk.minor(fn, {n: n + 1 for n in fn.arity_set})
+        with pytest.raises(InputError, match="not on the variable's labels"):
+            pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
+
+    def test_a_non_polymorphism(self, k2, t22, ident22):
+        phi, layout, fns = _nested_path_functions(k2, t22)
+        fn = fns["x,y"]
+        constant = ["0"] * len(fn.table)
+        fns["x,y"] = pk.FiniteFunction(fn.arity_set, fn.in_domain, fn.out_domain, constant)
+        with pytest.raises(InputError, match="not a polymorphism"):
+            pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
+
+
+class TestRelabelledMinorCondition:
+    """Relabelled by partial solutions, the decoded functions satisfy the
+    restriction-map minor condition along every constraint."""
+
+    @staticmethod
+    def _check(layout, assignments, k2):
+        aux, label = layout.aux, pk.minion.tuple_label
+        for assignment in assignments:
+            fns = pk.read_cloud_functions(assignment, layout, k2.domain)
+            relabelled = {
+                var.name: pk.minor(fns[var.name], dict(enumerate(map(label, var.solutions))))
+                for var in aux.variables
+            }
+            for con in aux.constraints:
+                uvar, wvar = aux.variable(con.u), aux.variable(con.w)
+                idx = [uvar.subset.index(x) for x in wvar.subset]
+                restriction = {label(g): label(tuple(g[p] for p in idx)) for g in uvar.solutions}
+                target = relabelled[con.w].arity_set
+                assert pk.minor(relabelled[con.u], restriction, target=target) == relabelled[con.w]
+
+    def test_pipeline_case_at_k44(self, k2, t22, ident22):
+        result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
+        assert result.params.k == (4, 4)
+        solutions = pk.all_solutions(result.instance, k2, budget=10**7)
+        self._check(result.layout, [sol.mapping for sol in solutions[:6]], k2)
+
+    def test_nested_path_at_k32(self, k2, t22):
+        instance, layout = pk.longcode_reduce(pk.build_auxiliary(path_instance(), k2, (3, 2)), t22)
+        solutions = pk.all_solutions(instance, k2, budget=10**7)
+        self._check(layout, [sol.mapping for sol in solutions[:6]], k2)
+
+
 class TestMembershipCheckedOnce:
     """One decode checks each distinct function for membership at most once,
     and keeps no answer for the next decode."""
