@@ -41,7 +41,6 @@ from .minion import (
     IdentityDrTable,
     LazyPolymorphismSlice,
     MinionSlice,
-    build_free_template,
     check_dr_homomorphism,
     check_minion_homomorphism,
     check_minor_closure,

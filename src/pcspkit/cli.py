@@ -24,11 +24,12 @@ from .core import (
     Instance,
     PcspTemplate,
     RelationalStructure,
+    _payload_field,
     all_solutions,
     brute_force_solve,
     evaluate,
 )
-from .errors import PcspkitError
+from .errors import InputError, PcspkitError
 from .labelcover import csp_value_oracle, reduce_mcsp_to_llc
 from .minion import (
     FiniteFunction,
@@ -91,6 +92,14 @@ def _load_side(path: str, side: str) -> RelationalStructure:
     if "strict" in payload and "relaxed" in payload:
         return PcspTemplate.from_payload(payload).side(side)
     return RelationalStructure.from_payload(payload)
+
+
+def _ints(text: str, option: str) -> list:
+    """A comma-separated list of integers given as a command-line option."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option}: expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(path, payload, report: _Report) -> None:
@@ -156,7 +165,7 @@ def _cmd_poly_check(args, report: _Report) -> int:
 
 
 def _cmd_gap_params(args, report: _Report) -> int:
-    values = [int(x) for x in args.values.split(",")]
+    values = _ints(args.values, "--values")
     params = gap_parameters(args.domain_size, args.m, values, mode=args.mode)
     report.payload["k"] = list(params.k)
     _emit(args.out, params.to_payload(), report)
@@ -187,7 +196,7 @@ def _cmd_gap_oracle(args, report: _Report) -> int:
     report.add_input(args.template)
     instance = Instance.from_payload(jsonio.read_json(args.instance))
     side = _load_side(args.template, args.side)
-    k = [int(x) for x in args.k.split(",")]
+    k = _ints(args.k, "--k")
     answer = csp_value_oracle(instance, side, k, args.d, budget=args.budget)
     report.payload["value_at_most_d"] = answer
     print(f"value <= {args.d}: {'yes' if answer else 'no'}")
@@ -201,7 +210,9 @@ def _cmd_reduce_llc(args, report: _Report) -> int:
     instance = Instance.from_payload(jsonio.read_json(args.instance))
     side = _load_side(args.template, args.side)
     params = jsonio.read_json(args.params)
-    k = params["k"] if isinstance(params, dict) else params
+    if isinstance(params, list):  # the arities alone
+        params = {"k": params}
+    k = _payload_field(params, "", "k", list, items=int)
     reduced = reduce_mcsp_to_llc(instance, side, k, budget=args.budget)
     _emit(args.out, reduced.to_payload(), report)
     print(
@@ -255,41 +266,46 @@ def _cmd_decode(args, report: _Report) -> int:
     return 0 if report.all_passed else 1
 
 
+# The files each kind of `verify` reads.
+_VERIFY_NEEDS = {
+    "consistent": ("pas",),
+    "msolution": ("pas", "assignment"),
+    "solution": ("instance", "template", "assignment"),
+}
+
+
 def _cmd_verify(args, report: _Report) -> int:
+    for name in _VERIFY_NEEDS[args.kind]:
+        report.add_input(getattr(args, name))
     if args.kind == "consistent":
-        report.add_input(args.pas)
         seq = PasSequence.from_payload(jsonio.read_json(args.pas))
         result = check_consistent(seq)
         report.verified("consistent", bool(result))
         print("consistent" if result else f"inconsistent on chain {result.chain}")
         return 0 if result else 1
     if args.kind == "msolution":
-        report.add_input(args.pas)
-        report.add_input(args.assignment)
         seq = PasSequence.from_payload(jsonio.read_json(args.pas))
         payload = jsonio.read_json(args.assignment)
-        if "assignment" in payload:  # an extraction artifact carries its index
-            f = Assignment.from_payload(payload["assignment"])
-            index = payload.get("index", args.index)
-        else:
-            f = Assignment.from_payload(payload)
-            index = args.index
+        index = args.index
+        if isinstance(payload, dict) and "assignment" in payload:
+            # an extraction artifact carries its index
+            if "index" in payload:
+                index = _payload_field(payload, "", "index", int)
+            payload = payload["assignment"]
+        f = Assignment.from_payload(payload)
+        if not 0 <= index < len(seq):
+            raise InputError(f"index {index}: expected 0 <= index < {len(seq)}")
         ok = is_m_solution(f, seq[index], args.m)
         report.verified("is_m_solution", ok)
         print("verified" if ok else "NOT an m-solution")
         return 0 if ok else 1
-    if args.kind == "solution":
-        report.add_input(args.instance)
-        report.add_input(args.template)
-        report.add_input(args.assignment)
-        instance = Instance.from_payload(jsonio.read_json(args.instance))
-        side = _load_side(args.template, args.side)
-        f = Assignment.from_payload(jsonio.read_json(args.assignment))
-        violated = evaluate(instance, side, f)
-        report.verified("evaluate_empty", not violated)
-        print("verified" if not violated else f"violates constraints {violated}")
-        return 0 if not violated else 1
-    raise PcspkitError(f"unknown verification kind {args.kind!r}")
+    instance = Instance.from_payload(jsonio.read_json(args.instance))
+    side = _load_side(args.template, args.side)
+    f = Assignment.from_payload(jsonio.read_json(args.assignment))
+    violated = evaluate(instance, side, f)
+    report.verified("evaluate_empty", not violated)
+    print("verified" if not violated else f"violates constraints {violated}")
+    return 0 if not violated else 1
 
 
 def _add_common(parser) -> None:
@@ -398,12 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "poly" and getattr(args, "subcommand", "") == "enum":
-        if args.arity is None and args.labels is None:
-            parser.error("poly enum needs --arity or --labels")
-    report = _Report(
-        args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    )
+    command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
+    # what an invocation lacks that the parser cannot require by itself
+    if command == "poly enum" and args.arity is None and args.labels is None:
+        parser.error("poly enum needs --arity or --labels")
+    if command == "poly check" and args.dr_table and args.slice is None:
+        parser.error("poly check --dr-table needs --slice")
+    if command == "verify":
+        missing = [f"--{name}" for name in _VERIFY_NEEDS[args.kind] if getattr(args, name) is None]
+        if missing:
+            parser.error(f"verify {args.kind} needs {' and '.join(missing)}")
+    report = _Report(command)
     try:
         code = args.func(args, report)
     except (PcspkitError, json.JSONDecodeError, OSError) as exc:

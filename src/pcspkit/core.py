@@ -203,22 +203,13 @@ class Instance:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "Instance":
-        variables = _payload_field(payload, "", "variables", list)
-        _require_strings(variables, "variables")
+        variables = _payload_field(payload, "", "variables", list, items=str)
         constraints = []
         for i, c in enumerate(_payload_field(payload, "", "constraints", list)):
             path = f"constraints[{i}]"
-            scope = _payload_field(c, path, "scope", list)
-            _require_strings(scope, f"{path}.scope")
+            scope = _payload_field(c, path, "scope", list, items=str)
             constraints.append(Constraint(scope, _payload_field(c, path, "relation", str)))
         return Instance(variables, constraints)
-
-
-def _require_strings(items: list, path: str) -> None:
-    """A JSON list that must hold only strings; the error names the entry."""
-    for j, item in enumerate(items):
-        if not isinstance(item, str):
-            raise InputError(f"{path}[{j}]: expected a string")
 
 
 _KIND_NAMES = {
@@ -226,9 +217,11 @@ _KIND_NAMES = {
 }
 
 
-def _payload_field(payload, path: str, key: str, kind: type):
+def _payload_field(payload, path: str, key: str, kind: type, items: Optional[type] = None):
     """payload[key] read from JSON: an InputError names the field's path when
-    it is missing or of another kind, so a string never passes as a list."""
+    it is missing or of another kind, so a string never passes as a list.
+    With `items`, the field is a list whose every entry is of that kind, and
+    the error names the entry."""
     if not isinstance(payload, Mapping):
         raise InputError(f"{path or 'payload'}: expected an object")
     path = f"{path}.{key}" if path else key
@@ -236,14 +229,17 @@ def _payload_field(payload, path: str, key: str, kind: type):
         raise InputError(f"{path}: missing")
     if not isinstance(payload[key], kind):
         raise InputError(f"{path}: expected {_KIND_NAMES[kind]}")
+    if items is not None:
+        for j, item in enumerate(payload[key]):
+            if not isinstance(item, items):
+                raise InputError(f"{path}[{j}]: expected {_KIND_NAMES[items]}")
     return payload[key]
 
 
 def _read_structure(payload, path: str) -> RelationalStructure:
     """A structure read from JSON, every field through `_payload_field`."""
     at = f"{path}." if path else ""
-    domain = _payload_field(payload, path, "domain", list)
-    _require_strings(domain, f"{at}domain")
+    domain = _payload_field(payload, path, "domain", list, items=str)
     relations = {}
     for name, rel in _payload_field(payload, path, "relations", Mapping).items():
         where = f"{at}relations.{name}"

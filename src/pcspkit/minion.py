@@ -1,4 +1,5 @@
-"""Finite functions of set arity, minors, polymorphisms, and free templates.
+"""Finite functions of set arity, minors, polymorphisms, set-valued tables,
+and relations lifted to a slice.
 
 Arities are ordered label sets rather than integers, which lets the same
 machinery handle coordinates named by variables, by domain elements, or by
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, Relation, RelationalStructure, _payload_field
+from .core import DEFAULT_BUDGET, PcspTemplate, _payload_field
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -89,9 +90,11 @@ class FiniteFunction:
         }
 
     @staticmethod
-    def from_payload(payload: Mapping) -> "FiniteFunction":
+    def from_payload(payload: Mapping, path: str = "") -> "FiniteFunction":
+        """Read from JSON; errors name the field under `path`."""
+        field = partial(_payload_field, payload, path, kind=list, items=str)
         return FiniteFunction(
-            payload["arity_set"], payload["in_domain"], payload["out_domain"], payload["table"]
+            field("arity_set"), field("in_domain"), field("out_domain"), field("table")
         )
 
 
@@ -280,11 +283,14 @@ class MinionSlice:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "MinionSlice":
+        field = partial(_payload_field, payload, "")
         grouped = {}
-        for item in payload["functions"]:
-            fn = FiniteFunction.from_payload(item)
+        for i, item in enumerate(field("functions", list)):
+            fn = FiniteFunction.from_payload(item, f"functions[{i}]")
             grouped.setdefault(fn.arity_set, []).append(fn)
-        return MinionSlice(payload["in_domain"], payload["out_domain"], grouped)
+        return MinionSlice(
+            field("in_domain", list, items=str), field("out_domain", list, items=str), grouped
+        )
 
 
 def polymorphism_slice(
@@ -466,9 +472,6 @@ class ExplicitDrTable:
             raise InputError(f"table does not cover a function of arity {t.arity_set}")
         return self.mapping[t]
 
-    def covers(self, t: FiniteFunction) -> bool:
-        return t in self.mapping
-
     def to_payload(self) -> dict:
         items = sorted(self.mapping.items(), key=lambda kv: (kv[0].arity_set, kv[0].table))
         return {
@@ -494,17 +497,15 @@ class IdentityDrTable:
         self.r = r
 
     def image(self, t: FiniteFunction) -> tuple:
-        if not self.covers(t):
+        try:
+            covered = is_polymorphism(t, self.template)
+        except StructuralError:  # a function over other domains
+            covered = False
+        if not covered:
             raise InputError(
                 f"identity table does not cover a non-polymorphism of arity {t.arity_set}"
             )
         return (t,)
-
-    def covers(self, t: FiniteFunction) -> bool:
-        try:
-            return is_polymorphism(t, self.template)
-        except StructuralError:
-            return False
 
     def to_payload(self) -> dict:
         return {
@@ -522,10 +523,16 @@ def dr_table_from_payload(payload: Mapping):
         template = PcspTemplate.from_payload(field("template", Mapping))
         return IdentityDrTable(template, r=field("r", int))
     if kind == "explicit":
-        source = [FiniteFunction.from_payload(p) for p in field("source", list)]
-        images = [
-            tuple(FiniteFunction.from_payload(p) for p in group) for group in field("images", list)
+        source = [
+            FiniteFunction.from_payload(p, f"source[{i}]")
+            for i, p in enumerate(field("source", list))
         ]
+        images = [
+            tuple(FiniteFunction.from_payload(p, f"images[{i}][{j}]") for j, p in enumerate(group))
+            for i, group in enumerate(field("images", list, items=list))
+        ]
+        if len(images) != len(source):
+            raise InputError("images: expected one list per source function")
         return ExplicitDrTable(field("d", int), field("r", int), dict(zip(source, images)))
     raise InputError(f"unknown table kind {kind!r}")
 
@@ -591,7 +598,7 @@ def check_dr_homomorphism(
     return ChainCheck(True, None)
 
 
-# -- free templates ------------------------------------------------------------
+# -- lifted relations and their decoder ---------------------------------------
 
 
 def free_relation(labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozenset:
@@ -613,80 +620,6 @@ def free_relation(labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozen
             projected.append(minor(t, pi, target=labels))
         out.add(tuple(projected))
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class FreeTemplate:
-    template: PcspTemplate
-    carrier: dict  # relaxed-domain label -> FiniteFunction
-    relation_tuples: dict  # relation name -> tuples over C
-
-
-def build_free_template(
-    m: int,
-    labels: Sequence[str],
-    slice_,
-    relations: Optional[Mapping[str, Iterable]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> FreeTemplate:
-    """Strict side: C = `labels` with relations of arity up to m (all
-    nonempty ones, or just the requested family); relaxed side: the C-ary
-    slice members with the corresponding free relations.
-
-    The full relation family has sum_i (2^(|C|^i) - 1) members and is budget
-    checked; reductions only ever request graphs of maps, so passing the
-    needed family explicitly is the intended mode at scale.
-    """
-    labels = tuple(sorted(set(labels)))
-    if relations is None:
-        total = sum(2 ** (len(labels) ** i) - 1 for i in range(1, m + 1))
-        if total > budget:
-            raise ResourceError(
-                f"materializing {total} relations exceeds the budget of {budget}"
-            )
-        relations = {}
-        for arity in range(1, m + 1):
-            universe = sorted(itertools.product(labels, repeat=arity))
-            for idx, size in enumerate(_nonempty_subsets(universe)):
-                relations[f"r{arity}_{idx:04d}"] = size
-    else:
-        for name, tuples in relations.items():
-            arities = {len(t) for t in tuples}
-            if not tuples or len(arities) != 1 or max(arities) > m:
-                raise InputError(f"relation {name!r} is empty or has bad arity")
-
-    members = slice_.members(labels)
-    if not members:
-        raise InputError("the slice has no members of the carrier arity")
-    width = len(str(len(members) - 1))
-    carrier = {f"t{idx:0{width}d}": fn for idx, fn in enumerate(members)}
-    label_of = {fn: lab for lab, fn in carrier.items()}
-
-    strict_rels = {}
-    relaxed_rels = {}
-    for name in sorted(relations):
-        tuples = frozenset(tuple(t) for t in relations[name])
-        arity = len(next(iter(tuples)))
-        strict_rels[name] = Relation(arity, tuples)
-        lifted = free_relation(labels, slice_, tuples)
-        if not lifted:
-            raise InputError(
-                f"the slice has no members of the arity needed for relation {name!r}"
-            )
-        relaxed_rels[name] = Relation(
-            arity, frozenset(tuple(label_of[fn] for fn in group) for group in lifted)
-        )
-
-    template = PcspTemplate(
-        RelationalStructure(labels, strict_rels), RelationalStructure(carrier, relaxed_rels)
-    )
-    return FreeTemplate(template, carrier, {n: rel.tuples for n, rel in strict_rels.items()})
-
-
-def _nonempty_subsets(universe):
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            yield frozenset(combo)
 
 
 def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[FiniteFunction]:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Assignment
+from .core import Assignment, _payload_field
 from .errors import (
     InputError,
     InvariantError,
@@ -92,14 +92,23 @@ class Pas:
         }
 
     @staticmethod
-    def from_payload(payload: Mapping) -> "Pas":
+    def from_payload(payload: Mapping, path: str = "") -> "Pas":
+        """Read from JSON; errors name the field under `path`."""
+        field = partial(_payload_field, payload, path)
         entries = {}
-        for item in payload["entries"]:
-            key = tuple(sorted(item["set"]))
+        for i, item in enumerate(field("entries", list)):
+            where = f"{path}.entries[{i}]" if path else f"entries[{i}]"
+            key = tuple(sorted(_payload_field(item, where, "set", list, items=str)))
             entries[key] = frozenset(
-                tuple(assignment[v] for v in key) for assignment in item["assignments"]
+                tuple(_payload_field(a, f"{where}.assignments[{j}]", v, str) for v in key)
+                for j, a in enumerate(_payload_field(item, where, "assignments", list))
             )
-        return Pas(payload["variables"], payload["domain"], payload["arity"], entries)
+        return Pas(
+            field("variables", list, items=str),
+            field("domain", list, items=str),
+            field("arity", int),
+            entries,
+        )
 
 
 def pas_from_assignment(f: Mapping[str, str], variables, domain, arity: int) -> Pas:
@@ -147,7 +156,8 @@ class PasSequence:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "PasSequence":
-        return PasSequence([Pas.from_payload(p) for p in payload["systems"]])
+        systems = _payload_field(payload, "", "systems", list)
+        return PasSequence([Pas.from_payload(p, f"systems[{i}]") for i, p in enumerate(systems)])
 
 
 def pas_value(system: Pas) -> int:
@@ -430,18 +440,20 @@ class GapParameters:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "GapParameters":
-        return GapParameters(
-            payload["domain_size"],
-            payload["m"],
-            tuple(payload["values"]),
-            tuple(payload["k"]),
-            tuple(payload["l"]),
-            tuple(payload["p"]),
-            tuple(tuple(s) if s else None for s in payload["split"]),
-            payload["mode"],
-            payload["k0_raw"],
-            tuple(payload["trace"]),
+        """The record gap_parameters computes from the payload's inputs
+        (domain_size, m, values, mode); each derived field must equal it."""
+        field = partial(_payload_field, payload, "")
+        params = gap_parameters(
+            field("domain_size", int),
+            field("m", int),
+            field("values", list, items=int),
+            field("mode", str),
         )
+        computed = params.to_payload()
+        for name in ("k", "l", "p", "split", "k0_raw", "trace"):
+            if field(name, type(computed[name])) != computed[name]:
+                raise InputError(f"{name}: differs from the record gap_parameters computes")
+        return params
 
 
 def gap_parameters(

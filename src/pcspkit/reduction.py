@@ -63,7 +63,6 @@ from .pas import (
     check_consistent,
     extract_solution,
     gap_parameters,
-    pas_value,
 )
 
 PAD_PREFIX = "~pad"
@@ -572,8 +571,6 @@ def decode_relaxed_solution(
         for i in range(len(aux.k))
     ]
     seq = PasSequence(systems)
-    if max(pas_value(sys_) for sys_ in systems) > d_bound:
-        raise InvariantError("decoded sequence exceeds the width bound")
     cons = check_consistent(seq)
     if not cons:
         raise InvariantError(f"decoded sequence is inconsistent on chain {cons.chain}")

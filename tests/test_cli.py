@@ -363,3 +363,87 @@ class TestDecodeAgainstTheLayout:
         assert code == 1
         assert err == "error: kind: missing\n"
         assert "kind: missing" in json.loads(report.read_text())["payload"]["error"]
+
+
+class TestBareArguments:
+    """Options and files the CLI reads itself: a bad one is an InputError
+    naming the option or the JSON field (exit 1, one error line, a written
+    report); a file its kind cannot run without is a usage error (exit 2)."""
+
+    @pytest.fixture()
+    def more(self, files, tmp_path):
+        jsonio.write_canonical(tmp_path / "empty.json", {})
+        variables = pk.PasSequence.from_payload(jsonio.read_json(files["seq.json"]))[0].variables
+        jsonio.write_canonical(
+            tmp_path / "zeros.json", pk.Assignment({v: "0" for v in variables}).to_payload()
+        )
+        return {**files, **{name: str(tmp_path / name) for name in ("empty.json", "zeros.json")}}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gap", "params", "--domain-size", "2", "--m", "1", "--values", "1,x"], "--values"),
+            (
+                ["gap", "oracle", "--instance", "edge3.json", "--template", "k2.json",
+                 "--k", "3,x", "--d", "1"],
+                "--k",
+            ),
+            (
+                ["verify", "msolution", "--pas", "seq.json", "--assignment", "zeros.json",
+                 "--index", "5"],
+                "index 5",
+            ),
+            (
+                ["verify", "msolution", "--pas", "seq.json", "--assignment", "zeros.json",
+                 "--index", "-1"],
+                "index -1",
+            ),
+            (
+                ["reduce", "llc", "--instance", "edge3.json", "--template", "k2.json",
+                 "--params", "empty.json"],
+                "k: missing",
+            ),
+            (
+                ["poly", "check", "--template", "t22.json", "--function", "empty.json"],
+                "arity_set: missing",
+            ),
+            (
+                ["gap", "extract", "--pas", "empty.json", "--params", "p11.json", "--m", "1"],
+                "systems: missing",
+            ),
+            (["verify", "consistent", "--pas", "empty.json"], "systems: missing"),
+            (
+                ["gap", "extract", "--pas", "seq.json", "--params", "empty.json", "--m", "1"],
+                "domain_size: missing",
+            ),
+        ],
+        ids=[
+            "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
+            "msolution-negative-index", "reduce-llc-params", "poly-check-function",
+            "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
+        ],
+    )
+    def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = [more.get(a, a) for a in argv] + ["--report", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert message in json.loads(report.read_text())["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "consistent"],
+            ["verify", "solution", "--instance", "c5.json", "--template", "k2.json"],
+            ["poly", "check", "--template", "t22.json", "--dr-table", "xi.json"],
+        ],
+        ids=["verify-consistent-without-pas", "verify-solution-without-assignment",
+             "poly-check-dr-table-without-slice"],
+    )
+    def test_a_missing_file_is_a_usage_error(self, argv, more):
+        with pytest.raises(SystemExit) as err:
+            main([more.get(a, a) for a in argv])
+        assert err.value.code == 2

@@ -78,3 +78,21 @@ class TestValidation:
     def test_payload_round_trip(self):
         p = pk.gap_parameters(2, 1, (1, 1, 1))
         assert pk.GapParameters.from_payload(p.to_payload()) == p
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("domain_size", None, "domain_size: missing"),
+            ("values", [1, "1"], r"values\[1\]: expected an integer"),
+            ("k", [9, 2], "k: differs from the record"),
+            ("split", None, "split: missing"),
+        ],
+    )
+    def test_a_malformed_record_names_its_field(self, field, value, message):
+        payload = pk.gap_parameters(2, 1, (1, 1)).to_payload()
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        with pytest.raises(InputError, match=message):
+            pk.GapParameters.from_payload(payload)

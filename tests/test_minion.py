@@ -1,8 +1,9 @@
-"""Finite functions, minors, polymorphisms, chain tables, free templates."""
+"""Finite functions, minors, polymorphisms, chain tables, lifted relations."""
 
 import collections
 import itertools
 import random
+import re
 import types
 
 import pytest
@@ -246,10 +247,49 @@ class TestDrTables:
         with pytest.raises(StructuralError):
             pk.ExplicitDrTable(1, 1, {ident: (XOR,)})
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            fn(("x",), ("0", "0")),  # a constant function is no polymorphism of K2 -> K2
+            pk.FiniteFunction(("x",), ("0", "1", "2"), ("0", "1"), ("0", "1", "0")),
+        ],
+        ids=["non-polymorphism", "other-domains"],
+    )
+    def test_identity_image_refuses_what_it_does_not_cover(self, t, t22):
+        with pytest.raises(InputError, match="does not cover"):
+            pk.IdentityDrTable(t22).image(t)
+
+    def test_identity_image_checks_membership_once(self, monkeypatch, t22):
+        calls = []
+        real = pk.minion.is_polymorphism
+
+        def counting(t, tmpl):
+            calls.append(t)
+            return real(t, tmpl)
+
+        monkeypatch.setattr(pk.minion, "is_polymorphism", counting)
+        neg = fn(("x",), ("1", "0"))
+        assert pk.IdentityDrTable(t22).image(neg) == (neg,)
+        assert calls == [neg]
+
     def test_payload_round_trip(self, t22):
         table = pk.IdentityDrTable(t22, r=2)
         loaded = pk.minion.dr_table_from_payload(table.to_payload())
         assert loaded.d == 1 and loaded.r == 2
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ([], "images: expected one list per source function"),
+            ([{}], "images[0]: expected a list"),
+            ([[{}]], "images[0][0].arity_set: missing"),
+        ],
+    )
+    def test_explicit_payload_names_its_json_path(self, images, message):
+        ident = fn(("x",), ("0", "1"))
+        payload = {**pk.ExplicitDrTable(1, 1, {ident: (ident,)}).to_payload(), "images": images}
+        with pytest.raises(InputError, match=re.escape(message)):
+            pk.minion.dr_table_from_payload(payload)
 
 
 class TestFreeRelations:
@@ -279,25 +319,6 @@ class TestFreeRelations:
         pol = pk.LazyPolymorphismSlice(t22)
         for rel in ([("0", "1")], [("0", "0"), ("1", "1")], [("0", "1"), ("1", "0")]):
             assert pk.free_relation(("0", "1"), pol, rel)
-
-
-class TestFreeTemplate:
-    def test_relation_count_for_binary_carrier(self):
-        # 3 nonempty unary plus 15 nonempty binary relations on a 2-set
-        ft = pk.build_free_template(2, ("0", "1"), LazyDictatorSlice(("0", "1")))
-        assert len(ft.template.strict.relations) == 18
-        assert len(ft.template.relaxed.domain) == 2
-
-    def test_lazy_mode_materializes_only_requested(self):
-        ft = pk.build_free_template(
-            2, ("0", "1"), LazyDictatorSlice(("0", "1")),
-            relations={"neq": [("0", "1"), ("1", "0")]},
-        )
-        assert list(ft.template.strict.relations) == ["neq"]
-
-    def test_budget_guard(self):
-        with pytest.raises(ResourceError):
-            pk.build_free_template(3, ("0", "1", "2"), LazyDictatorSlice(("0", "1", "2")), budget=10)
 
 
 class TestPartialMapDecode:

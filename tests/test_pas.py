@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -408,3 +409,31 @@ class TestValueOracle:
             [pk.pas_from_assignment(f, f, ["0", "1"], k) for k in (2, 1)]
         )
         assert pk.PasSequence.from_payload(seq.to_payload()).systems == seq.systems
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("systems", 1, "entries", 2, "set"), None, "systems[1].entries[2].set: missing"),
+            (
+                ("systems", 0, "entries", 0, "assignments", 0, "x"),
+                None,
+                "systems[0].entries[0].assignments[0].x: missing",
+            ),
+            (("systems", 0, "arity"), "2", "systems[0].arity: expected an integer"),
+            (("systems", 1, "variables", 0), 0, "systems[1].variables[0]: expected a string"),
+        ],
+    )
+    def test_a_malformed_pas_file_names_its_json_path(self, path, value, message):
+        f = {"x": "0", "y": "1", "z": "0"}
+        seq = pk.PasSequence([pk.pas_from_assignment(f, f, ["0", "1"], k) for k in (2, 1)])
+        payload = seq.to_payload()
+        *parents, key = path
+        container = payload
+        for name in parents:
+            container = container[name]
+        if value is None:
+            del container[key]
+        else:
+            container[key] = value
+        with pytest.raises(InputError, match=re.escape(message)):
+            pk.PasSequence.from_payload(payload)
