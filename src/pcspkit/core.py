@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError, StructuralError
@@ -98,8 +98,9 @@ class RelationalStructure:
         }
 
     @staticmethod
-    def from_payload(payload: Mapping) -> "RelationalStructure":
-        return _read_structure(payload, "")
+    def from_payload(payload: Mapping, path: str = "") -> "RelationalStructure":
+        """Read from JSON; errors name the field under `path`."""
+        return _read_structure(payload, path)
 
 
 def structure(domain: Iterable[str], **relations) -> RelationalStructure:
@@ -202,13 +203,15 @@ class Instance:
         }
 
     @staticmethod
-    def from_payload(payload: Mapping) -> "Instance":
-        variables = _payload_field(payload, "", "variables", list, items=str)
+    def from_payload(payload: Mapping, path: str = "") -> "Instance":
+        """Read from JSON; errors name the field under `path`."""
+        field = partial(_payload_field, payload, path)
+        variables = field("variables", list, items=str)
         constraints = []
-        for i, c in enumerate(_payload_field(payload, "", "constraints", list)):
-            path = f"constraints[{i}]"
-            scope = _payload_field(c, path, "scope", list, items=str)
-            constraints.append(Constraint(scope, _payload_field(c, path, "relation", str)))
+        for i, c in enumerate(field("constraints", list)):
+            where = f"{path}.constraints[{i}]" if path else f"constraints[{i}]"
+            scope = _payload_field(c, where, "scope", list, items=str)
+            constraints.append(Constraint(scope, _payload_field(c, where, "relation", str)))
         return Instance(variables, constraints)
 
 
@@ -220,20 +223,26 @@ _KIND_NAMES = {
 def _payload_field(payload, path: str, key: str, kind: type, items: Optional[type] = None):
     """payload[key] read from JSON: an InputError names the field's path when
     it is missing or of another kind, so a string never passes as a list.
-    With `items`, the field is a list whose every entry is of that kind, and
-    the error names the entry."""
+    With `items`, every entry of the list (or value of the object) is of that
+    kind, and the error names the entry."""
     if not isinstance(payload, Mapping):
         raise InputError(f"{path or 'payload'}: expected an object")
     path = f"{path}.{key}" if path else key
     if key not in payload:
         raise InputError(f"{path}: missing")
-    if not isinstance(payload[key], kind):
+    value = payload[key]
+    if not isinstance(value, kind):
         raise InputError(f"{path}: expected {_KIND_NAMES[kind]}")
     if items is not None:
-        for j, item in enumerate(payload[key]):
+        entries = (
+            ((f".{j}", item) for j, item in value.items())
+            if isinstance(value, Mapping)
+            else ((f"[{j}]", item) for j, item in enumerate(value))
+        )
+        for where, item in entries:
             if not isinstance(item, items):
-                raise InputError(f"{path}[{j}]: expected {_KIND_NAMES[items]}")
-    return payload[key]
+                raise InputError(f"{path}{where}: expected {_KIND_NAMES[items]}")
+    return value
 
 
 def _read_structure(payload, path: str) -> RelationalStructure:
@@ -296,8 +305,9 @@ class Assignment:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "Assignment":
-        values = _payload_field(payload, "", "values", Mapping)
-        return Assignment(values, side=payload.get("side"))
+        field = partial(_payload_field, payload, "")
+        values = field("values", Mapping, items=str)
+        return Assignment(values, side=field("side", str) if "side" in payload else None)
 
 
 def _validate_against(instance: Instance, side: RelationalStructure) -> None:
@@ -404,6 +414,45 @@ def all_solutions(
 ) -> tuple:
     """Every solution, in lexicographic order."""
     return tuple(_solutions(instance, side, budget, tag))
+
+
+def completion_order(items: Iterable, groups: Sequence, tiebreak=lambda item: 0) -> tuple:
+    """A backtracking search's order over `items`, fixed before the search
+    starts, and per step the indices of the `groups` (each a collection of
+    distinct items) whose last item is set there.
+
+    Next comes the item that completes the most groups among those already
+    placed; ties go to the one touching the most partly placed groups, then
+    to the largest `tiebreak(item)`, then to the order of `items`.
+    """
+    items = list(items)
+    member_of = {x: [] for x in items}
+    for g, group in enumerate(groups):
+        for x in group:
+            member_of[x].append(g)
+    sizes = [len(group) for group in groups]
+    placed = [0] * len(groups)
+    # Per item, the groups it would complete and its partly placed groups.
+    completes = {x: sum(sizes[g] == 1 for g in member_of[x]) for x in items}
+    touches = dict.fromkeys(items, 0)
+
+    # `max` keeps the first of equals, so ties go to the order of `items`.
+    left = list(items)
+    order, judged_at = [], []
+    while left:
+        x = max(left, key=lambda x: (completes[x], touches[x], tiebreak(x)))
+        left.remove(x)
+        for g in member_of[x]:
+            placed[g] += 1
+            if placed[g] == 1:
+                for y in groups[g]:
+                    touches[y] += 1
+            if placed[g] == sizes[g] - 1:
+                for y in groups[g]:
+                    completes[y] += 1
+        order.append(x)
+        judged_at.append([g for g in member_of[x] if placed[g] == sizes[g]])
+    return order, judged_at
 
 
 def partial_solution_table(

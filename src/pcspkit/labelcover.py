@@ -14,7 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, Instance, RelationalStructure, evaluate, partial_solution_table
+from .core import (
+    DEFAULT_BUDGET,
+    Instance,
+    RelationalStructure,
+    completion_order,
+    evaluate,
+    partial_solution_table,
+)
 from .errors import InputError, ResourceError, StructuralError
 from .minion import tuple_label
 from .pas import Pas, PasSequence, check_consistent
@@ -302,29 +309,8 @@ def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
     """
     names = [x for layer in inst.layers for x in layer]
     chains = enumerate_chains(inst)
-    member_of = {x: [c for c in chains if x in c] for x in names}
-    placed = dict.fromkeys(chains, 0)
-    # Per variable, its chains it would complete and its partly placed chains.
-    completes = {x: sum(len(c) == 1 for c in member_of[x]) for x in names}
-    touches = dict.fromkeys(names, 0)
-
-    # `max` keeps the first of equals, so ties go to layer order.
-    left = list(names)
-    order, judged_at = [], []
-    while left:
-        x = max(left, key=lambda x: (completes[x], touches[x], -sizes[x]))
-        left.remove(x)
-        for c in member_of[x]:
-            placed[c] += 1
-            if placed[c] == 1:
-                for y in c:
-                    touches[y] += 1
-            if placed[c] == len(c) - 1:
-                for y in c:
-                    completes[y] += 1
-        order.append(x)
-        judged_at.append([c for c in member_of[x] if placed[c] == len(c)])
-    return order, judged_at
+    order, judged_at = completion_order(names, chains, lambda x: -sizes[x])
+    return order, [[chains[c] for c in completed] for completed in judged_at]
 
 
 def d_assignment_to_pas(

@@ -9,7 +9,9 @@ function equality is table equality and serialization is bit-exact.
 
 Inside, a function is its table and an argument is a table index: a minor is
 an index remapping of the table, and a polymorphism check looks up, for every
-matrix of strict-relation columns, the table indices of its rows.
+matrix of strict-relation columns, the table indices of its rows.  Enumeration
+sets a table's entries one index at a time and checks each matrix once its
+rows are set.
 
 A minion is infinite; everything here works with finite slices, and every
 homomorphism check is a bounded verification over the arity sets it is given.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, _payload_field
+from .core import DEFAULT_BUDGET, PcspTemplate, _payload_field, completion_order
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -218,21 +220,50 @@ def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:
 def enumerate_polymorphisms(
     template: PcspTemplate, arity_set: Sequence[str], budget: int = DEFAULT_BUDGET
 ) -> tuple:
-    """The exact arity slice of the template's polymorphisms, canonically ordered."""
+    """The exact arity slice of the template's polymorphisms, canonically ordered.
+
+    A backtracking search sets the table's entries in the `completion_order`
+    of the matrices' row indices, trying values in the relaxed domain's
+    order, and checks each matrix as soon as the entry of its last row is
+    set.  Every value tried is a node; past `budget` nodes, or with more
+    matrices than `budget`, it raises ResourceError and returns nothing.
+    """
     arity_set = tuple(sorted(arity_set))
+    n = len(arity_set)
+    matrices = sum(len(rel.tuples) ** n for rel in template.strict.relations.values())
+    if matrices > budget:
+        raise ResourceError(f"checking {matrices} matrices exceeds the budget of {budget}")
+    checks = [
+        (rows, target)
+        for _, target, head, tail in _row_index_sets(template, n)
+        for block in _blocks(head, tail)
+        for rows in zip(*block)
+    ]
     a, b = template.strict.domain, template.relaxed.domain
-    count = len(b) ** (len(a) ** len(arity_set))
-    if count > budget:
-        raise ResourceError(
-            f"enumerating {count} candidate tables exceeds the budget of {budget}"
-        )
-    row_sets = _row_index_sets(template, len(arity_set))
-    size = len(a) ** len(arity_set)
-    return tuple(
-        FiniteFunction(arity_set, a, b, table)
-        for table in itertools.product(b, repeat=size)
-        if _preserves(table, row_sets)
+    order, judged_at = completion_order(
+        range(len(a) ** n), [tuple(dict.fromkeys(rows)) for rows, _ in checks]
     )
+    checks_at = [[checks[m] for m in completed] for completed in judged_at]
+
+    # Depth first: a step's checks read only entries set at it or before, which
+    # hold the values of the path to it.
+    table, found, visited = [None] * len(order), [], 0
+    get = table.__getitem__
+    stack = [(0, v) for v in reversed(b)]
+    while stack:
+        step, value = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise ResourceError(f"polymorphism search visited over {budget} nodes")
+        table[order[step]] = value
+        if not all(tuple(map(get, rows)) in target for rows, target in checks_at[step]):
+            continue
+        if step + 1 == len(order):
+            found.append(tuple(table))
+        else:
+            stack.extend((step + 1, v) for v in reversed(b))
+    found.sort()
+    return tuple(FiniteFunction(arity_set, a, b, t) for t in found)
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,8 @@ class CloudLayout:
         aux = None
         if "aux" in payload:
             aux_field = partial(_payload_field, field("aux", Mapping), "aux")
-            phi = Instance.from_payload(aux_field("source", Mapping))
-            strict = RelationalStructure.from_payload(aux_field("strict", Mapping))
+            phi = Instance.from_payload(aux_field("source", Mapping), "aux.source")
+            strict = RelationalStructure.from_payload(aux_field("strict", Mapping), "aux.strict")
             k = aux_field("k", list)
             if not k or not all(type(x) is int and x > 0 for x in k):
                 raise InputError("aux.k: expected a nonempty list of positive integers")

@@ -373,11 +373,14 @@ class TestBareArguments:
     @pytest.fixture()
     def more(self, files, tmp_path):
         jsonio.write_canonical(tmp_path / "empty.json", {})
+        jsonio.write_canonical(tmp_path / "list-value.json", {"values": {"x": ["0"]}})
+        jsonio.write_canonical(tmp_path / "number-side.json", {"values": {"x": "0"}, "side": 5})
         variables = pk.PasSequence.from_payload(jsonio.read_json(files["seq.json"]))[0].variables
         jsonio.write_canonical(
             tmp_path / "zeros.json", pk.Assignment({v: "0" for v in variables}).to_payload()
         )
-        return {**files, **{name: str(tmp_path / name) for name in ("empty.json", "zeros.json")}}
+        written = ("empty.json", "zeros.json", "list-value.json", "number-side.json")
+        return {**files, **{name: str(tmp_path / name) for name in written}}
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -416,11 +419,22 @@ class TestBareArguments:
                 ["gap", "extract", "--pas", "seq.json", "--params", "empty.json", "--m", "1"],
                 "domain_size: missing",
             ),
+            (
+                ["verify", "solution", "--instance", "edge3.json", "--template", "k2.json",
+                 "--assignment", "list-value.json"],
+                "values.x: expected a string",
+            ),
+            (
+                ["verify", "solution", "--instance", "edge3.json", "--template", "k2.json",
+                 "--assignment", "number-side.json"],
+                "side: expected a string",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
             "msolution-negative-index", "reduce-llc-params", "poly-check-function",
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
+            "verify-solution-list-value", "verify-solution-number-side",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

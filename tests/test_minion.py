@@ -99,6 +99,30 @@ class TestEnumeration:
         with pytest.raises(ResourceError):
             pk.enumerate_polymorphisms(t22, ("a", "b", "c", "d", "e"), budget=100)
 
+    # Pol(K3) is essentially unary: the 3! permutations at each coordinate.
+    @pytest.mark.parametrize("n, count", [(3, 18), (4, 24)])
+    def test_k3_k3_closed_form(self, k3, n, count):
+        found = pk.enumerate_polymorphisms(pk.PcspTemplate(k3, k3), LABELS[:n])
+        assert len(found) == count
+        assert [f.table for f in found] == sorted(f.table for f in found)
+
+    def test_budget_below_the_node_count_raises(self, k3):
+        # The search visits 1,218 nodes on K3->K3 at arity 3.
+        t33 = pk.PcspTemplate(k3, k3)
+        assert len(pk.enumerate_polymorphisms(t33, LABELS[:3], budget=1218)) == 18
+        with pytest.raises(ResourceError, match="visited over 1217 nodes"):
+            pk.enumerate_polymorphisms(t33, LABELS[:3], budget=1217)
+        # nothing partial is kept either: the lazy slice caches no members
+        lazy = pk.LazyPolymorphismSlice(t33, budget=1217)
+        with pytest.raises(ResourceError):
+            lazy.members(LABELS[:3])
+        assert lazy._cache == {}
+
+    def test_budget_caps_the_matrices(self, k3):
+        # 6^3 matrices of K3's edges at arity 3, refused before any node
+        with pytest.raises(ResourceError, match="216 matrices"):
+            pk.enumerate_polymorphisms(pk.PcspTemplate(k3, k3), LABELS[:3], budget=215)
+
 
 class TestClosure:
     def test_enumerated_slices_are_closed(self, t22):
@@ -393,6 +417,24 @@ LABELS = ("a", "b", "c", "d", "e")
 
 
 @st.composite
+def small_templates(draw):
+    """A template on 2-3 atoms per side with up to two relations of arity
+    1-3, or none: each relaxed relation holds the strict one's image under one
+    random map of the domains, so the template is valid, and a few more tuples."""
+    a = ("0", "1", "2")[: draw(st.integers(2, 3))]
+    b = ("0", "1", "2")[: draw(st.integers(2, 3))]
+    h = {x: draw(st.sampled_from(b)) for x in a}
+    strict, relaxed = {}, {}
+    for name in ("r", "s")[: draw(st.integers(0, 2))]:
+        arity = draw(st.integers(1, 3))
+        tuples = draw(st.sets(st.tuples(*[st.sampled_from(a)] * arity), min_size=1, max_size=4))
+        more = draw(st.sets(st.tuples(*[st.sampled_from(b)] * arity), max_size=4))
+        strict[name] = (arity, tuples)
+        relaxed[name] = (arity, {tuple(h[x] for x in t) for t in tuples} | more)
+    return pk.PcspTemplate(pk.structure(a, **strict), pk.structure(b, **relaxed))
+
+
+@st.composite
 def functions(draw, in_domain=("0", "1"), out_domain=("0", "1"), max_arity=4):
     """A table at arity 1-4: a projection with a few entries rewritten, or
     uniformly random, so both members and non-members of a slice come up."""
@@ -414,11 +456,24 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_enumeration_is_the_same(self, name):
         template = TEMPLATES[name]
-        for n in (1, 2):
+        for n in (1, 2, 3):
             arity = LABELS[:n]
-            assert pk.enumerate_polymorphisms(template, arity) == (
-                reference_minion.enumerate_polymorphisms(template, arity)
-            )
+            try:
+                expected = reference_minion.enumerate_polymorphisms(template, arity)
+            except ResourceError:  # K3->K3 at arity 3: 3^27 candidate tables
+                continue
+            assert pk.enumerate_polymorphisms(template, arity) == expected
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(template=small_templates(), data=st.data())
+    def test_enumeration_on_random_templates(self, template, data):
+        # the reference tries every table: keep it to at most 3^8 of them
+        a, b = len(template.strict.domain), len(template.relaxed.domain)
+        n = data.draw(st.integers(1, 3 if a == 2 else 2 if b == 2 else 1))
+        arity = LABELS[:n]
+        assert pk.enumerate_polymorphisms(template, arity) == (
+            reference_minion.enumerate_polymorphisms(template, arity)
+        )
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     @settings(derandomize=True, max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -245,6 +246,26 @@ class TestDecode:
         payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
         change(payload["aux"])
         with pytest.raises(InputError, match=message):
+            pk.CloudLayout.from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda aux: aux["source"].pop("variables"), "aux.source.variables: missing"),
+            (
+                lambda aux: aux["source"]["constraints"][1].update(scope="yz"),
+                "aux.source.constraints[1].scope: expected a list",
+            ),
+            (lambda aux: aux["strict"].pop("domain"), "aux.strict.domain: missing"),
+        ],
+        ids=["source-variables", "source-scope", "strict-domain"],
+    )
+    def test_a_malformed_recorded_input_names_its_json_path(
+        self, t22, ident22, change, message
+    ):
+        payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
+        change(payload["aux"])
+        with pytest.raises(InputError, match=re.escape(message)):
             pk.CloudLayout.from_payload(payload)
 
     def test_a_strict_side_other_than_the_recorded_one_is_refused(self, k2, t22, ident22):
