@@ -11,6 +11,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -423,7 +424,9 @@ def completion_order(items: Iterable, groups: Sequence, tiebreak=lambda item: 0)
 
     Next comes the item that completes the most groups among those already
     placed; ties go to the one touching the most partly placed groups, then
-    to the largest `tiebreak(item)`, then to the order of `items`.
+    to the largest `tiebreak(item)`, then to the order of `items`.  A heap
+    picks each item, so the work grows with the groups' total size times
+    its logarithm.
     """
     items = list(items)
     member_of = {x: [] for x in items}
@@ -435,21 +438,35 @@ def completion_order(items: Iterable, groups: Sequence, tiebreak=lambda item: 0)
     # Per item, the groups it would complete and its partly placed groups.
     completes = {x: sum(sizes[g] == 1 for g in member_of[x]) for x in items}
     touches = dict.fromkeys(items, 0)
+    rest = {x: (-tiebreak(x), i) for i, x in enumerate(items)}
 
-    # `max` keeps the first of equals, so ties go to the order of `items`.
-    left = list(items)
-    order, judged_at = [], []
-    while left:
-        x = max(left, key=lambda x: (completes[x], touches[x], tiebreak(x)))
-        left.remove(x)
+    def entry(x):
+        return (-completes[x], -touches[x], rest[x], x)
+
+    # Counts only grow, so an item's newest heap entry is its smallest and
+    # older ones come up after it is placed.
+    heap = [entry(x) for x in items]
+    heapq.heapify(heap)
+    order, judged_at, done = [], [], set()
+    while heap:
+        x = heapq.heappop(heap)[-1]
+        if x in done:
+            continue
+        done.add(x)
+        changed = set()
         for g in member_of[x]:
             placed[g] += 1
             if placed[g] == 1:
                 for y in groups[g]:
                     touches[y] += 1
+                changed.update(groups[g])
             if placed[g] == sizes[g] - 1:
                 for y in groups[g]:
                     completes[y] += 1
+                changed.update(groups[g])
+        for y in changed:
+            if y not in done:
+                heapq.heappush(heap, entry(y))
         order.append(x)
         judged_at.append([g for g in member_of[x] if placed[g] == sizes[g]])
     return order, judged_at

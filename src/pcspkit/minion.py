@@ -225,14 +225,21 @@ def enumerate_polymorphisms(
     A backtracking search sets the table's entries in the `completion_order`
     of the matrices' row indices, trying values in the relaxed domain's
     order, and checks each matrix as soon as the entry of its last row is
-    set.  Every value tried is a node; past `budget` nodes, or with more
-    matrices than `budget`, it raises ResourceError and returns nothing.
+    set.  Three counts are held to `budget`: the matrices' row entries,
+    counted before any is built; the values tried, each a search node; and
+    the entries of the tables found.  Past any of them it raises
+    ResourceError and returns nothing.
     """
     arity_set = tuple(sorted(arity_set))
     n = len(arity_set)
-    matrices = sum(len(rel.tuples) ** n for rel in template.strict.relations.values())
-    if matrices > budget:
-        raise ResourceError(f"checking {matrices} matrices exceeds the budget of {budget}")
+    relations = template.strict.relations.values()
+    matrices = sum(len(rel.tuples) ** n for rel in relations)
+    entries = sum(len(rel.tuples) ** n * rel.arity for rel in relations)
+    if entries > budget:
+        raise ResourceError(
+            f"checking {matrices} matrices takes {entries} row entries, "
+            f"over the budget of {budget}"
+        )
     checks = [
         (rows, target)
         for _, target, head, tail in _row_index_sets(template, n)
@@ -240,14 +247,15 @@ def enumerate_polymorphisms(
         for rows in zip(*block)
     ]
     a, b = template.strict.domain, template.relaxed.domain
+    size = len(a) ** n
     order, judged_at = completion_order(
-        range(len(a) ** n), [tuple(dict.fromkeys(rows)) for rows, _ in checks]
+        range(size), [tuple(dict.fromkeys(rows)) for rows, _ in checks]
     )
     checks_at = [[checks[m] for m in completed] for completed in judged_at]
 
     # Depth first: a step's checks read only entries set at it or before, which
     # hold the values of the path to it.
-    table, found, visited = [None] * len(order), [], 0
+    table, found, visited = [None] * size, [], 0
     get = table.__getitem__
     stack = [(0, v) for v in reversed(b)]
     while stack:
@@ -258,8 +266,10 @@ def enumerate_polymorphisms(
         table[order[step]] = value
         if not all(tuple(map(get, rows)) in target for rows, target in checks_at[step]):
             continue
-        if step + 1 == len(order):
+        if step + 1 == size:
             found.append(tuple(table))
+            if len(found) * size > budget:
+                raise ResourceError(f"the tables found hold over {budget} entries")
         else:
             stack.extend((step + 1, v) for v in reversed(b))
     found.sort()

@@ -6,10 +6,8 @@ finishes within its budget.
 
 `_chain_order` is the chain search's variable order as it was before it kept
 its counts up to date, unchanged: it scores every unplaced variable from its
-chains at every step.  `chain_order_with_kept_counts` is that order as it was
-before its rule moved into pcspkit.core.completion_order, unchanged.  Tests
-require the same order and the same judged chains from
-pcspkit.labelcover._chain_order as from both."""
+chains at every step.  Tests require the same order and the same judged
+chains from pcspkit.labelcover._chain_order."""
 
 import itertools
 from typing import Mapping, Sequence
@@ -145,39 +143,4 @@ def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
             placed[c] += 1
         order.append(names[n])
         judged_at.append([c for c in member_of[names[n]] if placed[c] == len(c)])
-    return order, judged_at
-
-
-def chain_order_with_kept_counts(inst: LlcInstance, sizes: Mapping) -> tuple:
-    """The search order, fixed before the search starts, and per step the
-    chains whose last variable is set there.
-
-    Next comes the variable that completes the most chains among those already
-    placed; ties go to the one touching the most partly placed chains, then to
-    the fewest options (`sizes`), then to layer order.
-    """
-    names = [x for layer in inst.layers for x in layer]
-    chains = enumerate_chains(inst)
-    member_of = {x: [c for c in chains if x in c] for x in names}
-    placed = dict.fromkeys(chains, 0)
-    # Per variable, its chains it would complete and its partly placed chains.
-    completes = {x: sum(len(c) == 1 for c in member_of[x]) for x in names}
-    touches = dict.fromkeys(names, 0)
-
-    # `max` keeps the first of equals, so ties go to layer order.
-    left = list(names)
-    order, judged_at = [], []
-    while left:
-        x = max(left, key=lambda x: (completes[x], touches[x], -sizes[x]))
-        left.remove(x)
-        for c in member_of[x]:
-            placed[c] += 1
-            if placed[c] == 1:
-                for y in c:
-                    touches[y] += 1
-            if placed[c] == len(c) - 1:
-                for y in c:
-                    completes[y] += 1
-        order.append(x)
-        judged_at.append([c for c in member_of[x] if placed[c] == len(c)])
     return order, judged_at

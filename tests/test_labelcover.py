@@ -298,18 +298,6 @@ class TestChainSearch:
                  for x, dom in inst.domains.items()}
         assert _chain_order(inst, sizes) == oracle_module._chain_order(inst, sizes)
 
-    # The shared completion rule must give the order the chain search kept before.
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
-    @example(case=C5_AT_K32)
-    def test_order_is_the_kept_counts_order(self, case):
-        phi, side, k, d, _ = case
-        inst = pk.reduce_mcsp_to_llc(phi, side, k)
-        sizes = {x: len(_width_options(len(dom), d, DEFAULT_BUDGET))
-                 for x, dom in inst.domains.items()}
-        expected = oracle_module.chain_order_with_kept_counts(inst, sizes)
-        assert _chain_order(inst, sizes) == expected
-
 
 @st.composite
 def d_assignment_cases(draw):
