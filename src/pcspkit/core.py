@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError, StructuralError
@@ -32,6 +32,18 @@ def _check_label(kind: str, label: str) -> None:
     for ch in _FORBIDDEN_CHARS:
         if ch in label:
             raise InputError(f"{kind} {label!r} contains reserved character {ch!r}")
+
+
+def _check_labels(kind: str, labels: Sequence) -> None:
+    """`_check_label` on every label: in bulk, and one by one only to name the
+    first label at fault."""
+    try:
+        clean = "" not in labels and not any(ch in "".join(labels) for ch in _FORBIDDEN_CHARS)
+    except TypeError:  # a label that is not a string
+        clean = False
+    if not clean:
+        for label in labels:
+            _check_label(kind, label)
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,7 @@ class RelationalStructure:
         domain = tuple(sorted(set(domain)))
         if not domain:
             raise InputError("domain must be nonempty")
-        for atom in domain:
-            _check_label("atom", atom)
+        _check_labels("atom", domain)
         rels = {}
         for name in sorted(relations):
             _check_label("relation name", name)
@@ -173,17 +184,17 @@ class Instance:
     constraints: tuple
 
     def __init__(self, variables: Iterable[str], constraints: Iterable[Constraint]):
-        variables = tuple(sorted(set(variables)))
-        for v in variables:
-            _check_label("variable", v)
+        vset = set(variables)
+        variables = tuple(sorted(vset))
+        _check_labels("variable", variables)
         constraints = tuple(
             c if isinstance(c, Constraint) else Constraint(*c) for c in constraints
         )
-        vset = set(variables)
-        for c in constraints:
-            for v in c.scope:
-                if v not in vset:
-                    raise InputError(f"constraint scope uses unknown variable {v!r}")
+        if not vset.issuperset(itertools.chain.from_iterable(c.scope for c in constraints)):
+            for c in constraints:
+                for v in c.scope:
+                    if v not in vset:
+                        raise InputError(f"constraint scope uses unknown variable {v!r}")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "constraints", constraints)
 
@@ -264,42 +275,48 @@ def _read_structure(payload, path: str) -> RelationalStructure:
 @dataclass(frozen=True)
 class Assignment:
     """A total map variable -> atom, with an optional tag naming which
-    template side the values range over."""
+    template side the values range over.  It reads as a mapping (`f[v]`,
+    `v in f`, `dict(f)`), while `values` names its sorted pairs."""
 
-    values: tuple
+    _mapping: dict  # sorted by variable, and never handed out
     side: Optional[str] = None
 
     def __init__(self, mapping: Mapping[str, str], side: Optional[str] = None):
-        object.__setattr__(self, "values", tuple(sorted(mapping.items())))
+        object.__setattr__(self, "_mapping", dict(sorted(mapping.items())))
         object.__setattr__(self, "side", side)
 
     @property
-    def mapping(self) -> dict:
-        return dict(self.values)
+    def values(self) -> tuple:
+        return tuple(self._mapping.items())
 
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(self.values)
+    @property
+    def mapping(self) -> dict:
+        return dict(self._mapping)
+
+    def __hash__(self):
+        return hash((self.values, self.side))
 
     def __getitem__(self, var: str) -> str:
-        return self._lookup[var]
+        return self._mapping[var]
 
-    # Enough of a mapping for `dict(f)` and `in`; `values` names the field.
     def keys(self):
-        return self._lookup.keys()
+        return self._mapping.keys()
+
+    def items(self):
+        return self._mapping.items()
 
     def __iter__(self):
-        return iter(self._lookup)
+        return iter(self._mapping)
 
     def __contains__(self, var) -> bool:
-        return var in self._lookup
+        return var in self._mapping
 
     def restrict(self, variables: Iterable[str]) -> "Assignment":
         keep = set(variables)
-        return Assignment({v: a for v, a in self.values if v in keep}, side=self.side)
+        return Assignment({v: a for v, a in self.items() if v in keep}, side=self.side)
 
     def to_payload(self) -> dict:
-        payload = {"values": dict(self.values)}
+        payload = {"values": self.mapping}
         if self.side is not None:
             payload["side"] = self.side
         return payload
@@ -355,21 +372,19 @@ def _find_homomorphism(src: RelationalStructure, dst: RelationalStructure):
     return None
 
 
-def evaluate(instance: Instance, side: RelationalStructure, f: Assignment) -> list:
+def evaluate(instance: Instance, side: RelationalStructure, f: Mapping[str, str]) -> list:
     """Indices of the constraints that f violates (empty iff f is a solution)."""
     _validate_against(instance, side)
-    # A temporary dict: indexing an Assignment would keep its lookup table
-    # alive as long as the Assignment, 3 MB more at peak on a 65,536-position lift.
-    mapping = f.mapping if isinstance(f, Assignment) else dict(f)
+    mapping = dict(f.items())
     for v in instance.variables:
         if v not in mapping:
             raise InputError(f"assignment is not total: missing {v!r}")
-    violated = []
-    for i, c in enumerate(instance.constraints):
-        values = tuple(mapping[v] for v in c.scope)
-        if values not in side.relations[c.relation].tuples:
-            violated.append(i)
-    return violated
+    value = mapping.__getitem__
+    return [
+        i
+        for i, c in enumerate(instance.constraints)
+        if tuple(map(value, c.scope)) not in side.relations[c.relation].tuples
+    ]
 
 
 def _satisfies(mapping: dict, instance: Instance, side: RelationalStructure) -> bool:

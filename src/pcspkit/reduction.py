@@ -324,19 +324,26 @@ def longcode_reduce(
             if ru != rw:
                 parent[max(ru, rw)] = min(ru, rw)
 
-    emitted = set()
+    roots = [find(x) for x in range(len(names))]
+    scopes = {rel_name: set() for rel_name in target.strict.relations}
     for cloud in clouds:
         start = offset[cloud.ref]
+        root = roots[start : start + cloud.size(base)].__getitem__
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
-                for scope in zip(*rows):
-                    emitted.add((rel_name, tuple(names[find(start + i)] for i in scope)))
+                scopes[rel_name].update(zip(*[map(root, r) for r in rows]))
 
-    roots = [find(x) for x in range(len(names))]
+    # Integer positions sort as their names do: cloud ids share one width and
+    # follow the offsets, and indices are zero-padded within a cloud.
+    name = names.__getitem__
     layout.reps.update((names[x], names[r]) for x, r in enumerate(roots) if x != r)
     instance = Instance(
-        sorted({names[r] for r in roots}),
-        [Constraint(scope, rel_name) for rel_name, scope in sorted(emitted)],
+        map(name, sorted(set(roots))),
+        [
+            Constraint(map(name, scope), rel_name)
+            for rel_name in sorted(scopes)
+            for scope in sorted(scopes[rel_name])
+        ],
     )
     return instance, layout
 
@@ -473,6 +480,12 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
         raise InputError("cannot lift through a gadget layout")
     aux = layout.aux
     hmap = dict(h)
+    for x in aux.source.variables:
+        if x not in hmap:
+            raise InputError(
+                f"the strict solution is missing variable {x!r}; it must cover the source "
+                f"and the padding variables listed in layout.padding {list(layout.padding)}"
+            )
     star = {}
     for var in aux.variables:
         restriction = tuple(hmap[x] for x in var.subset)

@@ -184,3 +184,65 @@ class TestInstances:
     def test_payload_round_trip(self):
         inst = triangle_instance()
         assert pk.Instance.from_payload(inst.to_payload()) == inst
+
+    @staticmethod
+    def _walked(variables, scopes):
+        """The first fault the item-by-item checks name: variables in sorted
+        order, then scope entries in order."""
+        for v in sorted(set(variables)):
+            if not isinstance(v, str) or not v:
+                return f"variable must be a nonempty string, got {v!r}"
+            for ch in (",", "|", "#", ">"):
+                if ch in v:
+                    return f"variable {v!r} contains reserved character {ch!r}"
+        known = set(variables)
+        for scope in scopes:
+            for v in scope:
+                if v not in known:
+                    return f"constraint scope uses unknown variable {v!r}"
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ab,|#>", max_size=3), max_size=5),
+        st.lists(st.lists(st.text(alphabet="ab,", max_size=2), min_size=1, max_size=2), max_size=4),
+    )
+    def test_bulk_checks_name_the_fault_the_walk_names(self, variables, scopes):
+        expected = self._walked(variables, scopes)
+        constraints = [(scope, "neq") for scope in scopes]
+        if expected is None:
+            assert pk.Instance(variables, constraints).variables == tuple(sorted(set(variables)))
+        else:
+            with pytest.raises(InputError) as info:
+                pk.Instance(variables, constraints)
+            assert str(info.value) == expected
+
+    def test_a_variable_that_is_not_a_string(self):
+        with pytest.raises(InputError, match="^variable must be a nonempty string, got 3$"):
+            pk.Instance([4, 3], [])
+
+
+class TestAssignments:
+    def test_one_sorted_mapping(self):
+        f = pk.Assignment({"y": "1", "x": "0"}, side="strict")
+        assert f.values == (("x", "0"), ("y", "1"))
+        assert list(f) == ["x", "y"] and dict(f) == {"x": "0", "y": "1"}
+        assert f["y"] == "1" and "x" in f and "z" not in f
+        assert f.to_payload() == {"values": {"x": "0", "y": "1"}, "side": "strict"}
+        # the mapping is stored once, whether or not it was read by key
+        assert [k for k in vars(f) if k != "side"] == ["_mapping"]
+
+    def test_equality_and_hashing(self):
+        f = pk.Assignment({"y": "1", "x": "0"})
+        g = pk.Assignment({"x": "0", "y": "1"})
+        assert f == g and hash(f) == hash(g) == hash(((("x", "0"), ("y", "1")), None))
+        assert f != pk.Assignment({"x": "0", "y": "1"}, side="strict")
+        assert f != pk.Assignment({"x": "0", "y": "0"})
+        assert f != {"x": "0", "y": "1"}
+        assert len({f, g}) == 1
+
+    def test_handing_out_the_mapping_does_not_change_it(self):
+        f = pk.Assignment({"x": "0"})
+        f.mapping["x"] = "1"
+        f.to_payload()["values"]["x"] = "1"
+        assert f["x"] == "0"

@@ -1,0 +1,74 @@
+"""Canonical JSON: the writer against the stdlib's indented encoder."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcspkit import jsonio
+
+
+def reference(payload) -> str:
+    """The text canonical_dumps stands for, written by json's own indenting
+    (pure-Python) encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# JSON's structural characters, its escapes, control characters and non-ASCII
+# text, next to arbitrary code points.
+special = st.sampled_from(list('[]{}",\\:\n\r\t\x00\x1f\x7f é漢😀 '))
+strings = st.text(alphabet=special | st.characters(), max_size=8)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, float("inf")])
+    | strings
+)
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(strings, max_size=4)
+        | st.dictionaries(strings, children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans(), children, max_size=4)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+payloads = st.recursive(scalars, containers, max_leaves=30)
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(payloads)
+    def test_same_text_as_the_indenting_encoder(self, payload):
+        assert jsonio.canonical_dumps(payload) == reference(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": ("x", "y"), "b": (1, ("z",), ()), "c": [()]},
+            {1: "a", 10: "b", 2: ["c", {3: "d"}]},
+            {True: 1, False: []},
+            {None: "n"},
+            {1.5: "f", -0.0: "z"},
+            [[], {}, [[]], [{}], {"": []}],
+            -0.0,
+            "line\nbreak and \"quotes\" [{,}]",
+            None,
+        ],
+    )
+    def test_tuples_and_keys_that_are_not_strings(self, payload):
+        assert jsonio.canonical_dumps(payload) == reference(payload)
+
+    @pytest.mark.parametrize("payload", [{1: "a", "b": "c"}, {(1, 2): "t"}, [object()], {"a": {1, 2}}])
+    def test_what_json_refuses_is_refused(self, payload):
+        with pytest.raises(TypeError):
+            reference(payload)
+        with pytest.raises(TypeError):
+            jsonio.canonical_dumps(payload)

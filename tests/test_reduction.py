@@ -315,6 +315,14 @@ class TestDecode:
             pk.decode_relaxed_solution(fns, layout, pk.ExplicitDrTable(1, 1, {}), phi, t22)
 
 
+    @pytest.mark.parametrize("h, missing", [({"x": "0"}, "y"), ({"x": "0", "y": "1"}, "~pad0")])
+    def test_lift_names_a_missing_variable(self, t22, h, missing):
+        # the padded source of the path x-y at k=(4,4) is x, y, ~pad0, ~pad1
+        result = pk.pipeline_reduce(edge_instance(), t22, t22, pk.IdentityDrTable(t22, r=1))
+        assert result.layout.padding == ("~pad0", "~pad1")
+        with pytest.raises(InputError, match=f"missing variable '{missing}'.*layout.padding"):
+            pk.lift_strict_solution(h, result.layout)
+
     def test_recover_takes_the_lifted_assignment_itself(self, k2, t22, ident22):
         phi = path_instance()
         result = pk.pipeline_reduce(phi, t22, t22, ident22)
@@ -513,11 +521,11 @@ class TestRowProjectionClaim:
 
 
 class TestEmittedBytes:
-    """The canonical bytes of two emitted instances, pinned by sha256."""
+    """The canonical bytes of emitted instances, layouts and lifts, pinned by sha256."""
 
     @staticmethod
-    def _sha(instance) -> str:
-        return hashlib.sha256(jsonio.canonical_dumps(instance.to_payload()).encode()).hexdigest()
+    def _sha(artifact) -> str:
+        return hashlib.sha256(jsonio.canonical_dumps(artifact.to_payload()).encode()).hexdigest()
 
     def test_path_through_the_pipeline(self, t22, ident22):
         result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
@@ -530,6 +538,18 @@ class TestEmittedBytes:
         assert self._sha(instance) == (
             "5ffbaa5b44a8e58a2b1665c9afee73dc52c6a1d0141da37b515378a72cff610e"
         )
+
+    def test_the_65536_position_cloud(self, t22, ident22):
+        # the empty 3-variable source at k=(4,4): one cloud of 2^16 positions,
+        # whose 65,536 scopes are sorted as integer positions
+        result = pk.pipeline_reduce(pk.Instance(["x", "y", "z"], []), t22, t22, ident22)
+        assert result.params.k == (4, 4)
+        lift = pk.lift_strict_solution({"x": "0", "y": "1", "z": "1", "~pad0": "0"}, result.layout)
+        assert [self._sha(x) for x in (result.instance, result.layout, lift)] == [
+            "361d7adf5fac48b30b04ff9396764ab0f29dfb52cba58ca1625fcf9c55965861",
+            "2715cb855b76fb41e9a4212d70c4c7b5b6cdd6fdbd99d3c1f3f4debaa579c682",
+            "a78df0460e18ea51565098d5cde151b4bf46d9dcdcc4c4194148c2caab5af0d1",
+        ]
 
 
 class TestGadgetSearch:
