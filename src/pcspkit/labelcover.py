@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
     Instance,
     RelationalStructure,
+    _payload_field,
     completion_order,
     evaluate,
     partial_solution_table,
@@ -42,10 +44,15 @@ class LlcInstance:
                 if x in seen:
                     raise InputError(f"variable {x!r} appears in two layers")
                 seen.add(x)
+        missing = [x for layer in layers for x in layer if x not in domains]
+        if missing:
+            raise InputError(f"variable {missing[0]!r} has no domain")
         domains = {x: tuple(domains[x]) for layer in layers for x in layer}
         index = {x: i for i, layer in enumerate(layers) for x in layer}
         cmap = {}
         for (x, y), psi in dict(constraints).items():
+            if x not in index or y not in index:
+                raise InputError(f"constraint {x}->{y} names a variable outside the layers")
             if index[x] >= index[y]:
                 raise StructuralError(f"constraint {x}->{y} does not go to a higher layer")
             psi = dict(psi)
@@ -76,12 +83,22 @@ class LlcInstance:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "LlcInstance":
-        return LlcInstance(
-            payload["layers"],
-            payload["domains"],
-            {(c["from"], c["to"]): c["map"] for c in payload["constraints"]},
-            payload.get("has_empty_domain"),
-        )
+        """Read from JSON; errors name the field's JSON path."""
+        field = partial(_payload_field, payload, "")
+        layers = field("layers", list, items=list)
+        for i, layer in enumerate(layers):
+            for j, x in enumerate(layer):
+                if not isinstance(x, str):
+                    raise InputError(f"layers[{i}][{j}]: expected a string")
+        domains = field("domains", Mapping)
+        for x in domains:
+            _payload_field(domains, "domains", x, list, items=str)
+        constraints = {}
+        for i, c in enumerate(field("constraints", list)):
+            at = partial(_payload_field, c, f"constraints[{i}]")
+            constraints[at("from", str), at("to", str)] = at("map", Mapping, items=str)
+        empty = field("has_empty_domain", bool) if "has_empty_domain" in payload else None
+        return LlcInstance(layers, domains, constraints, empty)
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,11 @@ class DAssignment:
 
     @staticmethod
     def from_payload(payload: Mapping) -> "DAssignment":
-        return DAssignment(payload["choices"])
+        """Read from JSON; errors name the field's JSON path."""
+        choices = _payload_field(payload, "", "choices", Mapping)
+        for x in choices:
+            _payload_field(choices, "choices", x, list, items=str)
+        return DAssignment(choices)
 
 
 def enumerate_chains(inst: LlcInstance) -> tuple:

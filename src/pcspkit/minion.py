@@ -13,6 +13,14 @@ matrix of strict-relation columns, the table indices of its rows.  Enumeration
 sets a table's entries one index at a time and checks each matrix once its
 rows are set.
 
+The audits share one minor graph per call.  Each map between the declared
+arities gets its table index once, functions are interned by value (arity set,
+both domains and table), and a member's minor along a map is one lookup of
+that index.  The chain audit walks chains depth first in lexicographic order,
+carrying the earlier members' images minored along the maps taken since.  Once
+a pair agrees, the prefix's subtree is admitted and skipped, though its members
+are still imaged in walk order until all are, so the same error comes first.
+
 A minion is infinite; everything here works with finite slices, and every
 homomorphism check is a bounded verification over the arity sets it is given.
 """
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import DEFAULT_BUDGET, PcspTemplate, _payload_field, completion_order
@@ -401,14 +409,16 @@ class _MinorGraph:
     """A slice's members at the given arities, numbered, and each member's
     minor along every map between those arities, computed once.
 
-    Functions are interned: members come first, so an id below `size` is a
-    member.  `edges[i][m]` is the id of member i's minor along `maps[x][m]`,
-    the m-th (map, target) out of its arity set x: targets in the given
-    order, then images in product order.
+    Functions are interned by value, (arity set, in-domain, out-domain,
+    table), so a function over other domains never shares an id with a
+    member; members come first, so an id below `size` is a member.
+    `edges[i][m]` is the id of member i's minor along `maps[x][m]`, the m-th
+    (map, target) out of its arity set x: targets in the given order, then
+    images in product order.  A map's table index is computed once per in-domain size.
     """
 
     def __init__(self, slice_, arities: Sequence[tuple]):
-        self.functions, self._ids, self._minors = [], {}, {}
+        self.functions, self._ids, self._minors, self._indices = [], {}, {}, {}
         for x in arities:
             for t in slice_.members(x):
                 self.intern(t)
@@ -424,9 +434,12 @@ class _MinorGraph:
         ]
 
     def intern(self, fn: FiniteFunction) -> int:
-        i = self._ids.setdefault(fn, len(self.functions))
+        return self._intern((fn.arity_set, fn.in_domain, fn.out_domain, fn.table), fn)
+
+    def _intern(self, key: tuple, fn: Optional[FiniteFunction] = None) -> int:
+        i = self._ids.setdefault(key, len(self.functions))
         if i == len(self.functions):
-            self.functions.append(fn)
+            self.functions.append(fn or FiniteFunction(*key))
         return i
 
     def minor(self, f: int, m: int) -> int:
@@ -434,7 +447,11 @@ class _MinorGraph:
         if (f, m) not in self._minors:
             fn = self.functions[f]
             pi, y = self.maps[fn.arity_set][m]
-            self._minors[f, m] = self.intern(minor(fn, pi, target=y))
+            at = (len(fn.in_domain), fn.arity_set, m)
+            if at not in self._indices:
+                self._indices[at] = _minor_index(at[0], fn.arity_set, pi, y)
+            table = tuple(map(fn.table.__getitem__, self._indices[at]))
+            self._minors[f, m] = self._intern((y, fn.in_domain, fn.out_domain, table))
         return self._minors[f, m]
 
     def witness(self, i: int, m: int, s: int) -> tuple:
@@ -608,34 +625,45 @@ def check_dr_homomorphism(
             raise ResourceError(f"chain enumeration exceeds the budget of {budget}")
 
     graph = _MinorGraph(source, arities)
+    images, requested = {}, set()
 
-    @cache
-    def image(i: int) -> tuple:
-        # `table.image` raises InputError on an uncovered member, never cached.
-        return tuple(map(graph.intern, table.image(graph.functions[i])))
+    def image(i: int) -> frozenset:
+        # `table.image` raises InputError on an uncovered member, never stored.
+        if i not in images:
+            images[i] = frozenset(map(graph.intern, table.image(graph.functions[i])))
+        return images[i]
 
-    def admits_pair(path, maps) -> bool:
-        # Every member first, so an uncovered one raises even if an early pair agrees.
-        images = [image(i) for i in path]
-        # Minors compose, so the maps from t_i to t_j apply one after another.
-        for i, found in enumerate(images):
-            for g in found:
-                for m, later in zip(maps[i:], images[i + 1 :]):
-                    g = graph.minor(g, m)
-                    if g in later:
-                        return True
-        return False
+    def request(i: int, depth: int) -> None:
+        # Every chain below an admitted prefix passes, but a walk without the
+        # skip images its members first: request them in walk order, so the
+        # same uncovered member raises.  A subtree requested in full before
+        # holds no member without an image, and is passed over.
+        if depth and (i, depth) not in requested and len(images) < graph.size:
+            for j in graph.edges[i]:
+                if j < graph.size:
+                    image(j)
+                    request(j, depth - 1)
+            requested.add((i, depth))
+
+    def walk(path: tuple, maps: tuple, carried: frozenset) -> Optional[tuple]:
+        # `carried` holds every earlier member's images, minored along the
+        # maps taken since that member: minors compose, so a step moves them.
+        if len(maps) == r:
+            return path, maps
+        for m, j in enumerate(graph.edges[path[-1]]):
+            if j < graph.size:
+                found, moved = image(j), {graph.minor(g, m) for g in carried}
+                if not moved.isdisjoint(found):
+                    request(j, r - len(maps) - 1)
+                elif failed := walk(path + (j,), maps + (m,), found.union(moved)):
+                    return failed
+        return None
 
     for t0 in range(graph.size):
-        paths = [((t0,), ())]
-        for _ in range(r):
-            paths = [(p + (j,), ms + (m,)) for p, ms in paths
-                     for m, j in enumerate(graph.edges[p[-1]]) if j < graph.size]
-        for path, maps in paths:
-            if not admits_pair(path, maps):
-                chain = tuple(graph.functions[i] for i in path)
-                maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, maps))
-                return ChainCheck(False, (chain, maps))
+        if failed := walk((t0,), (), image(t0)):
+            chain = tuple(graph.functions[i] for i in failed[0])
+            maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, failed[1]))
+            return ChainCheck(False, (chain, maps))
     return ChainCheck(True, None)
 
 

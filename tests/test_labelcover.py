@@ -1,6 +1,7 @@
 """Layered label cover: chains, weak satisfaction, the subset reduction."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +48,46 @@ class TestLlcInstance:
     def test_payload_round_trip(self):
         inst = tiny_llc()
         assert pk.LlcInstance.from_payload(inst.to_payload()) == inst
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.clear(), "layers: missing"),
+            (lambda p: p["constraints"][1].pop("to"), "constraints[1].to: missing"),
+            (lambda p: p["layers"][1].append(5), "layers[1][1]: expected a string"),
+            (lambda p: p["domains"].update(a1="x"), "domains.a1: expected a list"),
+            (lambda p: p["constraints"][0]["map"].update(x=["u"]),
+             "constraints[0].map.x: expected a string"),
+            (lambda p: p.update(has_empty_domain="no"), "has_empty_domain: expected a boolean"),
+            (lambda p: p["domains"].pop("b0"), "variable 'b0' has no domain"),
+            (lambda p: p["constraints"][0].update({"to": "q"}),
+             "constraint a0->q names a variable outside the layers"),
+        ],
+    )
+    def test_payload_faults_name_the_field(self, edit, message):
+        payload = tiny_llc().to_payload()
+        edit(payload)
+        with pytest.raises(InputError, match=re.escape(message)):
+            pk.LlcInstance.from_payload(payload)
+
+
+class TestDAssignmentPayload:
+    def test_round_trip(self):
+        f = pk.DAssignment({"x": ["1", "0"], "y": ["0"]})
+        assert pk.DAssignment.from_payload(f.to_payload()) == f
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({}, "choices: missing"),
+            ({"choices": ["x"]}, "choices: expected an object"),
+            ({"choices": {"x": 5}}, "choices.x: expected a list"),
+            ({"choices": {"x": ["0", 1]}}, "choices.x[1]: expected a string"),
+        ],
+    )
+    def test_faults_name_the_field(self, payload, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            pk.DAssignment.from_payload(payload)
 
 
 class TestChains:

@@ -257,16 +257,25 @@ class TestDrTables:
 
     def test_each_minor_computed_once_per_call(self, monkeypatch, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y"), ("x", "y", "z")])
-        computed = collections.Counter()
-        real = pk.minion.minor
+        indexed, built = collections.Counter(), []
+        real_index, real_intern = pk.minion._minor_index, pk.minion._MinorGraph._intern
 
-        def counting(t, pi, target=None):
-            computed[t, tuple(sorted(pi.items())), tuple(sorted(target))] += 1
-            return real(t, pi, target=target)
+        def counting_index(base, arity_set, pi, target):
+            indexed[tuple(arity_set), tuple(sorted(pi.items())), tuple(target)] += 1
+            return real_index(base, arity_set, pi, target)
 
-        monkeypatch.setattr(pk.minion, "minor", counting)
+        def counting_intern(graph, key, fn=None):
+            if fn is None:  # a minor table just built
+                built.append(key)
+            return real_intern(graph, key, fn)
+
+        monkeypatch.setattr(pk.minion, "_minor_index", counting_index)
+        monkeypatch.setattr(pk.minion._MinorGraph, "_intern", counting_intern)
         assert pk.check_dr_homomorphism(pk.IdentityDrTable(t22, r=2), sl)
-        assert sum(computed.values()) <= 644 and max(computed.values()) == 1
+        # one index per map between arities 1-3, of which there are 56
+        assert len(indexed) == 56 and max(indexed.values()) == 1
+        # the 644 (member, map) edges alone need 644 tables: none is built twice
+        assert len(built) <= 644
 
     def test_uncovered_chain_member_is_input_error(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
@@ -636,3 +645,50 @@ class TestAuditsAgainstReference:
                 grouped[x].append(pk.FiniteFunction(x, full.in_domain, full.out_domain, table))
         sl = pk.MinionSlice(full.in_domain, full.out_domain, grouped)
         assert pk.check_minor_closure(sl) == reference_minion.check_minor_closure(sl)
+
+    # Pol(K2,K2) at arities 1-3 lists the unary identity and negation first,
+    # then the binary dictators on a and on b.
+    ID, NEG = AUDITED["k2k2"].members(LABELS[:1])
+    ON_A, ON_B = AUDITED["k2k2"].members(LABELS[:2])[:2]
+
+    def _r2_table(self, uncovered, remapped):
+        """The identity on Pol(K2,K2) at r=2, without `uncovered` and with
+        the images of `remapped` replaced."""
+        mapping = {t: (t,) for t in AUDITED["k2k2"].all_functions()}
+        del mapping[uncovered]
+        mapping.update(remapped)
+        return pk.ExplicitDrTable(1, 2, mapping)
+
+    def test_uncovered_member_in_a_skipped_subtree_raises(self):
+        # ID -> ID admits its pair, so the walk skips the chains below it; ON_B
+        # is first met there, before the failing chain ID -> ON_A -> ON_A.
+        table = self._r2_table(self.ON_B, {self.ON_A: (self.ON_B,)})
+        expected = _outcome(reference_minion.check_dr_homomorphism, table, AUDITED["k2k2"])
+        assert expected == (InputError, "table does not cover a function of arity ('a', 'b')")
+        assert _outcome(pk.check_dr_homomorphism, table, AUDITED["k2k2"]) == expected
+
+    def test_failing_chain_before_the_uncovered_member_is_returned(self):
+        # NEG is first met on the chains from NEG, after ID -> ON_A -> ON_A fails
+        table = self._r2_table(self.NEG, {self.ON_A: (self.ON_B,)})
+        expected = reference_minion.check_dr_homomorphism(table, AUDITED["k2k2"])
+        assert expected.counterexample[0] == (self.ID, self.ON_A, self.ON_A)
+        assert pk.check_dr_homomorphism(table, AUDITED["k2k2"]) == expected
+
+    def test_images_over_another_out_domain_stay_apart(self, t23):
+        # Pol(K2,K3) twins of Pol(K2,K2) members: the same tables, out-domain {0,1,2}
+        sl = AUDITED["k2k2"]
+        twin = {t: pk.FiniteFunction(t.arity_set, "01", "012", t.table)
+                for t in sl.all_functions()}
+        assert all(pk.is_polymorphism(g, t23) for g in twin.values())
+        # every twin: the inclusion of Pol(K2,K2) into Pol(K2,K3)
+        assert pk.check_minion_homomorphism(twin, sl)
+        lifted = pk.ExplicitDrTable(1, 1, {t: (g,) for t, g in twin.items()})
+        assert pk.check_dr_homomorphism(lifted, sl)
+        # twins at arities 1 and 3 only: a twin's minor has a member's table,
+        # but another out-domain, and must not be taken for that member
+        mixed = {t: g if len(t.arity_set) != 2 else t for t, g in twin.items()}
+        table = pk.ExplicitDrTable(1, 1, {t: (g,) for t, g in mixed.items()})
+        expected = reference_minion.check_dr_homomorphism(table, sl)
+        assert not expected and pk.check_dr_homomorphism(table, sl) == expected
+        expected = reference_minion.check_minion_homomorphism(mixed, sl)
+        assert not expected and pk.check_minion_homomorphism(mixed, sl) == expected
