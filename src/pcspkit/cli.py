@@ -30,7 +30,12 @@ from .core import (
     evaluate,
 )
 from .errors import InputError, PcspkitError
-from .labelcover import csp_value_oracle, reduce_mcsp_to_llc
+from .labelcover import (
+    LlcInstance,
+    combinatorial_layered_value,
+    csp_value_oracle,
+    reduce_mcsp_to_llc,
+)
 from .minion import (
     FiniteFunction,
     MinionSlice,
@@ -203,6 +208,17 @@ def _cmd_gap_oracle(args, report: _Report) -> int:
     return 0 if answer else 1
 
 
+def _cmd_gap_layered(args, report: _Report) -> int:
+    report.add_input(args.llc)
+    instance = LlcInstance.from_payload(jsonio.read_json(args.llc))
+    result = combinatorial_layered_value(instance, args.d, budget=args.budget)
+    report.payload["value"] = result.value
+    if result:
+        _emit(args.out, result.witness.to_payload(), report)
+    print(f"layered value: {result.value}" if result else f"layered value above {args.d}")
+    return 0 if result else 1
+
+
 def _cmd_reduce_llc(args, report: _Report) -> int:
     report.add_input(args.instance)
     report.add_input(args.template)
@@ -234,7 +250,7 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
     if args.layout:
         jsonio.write_canonical(args.layout, result.layout.to_payload())
     report.payload["variables"] = len(result.instance.variables)
-    report.payload["constraints"] = len(result.instance.constraints)
+    report.payload["constraints"] = len(result.instance.scopes)
     report.payload["k"] = list(result.params.k)
     report.payload["gadget"] = result.layout.gadget
     if result.layout.aux is not None:
@@ -243,7 +259,7 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
         }
     print(
         f"emitted {len(result.instance.variables)} variables, "
-        f"{len(result.instance.constraints)} constraints"
+        f"{len(result.instance.scopes)} constraints"
         + (" (gadget: promise violation detected)" if result.layout.gadget else "")
     )
     return 0
@@ -367,6 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_gap_oracle)
+    p = gap.add_parser("layered")
+    p.add_argument("--llc", required=True)
+    p.add_argument("--d", type=int, required=True)
+    _add_common(p)
+    p.set_defaults(func=_cmd_gap_layered)
 
     reduce_ = sub.add_parser("reduce", help="instance reductions").add_subparsers(
         dest="subcommand", required=True

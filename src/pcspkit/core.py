@@ -1,10 +1,15 @@
 """Finite relational structures, (P)CSP templates and instances, and brute-force solvers.
 
-Atoms and variables are plain strings.  Every container is sorted at
-construction time (domains, variable sets, relation names), so equal objects
-serialize to identical bytes and every enumeration below is deterministic.
-Constraint lists keep their given order because violations are reported by
-constraint index.
+Atoms and variables are plain strings at the JSON boundary.  Every container
+is sorted at construction time (domains, variable sets, relation names), so
+equal objects serialize to identical bytes and every enumeration below is
+deterministic.  Constraint lists keep their given order because violations
+are reported by constraint index.
+
+Inside, an instance's scopes are integers, indices into its sorted variable
+tuple: evaluation, brute force and induced sub-instances run on them, and
+variable names appear only in `Instance.to_payload`, `Instance.from_payload`
+and the `Instance.constraints` view.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
@@ -176,41 +182,76 @@ class Constraint:
 class Instance:
     """Variables plus constraints referencing named template relations.
 
-    Repeated variables inside a scope are allowed.  The constraint list keeps
-    its given order; the variable tuple is sorted.
+    The variable tuple is sorted.  Each constraint is held as one relation
+    name and one integer scope, indices into `variables`, in the given
+    order (`relation_names` and `scopes`); repeated variables inside a scope
+    are allowed.  Variable names appear only at the JSON boundary and in
+    `constraints`, which builds `Constraint` objects on each call and does
+    not keep them.
     """
 
     variables: tuple
-    constraints: tuple
+    relation_names: tuple  # per constraint, in order
+    scopes: tuple  # per constraint, a tuple of indices into `variables`
 
     def __init__(self, variables: Iterable[str], constraints: Iterable[Constraint]):
-        vset = set(variables)
-        variables = tuple(sorted(vset))
+        variables = tuple(sorted(set(variables)))
         _check_labels("variable", variables)
-        constraints = tuple(
-            c if isinstance(c, Constraint) else Constraint(*c) for c in constraints
+        index = dict(zip(variables, range(len(variables))))
+        names, scopes = [], []
+        for c in constraints:
+            scope, name = (c.scope, c.relation) if isinstance(c, Constraint) else c
+            scope = tuple(scope)
+            try:
+                scopes.append(tuple(map(index.__getitem__, scope)))
+            except KeyError:
+                unknown = next(v for v in scope if v not in index)
+                raise InputError(f"constraint scope uses unknown variable {unknown!r}") from None
+            names.append(name)
+        _set_fields(self, variables, tuple(names), tuple(scopes))
+
+    @classmethod
+    def _of(cls, variables: tuple, relation_names: tuple, scopes: tuple) -> "Instance":
+        """An instance from parts already checked: sorted variable names that
+        are valid labels, and scopes of indices into them."""
+        return _set_fields(object.__new__(cls), variables, relation_names, scopes)
+
+    @property
+    def constraints(self) -> tuple:
+        """The constraints over variable names, built on each call."""
+        name = self.variables.__getitem__
+        return tuple(
+            Constraint(map(name, scope), relation)
+            for relation, scope in zip(self.relation_names, self.scopes)
         )
-        if not vset.issuperset(itertools.chain.from_iterable(c.scope for c in constraints)):
-            for c in constraints:
-                for v in c.scope:
-                    if v not in vset:
-                        raise InputError(f"constraint scope uses unknown variable {v!r}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "constraints", constraints)
 
     def induced(self, subset: Sequence[str]) -> "Instance":
         """Sub-instance on `subset`: the constraints whose scope lies inside it."""
         sub = set(subset)
-        if not sub <= set(self.variables):
+        if not sub.issubset(self.variables):
             raise InputError("subset is not contained in the variable set")
-        kept = [c for c in self.constraints if set(c.scope) <= sub]
-        return Instance(subset, kept)
+        return self._onto(tuple(sorted(sub)))
+
+    def _onto(self, variables: tuple) -> "Instance":
+        """The constraints whose variables all lie in `variables` (sorted,
+        valid labels), re-indexed onto them."""
+        new = dict(zip(variables, range(len(variables))))
+        move = [new.get(v, -1) for v in self.variables].__getitem__
+        names, scopes = [], []
+        for name, scope in zip(self.relation_names, self.scopes):
+            scope = tuple(map(move, scope))
+            if -1 not in scope:
+                names.append(name)
+                scopes.append(scope)
+        return Instance._of(variables, tuple(names), tuple(scopes))
 
     def to_payload(self) -> dict:
+        name = self.variables.__getitem__
         return {
             "variables": list(self.variables),
             "constraints": [
-                {"scope": list(c.scope), "relation": c.relation} for c in self.constraints
+                {"scope": list(map(name, scope)), "relation": relation}
+                for relation, scope in zip(self.relation_names, self.scopes)
             ],
         }
 
@@ -223,8 +264,15 @@ class Instance:
         for i, c in enumerate(field("constraints", list)):
             where = f"{path}.constraints[{i}]" if path else f"constraints[{i}]"
             scope = _payload_field(c, where, "scope", list, items=str)
-            constraints.append(Constraint(scope, _payload_field(c, where, "relation", str)))
+            constraints.append((scope, _payload_field(c, where, "relation", str)))
         return Instance(variables, constraints)
+
+
+def _set_fields(instance: Instance, variables, relation_names, scopes) -> Instance:
+    object.__setattr__(instance, "variables", variables)
+    object.__setattr__(instance, "relation_names", relation_names)
+    object.__setattr__(instance, "scopes", scopes)
+    return instance
 
 
 _KIND_NAMES = {
@@ -328,14 +376,17 @@ class Assignment:
         return Assignment(values, side=field("side", str) if "side" in payload else None)
 
 
-def _validate_against(instance: Instance, side: RelationalStructure) -> None:
-    for i, c in enumerate(instance.constraints):
-        rel = side.relations.get(c.relation)
+def _validate_against(instance: Instance, side: RelationalStructure, indices=None) -> None:
+    """Refuse the first constraint among `indices` (all by default) that
+    names an unknown relation or whose scope length is not its arity."""
+    names, scopes = instance.relation_names, instance.scopes
+    for i in range(len(scopes)) if indices is None else indices:
+        rel = side.relations.get(names[i])
         if rel is None:
-            raise StructuralError(f"constraint {i} names unknown relation {c.relation!r}")
-        if len(c.scope) != rel.arity:
+            raise StructuralError(f"constraint {i} names unknown relation {names[i]!r}")
+        if len(scopes[i]) != rel.arity:
             raise StructuralError(
-                f"constraint {i} scope length {len(c.scope)} != arity {rel.arity}"
+                f"constraint {i} scope length {len(scopes[i])} != arity {rel.arity}"
             )
 
 
@@ -374,24 +425,23 @@ def _find_homomorphism(src: RelationalStructure, dst: RelationalStructure):
 
 def evaluate(instance: Instance, side: RelationalStructure, f: Mapping[str, str]) -> list:
     """Indices of the constraints that f violates (empty iff f is a solution)."""
-    _validate_against(instance, side)
     mapping = dict(f.items())
-    for v in instance.variables:
-        if v not in mapping:
-            raise InputError(f"assignment is not total: missing {v!r}")
-    value = mapping.__getitem__
-    return [
+    try:
+        value = list(map(mapping.__getitem__, instance.variables)).__getitem__
+    except KeyError:
+        _validate_against(instance, side)
+        missing = next(v for v in instance.variables if v not in mapping)
+        raise InputError(f"assignment is not total: missing {missing!r}") from None
+    tuples = defaultdict(tuple, {name: rel.tuples for name, rel in side.relations.items()})
+    violated = [
         i
-        for i, c in enumerate(instance.constraints)
-        if tuple(map(value, c.scope)) not in side.relations[c.relation].tuples
+        for i, name, scope in zip(itertools.count(), instance.relation_names, instance.scopes)
+        if tuple(map(value, scope)) not in tuples[name]
     ]
-
-
-def _satisfies(mapping: dict, instance: Instance, side: RelationalStructure) -> bool:
-    for c in instance.constraints:
-        if tuple(mapping[v] for v in c.scope) not in side.relations[c.relation].tuples:
-            return False
-    return True
+    # An unknown relation or a scope of another length holds no tuple, so the
+    # first malformed constraint is among the violated ones.
+    _validate_against(instance, side, violated)
+    return violated
 
 
 def _solutions(instance: Instance, side: RelationalStructure, budget: int, tag: Optional[str]):
@@ -406,10 +456,17 @@ def _solutions(instance: Instance, side: RelationalStructure, budget: int, tag: 
         raise ResourceError(
             f"brute force would enumerate {total} candidates, over the budget of {budget}"
         )
+    checks = [
+        (scope, side.relations[name].tuples)
+        for name, scope in zip(instance.relation_names, instance.scopes)
+    ]
     for values in itertools.product(side.domain, repeat=len(instance.variables)):
-        mapping = dict(zip(instance.variables, values))
-        if _satisfies(mapping, instance, side):
-            yield Assignment(mapping, side=tag)
+        value = values.__getitem__
+        for scope, tuples in checks:
+            if tuple(map(value, scope)) not in tuples:
+                break
+        else:
+            yield Assignment(dict(zip(instance.variables, values)), side=tag)
 
 
 def brute_force_solve(

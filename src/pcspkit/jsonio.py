@@ -8,12 +8,22 @@ a newline.  `json` falls back to its pure-Python encoder whenever it indents, so
 string encoder, a list of strings is joined in one step, and every other
 scalar is `json.dumps`'s own compact text.  Tuples are arrays, and dict keys
 that are not strings are written as `json` writes them.
+
+A list of records (dicts that all have one set of string keys, such as an
+instance's constraints) has its keys sorted once.  Its records share the text
+between their values, so each field is laid out for all records at once (a
+column of strings, or of string arrays of one length, in one C-level step)
+and the records are joined from those columns in one step.  Any other list
+takes the general path, and both give the same bytes.  Long texts are put
+together with `join`, which copies them once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import re
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -36,8 +46,10 @@ def _dumps(value, newline: str) -> str:
         try:
             items = ("," + inner).join(map(encode_basestring, value))
         except TypeError:  # not only strings
-            items = ("," + inner).join([_dumps(item, inner) for item in value])
-        return "[" + inner + items + newline + "]"
+            items = _records(value, inner)
+            if items is None:
+                items = ("," + inner).join([_dumps(item, inner) for item in value])
+        return "".join(("[", inner, items, newline, "]"))
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -50,12 +62,82 @@ def _dumps(value, newline: str) -> str:
                 for key, item in sorted(value.items())
             ]
         )
-        return "{" + inner + items + newline + "}"
+        return "".join(("{", inner, items, newline, "}"))
     return json.dumps(value)
 
 
+# The mark of a value's place in a record's text: no JSON text holds a raw NUL,
+# since encode_basestring escapes it.
+_SLOT = "\0"
+# What encode_basestring escapes; any other string is its own text, quoted.
+_ESCAPED = re.compile(r'["\\\x00-\x1f]').search
+
+
+def _records(value, newline: str):
+    """A nonempty list of dicts that all have one set of string keys, laid
+    out at `newline` with the keys sorted once; None for any other list.
+
+    Every record has the same text between its values, so the values are
+    laid out a field at a time and the records joined in one step."""
+    keys = value[0].keys() if isinstance(value[0], dict) else ()
+    if not keys or not all(isinstance(key, str) for key in keys):
+        return None
+    try:
+        if not all(map(keys.__eq__, map(dict.keys, value))):
+            return None
+    except TypeError:  # an entry that is not a dict
+        return None
+    inner = newline + "  "
+    pieces, columns = [], []
+    for key in sorted(keys):
+        piece, texts = _field([item[key] for item in value], inner)
+        pieces.append(encode_basestring(key) + ": " + piece)
+        columns += texts
+    # Each record's text starts with the comma that parts it from the one
+    # before; the first record's opening text is replaced by one without.
+    record = "," + newline + "{" + inner + ("," + inner).join(pieces) + newline + "}"
+    literals = record.split(_SLOT)
+    streams = [s for pair in zip(map(itertools.repeat, literals), columns) for s in pair]
+    parts = itertools.chain.from_iterable(zip(*streams, itertools.repeat(literals[-1])))
+    next(parts)
+    return "".join(itertools.chain((literals[0][len(newline) + 1 :],), parts))
+
+
+def _field(values: list, newline: str) -> tuple:
+    """One field across a list of records: its text with a slot for each
+    value, and per slot the column that fills it.  Strings fill one slot,
+    and arrays of strings that all have one length n fill n slots."""
+    try:
+        slot, column = _strings(values)
+        return slot, [column]
+    except TypeError:  # not only strings
+        pass
+    lengths = set(map(len, values)) if set(map(type, values)) <= {list, tuple} else ()
+    if len(lengths) == 1 and 0 not in lengths:
+        n = lengths.pop()
+        try:
+            slot, column = _strings(itertools.chain.from_iterable(values))
+        except TypeError:  # not only strings
+            pass
+        else:
+            inner = newline + "  "
+            piece = "[" + inner + ("," + inner).join([slot] * n) + newline + "]"
+            return piece, [column[j::n] for j in range(n)]
+    return _SLOT, [[_dumps(item, newline) for item in values]]
+
+
+def _strings(strings) -> tuple:
+    """A slot for strings and the column that fills it: the strings
+    themselves between quotes when none needs an escape.  TypeError when
+    one is not a string."""
+    strings = list(strings)
+    if _ESCAPED("".join(strings)) is None:
+        return '"' + _SLOT + '"', strings
+    return _SLOT, list(map(encode_basestring, strings))
+
+
 def canonical_dumps(payload) -> str:
-    return _dumps(payload, "\n") + "\n"
+    return "".join((_dumps(payload, "\n"), "\n"))
 
 
 def write_canonical(path, payload) -> None:

@@ -96,7 +96,10 @@ class LlcInstance:
         constraints = {}
         for i, c in enumerate(field("constraints", list)):
             at = partial(_payload_field, c, f"constraints[{i}]")
-            constraints[at("from", str), at("to", str)] = at("map", Mapping, items=str)
+            pair = at("from", str), at("to", str)
+            if pair in constraints:
+                raise InputError(f"constraints[{i}]: repeats the pair {pair[0]}->{pair[1]}")
+            constraints[pair] = at("map", Mapping, items=str)
         empty = field("has_empty_domain", bool) if "has_empty_domain" in payload else None
         return LlcInstance(layers, domains, constraints, empty)
 

@@ -29,7 +29,6 @@ from typing import Mapping, Optional, Sequence
 from .core import (
     Assignment,
     DEFAULT_BUDGET,
-    Constraint,
     Instance,
     PcspTemplate,
     RelationalStructure,
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .minion import (
     FiniteFunction,
+    IdentityDrTable,
     LazyPolymorphismSlice,
     _blocks,
     _minor_index,
@@ -318,6 +318,8 @@ def longcode_reduce(
 
     labels = {cloud.ref: cloud.index_labels for cloud in clouds}
     for con in aux.constraints:
+        if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
+            continue
         u, w = offset[con.u], offset[con.w]
         for gidx, fidx in enumerate(_minor_index(base, labels[con.u], con.cmap, labels[con.w])):
             ru, rw = find(u + fidx), find(w + gidx)
@@ -325,25 +327,26 @@ def longcode_reduce(
                 parent[max(ru, rw)] = min(ru, rw)
 
     roots = [find(x) for x in range(len(names))]
+    # Scopes index the kept positions in order.  Integer positions sort as
+    # their names do: cloud ids share one width and follow the offsets, and
+    # indices are zero-padded within a cloud.
+    kept = sorted(set(roots))
+    rank = list(map(dict(zip(kept, range(len(kept)))).__getitem__, roots))
     scopes = {rel_name: set() for rel_name in target.strict.relations}
     for cloud in clouds:
         start = offset[cloud.ref]
-        root = roots[start : start + cloud.size(base)].__getitem__
+        position = rank[start : start + cloud.size(base)].__getitem__
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
-                scopes[rel_name].update(zip(*[map(root, r) for r in rows]))
+                scopes[rel_name].update(zip(*[map(position, r) for r in rows]))
 
-    # Integer positions sort as their names do: cloud ids share one width and
-    # follow the offsets, and indices are zero-padded within a cloud.
-    name = names.__getitem__
     layout.reps.update((names[x], names[r]) for x, r in enumerate(roots) if x != r)
-    instance = Instance(
-        map(name, sorted(set(roots))),
-        [
-            Constraint(map(name, scope), rel_name)
-            for rel_name in sorted(scopes)
-            for scope in sorted(scopes[rel_name])
-        ],
+    relation_names, sorted_scopes = [], []
+    for rel_name in sorted(scopes):
+        relation_names += [rel_name] * len(scopes[rel_name])
+        sorted_scopes += sorted(scopes[rel_name])
+    instance = Instance._of(
+        tuple(map(names.__getitem__, kept)), tuple(relation_names), tuple(sorted_scopes)
     )
     return instance, layout
 
@@ -365,7 +368,7 @@ def _pad_instance(phi: Instance, up_to: int) -> tuple:
     for p in pads:
         if p in phi.variables:
             raise InputError(f"variable {p!r} collides with padding names")
-    return Instance(phi.variables + pads, phi.constraints), pads
+    return phi._onto(tuple(sorted(phi.variables + pads))), pads
 
 
 def find_unsolvable_gadget(
@@ -378,7 +381,7 @@ def find_unsolvable_gadget(
         pool = []
         for name, rel in sorted(target.strict.relations.items()):
             for scope in itertools.product(variables, repeat=rel.arity):
-                pool.append(Constraint(scope, name))
+                pool.append((scope, name))
         for count in (1, 2, 3):
             for combo in itertools.combinations(pool, count):
                 inst = Instance(variables, combo)
@@ -403,8 +406,11 @@ def pipeline_reduce(
     (the strict side has no partial solutions at some subset) certifies the
     input as a no-instance, which is mapped to a fixed relaxed-unsolvable
     gadget of the target.  Any other source with more variables than a compact
-    parameter record's top arity is refused with a ParameterError.
+    parameter record's top arity is refused with a ParameterError, and an
+    identity table over another template than the target with an InputError.
     """
+    if isinstance(dr_table, IdentityDrTable) and dr_table.template != target:
+        raise InputError("the identity table's template is not the target template")
     m = max(rel.arity for rel in source.strict.relations.values())
     if params is None:
         params = gap_parameters(

@@ -105,6 +105,31 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert len(payload["layers"]) == 2
 
+    def test_gap_layered_reads_a_reduced_instance(self, files, tmp_path, capsys):
+        # the edge is 2-colourable: value 1, with a witness; the triangle's
+        # 3-subset has no partial solution, so no width decides it
+        tri = tmp_path / "tri.json"
+        jsonio.write_canonical(
+            tri,
+            pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq"), (("x", "z"), "neq")]).to_payload(),
+        )
+        for source, code, value in ((files["edge3.json"], 0, 1), (str(tri), 1, None)):
+            llc, witness, report = (tmp_path / name for name in ("llc.json", "w.json", "r.json"))
+            assert main([
+                "reduce", "llc", "--instance", source, "--template", files["k2.json"],
+                "--params", files["p11.json"], "--out", str(llc),
+            ]) == 0
+            assert main([
+                "gap", "layered", "--llc", str(llc), "--d", "1", "--out", str(witness),
+                "--report", str(report),
+            ]) == code
+            assert json.loads(report.read_text())["payload"]["value"] == value
+            if value:
+                chosen = pk.DAssignment.from_payload(json.loads(witness.read_text()))
+                inst = pk.LlcInstance.from_payload(json.loads(llc.read_text()))
+                assert all(pk.weakly_satisfies(chosen, c, inst) for c in pk.enumerate_chains(inst))
+        assert capsys.readouterr().out.splitlines()[-1] == "layered value above 1"
+
     def test_reduce_pcsp_and_decode(self, files, tmp_path, t22, k2):
         out = tmp_path / "out.json"
         layout_path = tmp_path / "layout.json"
@@ -379,7 +404,21 @@ class TestBareArguments:
         jsonio.write_canonical(
             tmp_path / "zeros.json", pk.Assignment({v: "0" for v in variables}).to_payload()
         )
-        written = ("empty.json", "zeros.json", "list-value.json", "number-side.json")
+        llc = pk.LlcInstance([("a",), ("b",)], {"a": ("0", "1"), "b": ("0", "1")}, {}).to_payload()
+        same = {"from": "a", "to": "b", "map": {"0": "1", "1": "1"}}
+        llc["constraints"] = [same, {**same, "map": {"0": "0", "1": "1"}}]
+        jsonio.write_canonical(tmp_path / "twice.json", llc)
+        k3 = pk.complete_graph(3)
+        xi33 = pk.IdentityDrTable(pk.PcspTemplate(k3, k3), r=1)
+        jsonio.write_canonical(tmp_path / "xi33.json", xi33.to_payload())
+        jsonio.write_canonical(
+            tmp_path / "path.json",
+            pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")]).to_payload(),
+        )
+        written = (
+            "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
+            "xi33.json", "path.json",
+        )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
     @pytest.mark.parametrize(
@@ -429,12 +468,20 @@ class TestBareArguments:
                  "--assignment", "number-side.json"],
                 "side: expected a string",
             ),
+            (["gap", "layered", "--llc", "twice.json", "--d", "1"],
+             "constraints[1]: repeats the pair a->b"),
+            (
+                ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi33.json"],
+                "the identity table's template is not the target template",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
             "msolution-negative-index", "reduce-llc-params", "poly-check-function",
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
+            "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

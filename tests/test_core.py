@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
+import reference_core
 from conftest import cycle_instance, triangle_instance
 
 
@@ -220,6 +221,77 @@ class TestInstances:
     def test_a_variable_that_is_not_a_string(self):
         with pytest.raises(InputError, match="^variable must be a nonempty string, got 3$"):
             pk.Instance([4, 3], [])
+
+
+# neq and only0 over {0,1}; "other" names no relation of it
+SIDE = pk.structure(["0", "1"], neq=(2, {("0", "1"), ("1", "0")}), only0=(1, {("0",)}))
+NAMES = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def named_instances(draw):
+    """Variables in any order and constraints of any length over them,
+    some naming no relation of SIDE or of another arity than theirs."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    scopes = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
+    relations = st.sampled_from(["neq", "neq", "only0", "other"])
+    return names, draw(st.lists(st.tuples(scopes, relations), max_size=6))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the kind and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except (InputError, StructuralError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIntegerScopesAgainstReference:
+    """The integer-scope instance against the name-based walks of
+    tests/reference_core."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(named_instances(), st.dictionaries(st.sampled_from(NAMES), st.sampled_from("01")))
+    def test_evaluate_reports_the_same_indices_and_faults(self, case, values):
+        inst = pk.Instance(*case)
+        f = pk.Assignment(values)
+        assert _outcome(pk.evaluate, inst, SIDE, f) == _outcome(
+            reference_core.evaluate, inst, SIDE, f
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(named_instances(), st.lists(st.sampled_from(NAMES), max_size=4))
+    def test_induced_is_the_same_sub_instance(self, case, subset):
+        inst = pk.Instance(*case)
+        got = _outcome(inst.induced, subset)
+        assert got == _outcome(reference_core.induced, inst, subset)
+        if got[0] == "returned":
+            sub = got[1]
+            assert _outcome(pk.all_solutions, sub, SIDE) == _outcome(
+                reference_core.all_solutions, sub, SIDE
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(named_instances(), named_instances())
+    def test_payload_equality_hash_and_order(self, case, other):
+        names, constraints = case
+        inst = pk.Instance(names, constraints)
+        assert pk.Instance.from_payload(inst.to_payload()) == inst
+        assert [(c.scope, c.relation) for c in inst.constraints] == constraints
+        assert all(type(c) is pk.Constraint for c in inst.constraints)
+        same = pk.Instance(reversed(names), [pk.Constraint(*c) for c in constraints])
+        assert same == inst and hash(same) == hash(inst)
+        second = pk.Instance(*other)
+        pairs_equal = (inst.variables, inst.constraints) == (second.variables, second.constraints)
+        assert (inst == second) == pairs_equal
+        if pairs_equal:
+            assert hash(inst) == hash(second)
+
+    def test_scopes_are_indices_into_the_sorted_variables(self):
+        inst = pk.Instance(["y", "x"], [(("y", "x"), "neq"), (("x", "x"), "neq")])
+        assert inst.variables == ("x", "y")
+        assert inst.relation_names == ("neq", "neq")
+        assert inst.scopes == ((1, 0), (0, 0))
 
 
 class TestAssignments:

@@ -28,9 +28,33 @@ scalars = (
 )
 
 
+@st.composite
+def record_lists(draw, children):
+    """Lists of dicts with one set of string keys, each key's values of one
+    kind (strings, string pairs, short string arrays that may be empty, or
+    any child), sometimes with an entry that breaks the pattern: a dict
+    with other keys, an entry that is not a dict, or a dict whose keys are
+    not strings."""
+    keys = draw(st.lists(strings, min_size=1, max_size=3, unique=True))
+    kinds = [strings, st.lists(strings, min_size=2, max_size=2), st.lists(strings, max_size=2),
+             st.just([]), children]
+    fields = {key: draw(st.sampled_from(kinds)) for key in keys}
+    records = draw(st.lists(st.fixed_dictionaries(fields), min_size=1, max_size=4))
+    odd = draw(st.sampled_from([None, "other keys", "not a dict", "keys not strings"]))
+    if odd is not None:
+        entry = {
+            "other keys": st.dictionaries(strings, children, max_size=3),
+            "not a dict": children,
+            "keys not strings": st.dictionaries(st.integers(), children, min_size=1, max_size=2),
+        }[odd]
+        records.insert(draw(st.integers(0, len(records))), draw(entry))
+    return records
+
+
 def containers(children):
     return (
-        st.lists(children, max_size=4)
+        record_lists(children)
+        | st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(strings, max_size=4)
         | st.dictionaries(strings, children, max_size=4)
@@ -49,6 +73,12 @@ class TestCanonicalDumps:
     def test_same_text_as_the_indenting_encoder(self, payload):
         assert jsonio.canonical_dumps(payload) == reference(payload)
 
+    @settings(max_examples=300, deadline=None)
+    @given(record_lists(scalars | st.lists(scalars, max_size=3) | st.dictionaries(strings, scalars, max_size=3)))
+    def test_lists_of_records_are_the_same_text(self, payload):
+        assert jsonio.canonical_dumps(payload) == reference(payload)
+        assert jsonio.canonical_dumps({"records": payload}) == reference({"records": payload})
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -58,6 +88,15 @@ class TestCanonicalDumps:
             {None: "n"},
             {1.5: "f", -0.0: "z"},
             [[], {}, [[]], [{}], {"": []}],
+            [{"scope": ["x", "y"], "relation": "neq"}, {"scope": ("y", "x"), "relation": "neq"}],
+            [{"a": "q\"uote", "b": ["{}", "\x00"]}, {"a": "plain", "b": ["", "}{"]}],
+            [{"a": [], "b": {}}, {"a": [], "b": {"c": [{"d": 1}]}}],
+            [{"a": "x"}, {"a": "y", "b": "z"}],
+            [{"a": "x", "b": "z"}, {"a": "y"}],
+            [{"a": "x"}, {"b": "y"}],
+            [{"a": "x"}, "y"],
+            [{1: "x"}, {1: "y"}],
+            [{"a": ["x"]}, {"a": ["x", "y"]}, {"a": "z"}],
             -0.0,
             "line\nbreak and \"quotes\" [{,}]",
             None,
@@ -66,7 +105,10 @@ class TestCanonicalDumps:
     def test_tuples_and_keys_that_are_not_strings(self, payload):
         assert jsonio.canonical_dumps(payload) == reference(payload)
 
-    @pytest.mark.parametrize("payload", [{1: "a", "b": "c"}, {(1, 2): "t"}, [object()], {"a": {1, 2}}])
+    @pytest.mark.parametrize(
+        "payload",
+        [{1: "a", "b": "c"}, {(1, 2): "t"}, [object()], {"a": {1, 2}}, [{"a": "x"}, {"a": {1, 2}}]],
+    )
     def test_what_json_refuses_is_refused(self, payload):
         with pytest.raises(TypeError):
             reference(payload)

@@ -71,6 +71,14 @@ class TestLlcInstance:
             pk.LlcInstance.from_payload(payload)
 
 
+    def test_a_repeated_pair_is_refused(self):
+        # the later map used to replace the earlier one without a word
+        payload = tiny_llc().to_payload()
+        payload["constraints"].append({**payload["constraints"][0], "map": {"x": "v", "y": "v"}})
+        with pytest.raises(InputError, match=re.escape("constraints[2]: repeats the pair a0->b0")):
+            pk.LlcInstance.from_payload(payload)
+
+
 class TestDAssignmentPayload:
     def test_round_trip(self):
         f = pk.DAssignment({"x": ["1", "0"], "y": ["0"]})

@@ -134,7 +134,45 @@ class TestLongCode:
         assert emitted() == whole
 
 
+    @pytest.mark.parametrize("phi, k", [(path_instance(), (3, 2)), (path_instance(), (3, 3))])
+    def test_emission_builds_no_constraint_objects(self, monkeypatch, k2, t22, phi, k):
+        # the scopes go to the instance as integers; `constraints` is a view
+        # built on demand, which the patch sees
+        aux = pk.build_auxiliary(phi, k2, k)
+        built = []
+        original = pk.Constraint.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(pk.Constraint, "__init__", counted)
+        instance, _ = pk.longcode_reduce(aux, t22)
+        assert built == [] and instance.scopes
+        assert len(instance.constraints) == len(built) == len(instance.scopes)
+
+    def test_a_self_constraint_stays_in_the_subset_instance(self, k2, t22):
+        # two layers of one arity pair every subset with itself through the
+        # identity map; emission skips it, and the subset instance keeps it
+        aux = pk.build_auxiliary(path_instance(), k2, (3, 3))
+        assert [(con.u, con.w) for con in aux.constraints] == [("x,y,z", "x,y,z")]
+        instance, layout = pk.longcode_reduce(aux, t22)
+        assert layout.reps == {}
+        assert len(instance.variables) == 2 ** len(aux.variables[0].solutions)
+
+
 class TestPipeline:
+    def test_identity_table_over_another_template_is_refused(self, monkeypatch, t22, k3):
+        # refused before any subset or long-code work, naming the table
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started work on a table it must refuse")
+
+        monkeypatch.setattr(pk.reduction, "build_auxiliary", no_work)
+        monkeypatch.setattr(pk.reduction, "longcode_reduce", no_work)
+        table = pk.IdentityDrTable(pk.PcspTemplate(k3, k3), r=1)
+        with pytest.raises(InputError, match="^the identity table's template is not the target"):
+            pk.pipeline_reduce(path_instance(), t22, t22, table)
+
     def test_solvable_edge_end_to_end(self, k2, t22, ident22):
         result = pk.pipeline_reduce(edge_instance(), t22, t22, ident22)
         assert not result.layout.gadget
