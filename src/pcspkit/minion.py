@@ -591,6 +591,10 @@ def dr_table_from_payload(payload: Mapping):
         ]
         if len(images) != len(source):
             raise InputError("images: expected one list per source function")
+        first = {}
+        for i, t in enumerate(source):
+            if first.setdefault(t, i) != i:
+                raise InputError(f"source[{i}]: repeats the function source[{first[t]}]")
         return ExplicitDrTable(field("d", int), field("r", int), dict(zip(source, images)))
     raise InputError(f"unknown table kind {kind!r}")
 

@@ -99,6 +99,8 @@ class Pas:
         for i, item in enumerate(field("entries", list)):
             where = f"{path}.entries[{i}]" if path else f"entries[{i}]"
             key = tuple(sorted(_payload_field(item, where, "set", list, items=str)))
+            if key in entries:
+                raise InputError(f"{where}: repeats the set {list(key)}")
             entries[key] = frozenset(
                 tuple(_payload_field(a, f"{where}.assignments[{j}]", v, str) for v in key)
                 for j, a in enumerate(_payload_field(item, where, "assignments", list))

@@ -17,13 +17,18 @@ assignment systems from which the extraction machinery recovers a solution.
 The subset instance is fixed by the padded source, the strict side and k, so
 a layout records those and its reader rebuilds the instance with
 `build_auxiliary`; decoding refuses a source or strict side that differs.
+The identification classes are fixed by the subset instance and the target,
+so the layout derives them once (`CloudLayout.classes`), on integer
+positions, for emission, lifting and reading alike.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -46,6 +51,7 @@ from .errors import (
     StructuralError,
 )
 from .minion import (
+    ExplicitDrTable,
     FiniteFunction,
     IdentityDrTable,
     LazyPolymorphismSlice,
@@ -166,7 +172,7 @@ def build_auxiliary(
 
 # -- clouds and the long-code step ---------------------------------------------
 
-LAYOUT_FORMAT = 4
+LAYOUT_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -181,24 +187,20 @@ class Cloud:
 
 @dataclass(frozen=True)
 class CloudLayout:
-    """Everything the decoder needs: the subset instance, and the
-    representatives of positions the minor condition identified.
+    """Everything the decoder needs: the subset instance and the target.
 
     The payload records only what the subset instance is built from (the
     padded source, the strict side and k); `from_payload` rebuilds it with
-    `build_auxiliary` under the caller's budget, and the clouds are derived
-    from it in `clouds`.
+    `build_auxiliary` under the caller's budget.  The clouds, their integer
+    positions (`offsets`) and the classes the minor conditions identify (a
+    union-find over the constraints' `_minor_index` maps) are derived.
     """
 
     target: PcspTemplate
     aux: Optional[AuxiliaryInstance]
-    reps: dict  # position name -> representative, identity entries omitted
     padding: tuple  # variables added to reach the top arity
     gadget: bool = False
     gadget_reason: str = ""
-
-    def rep(self, position: str) -> str:
-        return self.reps.get(position, position)
 
     @cached_property
     def clouds(self) -> tuple:
@@ -212,15 +214,56 @@ class CloudLayout:
         )
 
     @cached_property
-    def position_names(self) -> dict:
-        """Per cloud, its position names in index order, formatted once per layout."""
+    def offsets(self) -> tuple:
+        """Each cloud's first integer position, then the total: the function
+        with index i in a cloud sits at the cloud's offset plus i."""
         base = len(self.target.strict.domain)
-        names = {}
-        for cloud in self.clouds:
-            size = cloud.size(base)
-            width = len(str(size - 1))
-            names[cloud] = [f"{cloud.id}p{index:0{width}d}" for index in range(size)]
+        return tuple(itertools.accumulate((c.size(base) for c in self.clouds), initial=0))
+
+    @cached_property
+    def position_names(self) -> list:
+        """The name of every integer position, formatted once per layout."""
+        names = []
+        for cloud, start, end in zip(self.clouds, self.offsets, self.offsets[1:]):
+            width = len(str(end - start - 1))
+            names += [f"{cloud.id}p{index:0{width}d}" for index in range(end - start)]
         return names
+
+    @cached_property
+    def classes(self) -> array:
+        """For every integer position, the least position of its
+        identification class.  A constraint u -> w with map pi identifies
+        position g of w with position g o pi of u, the index `minor` reads."""
+        base = len(self.target.strict.domain)
+        at = {c.ref: (start, c.index_labels) for c, start in zip(self.clouds, self.offsets)}
+        parent = {}  # a merged position -> a smaller one; roots are absent
+
+        def find(x: int) -> int:
+            while x in parent:  # path halving: x points at its grandparent, then moves there
+                parent[x] = x = parent.get(parent[x], parent[x])
+            return x
+
+        for con in self.aux.constraints if self.aux is not None else ():
+            if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
+                continue
+            (u, u_labels), (w, w_labels) = at[con.u], at[con.w]
+            for gidx, fidx in enumerate(_minor_index(base, u_labels, con.cmap, w_labels)):
+                ru, rw = find(u + fidx), find(w + gidx)
+                if ru < rw:
+                    parent[rw] = ru
+                elif rw < ru:
+                    parent[ru] = rw
+        # Every parent is smaller than its child, so one increasing pass finishes the roots.
+        classes = array("i", range(self.offsets[-1]))  # 4 bytes a position, kept with the layout
+        for x in sorted(parent):
+            classes[x] = classes[parent[x]]
+        return classes
+
+    @property
+    def reps(self) -> Mapping:
+        """Position name -> its class's least position, identity entries omitted."""
+        names = self.position_names
+        return MappingProxyType({names[x]: names[r] for x, r in enumerate(self.classes) if x != r})
 
     def to_payload(self) -> dict:
         payload = {
@@ -229,7 +272,6 @@ class CloudLayout:
             "gadget": self.gadget,
             "gadget_reason": self.gadget_reason,
             "padding": list(self.padding),
-            "reps": dict(self.reps),
         }
         if self.aux is not None:
             payload["aux"] = {
@@ -242,8 +284,8 @@ class CloudLayout:
     @staticmethod
     def from_payload(payload: Mapping, budget: int = DEFAULT_BUDGET) -> "CloudLayout":
         # Older layouts carried the subset instance itself, clouds over a
-        # global label set, or its size; reading one as this format would
-        # misplace every position.
+        # global label set, its size, or the merge classes; reading one as
+        # this format would misplace positions or pass over a stored field.
         found = payload.get("format") if isinstance(payload, Mapping) else None
         if found != LAYOUT_FORMAT:
             raise InputError(
@@ -252,7 +294,7 @@ class CloudLayout:
             )
         field = partial(_payload_field, payload, "")
         target = PcspTemplate.from_payload(field("target", Mapping))
-        reps, padding = field("reps", Mapping), field("padding", list)
+        padding = field("padding", list)
         gadget, gadget_reason = field("gadget", bool), field("gadget_reason", str)
         aux = None
         if "aux" in payload:
@@ -266,7 +308,7 @@ class CloudLayout:
                 aux = build_auxiliary(phi, strict, k, budget=budget)
             except (PromiseViolationError, StructuralError) as exc:
                 raise InputError(f"aux does not build a subset instance: {exc}") from exc
-        return CloudLayout(target, aux, dict(reps), tuple(padding), gadget, gadget_reason)
+        return CloudLayout(target, aux, tuple(padding), gadget, gadget_reason)
 
 
 def longcode_reduce(
@@ -282,72 +324,40 @@ def longcode_reduce(
     relation, one constraint for every matrix of relation tuples indexed by
     the cloud's labels: its scope is the positions of the matrix rows, the
     indices `is_polymorphism` looks up.  A constraint u -> w with map pi is
-    the minor condition F_w = F_u minored along pi: position g of w is
-    identified with position g o pi of u, the index `minor` reads.  Scopes
-    reference the least position of each identification class.
+    the minor condition F_w = F_u minored along pi, which identifies
+    positions of the two clouds (`CloudLayout.classes`).  Scopes reference the
+    least position of each identification class.
     """
-    base = len(target.strict.domain)
-    layout = CloudLayout(target=target, aux=aux, reps={}, padding=tuple(padding))
-    clouds = layout.clouds
-    total_positions = sum(cloud.size(base) for cloud in clouds)
+    layout = CloudLayout(target=target, aux=aux, padding=tuple(padding))
     total_matrices = sum(
         len(rel.tuples) ** len(cloud.index_labels)
-        for cloud in clouds
+        for cloud in layout.clouds
         for rel in target.strict.relations.values()
     )
-    if total_positions > budget or total_matrices > budget:
+    if layout.offsets[-1] > budget or total_matrices > budget:
         raise ResourceError(
-            f"cloud enumeration needs {total_positions} positions and "
+            f"cloud enumeration needs {layout.offsets[-1]} positions and "
             f"{total_matrices} matrices, over the budget of {budget}"
         )
 
-    # Positions are ints: the cloud's offset plus the function's index.
-    offset = {}
-    names = []
-    for cloud in clouds:
-        offset[cloud.ref] = len(names)
-        names.extend(layout.position_names[cloud])
-
-    parent = list(range(len(names)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    labels = {cloud.ref: cloud.index_labels for cloud in clouds}
-    for con in aux.constraints:
-        if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
-            continue
-        u, w = offset[con.u], offset[con.w]
-        for gidx, fidx in enumerate(_minor_index(base, labels[con.u], con.cmap, labels[con.w])):
-            ru, rw = find(u + fidx), find(w + gidx)
-            if ru != rw:
-                parent[max(ru, rw)] = min(ru, rw)
-
-    roots = [find(x) for x in range(len(names))]
-    # Scopes index the kept positions in order.  Integer positions sort as
-    # their names do: cloud ids share one width and follow the offsets, and
-    # indices are zero-padded within a cloud.
-    kept = sorted(set(roots))
-    rank = list(map(dict(zip(kept, range(len(kept)))).__getitem__, roots))
+    # Scopes index the kept positions, the least of each class, in order.
+    # Integer positions sort as their names do: cloud ids share one width and
+    # follow the offsets, and indices are zero-padded within a cloud.
+    kept = [x for x, r in enumerate(layout.classes) if x == r]
+    rank = list(map(dict(zip(kept, range(len(kept)))).__getitem__, layout.classes))
     scopes = {rel_name: set() for rel_name in target.strict.relations}
-    for cloud in clouds:
-        start = offset[cloud.ref]
-        position = rank[start : start + cloud.size(base)].__getitem__
+    for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
+        position = rank[start:end].__getitem__
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
                 scopes[rel_name].update(zip(*[map(position, r) for r in rows]))
 
-    layout.reps.update((names[x], names[r]) for x, r in enumerate(roots) if x != r)
     relation_names, sorted_scopes = [], []
     for rel_name in sorted(scopes):
         relation_names += [rel_name] * len(scopes[rel_name])
         sorted_scopes += sorted(scopes[rel_name])
-    instance = Instance._of(
-        tuple(map(names.__getitem__, kept)), tuple(relation_names), tuple(sorted_scopes)
-    )
+    kept_names = tuple(map(layout.position_names.__getitem__, kept))
+    instance = Instance._of(kept_names, tuple(relation_names), tuple(sorted_scopes))
     return instance, layout
 
 
@@ -406,11 +416,28 @@ def pipeline_reduce(
     (the strict side has no partial solutions at some subset) certifies the
     input as a no-instance, which is mapped to a fixed relaxed-unsolvable
     gadget of the target.  Any other source with more variables than a compact
-    parameter record's top arity is refused with a ParameterError, and an
-    identity table over another template than the target with an InputError.
+    parameter record's top arity is refused with a ParameterError.  A table
+    that does not fit is refused with an InputError: an identity table over
+    another template than the target, or an explicit table whose functions
+    are not over the target's domains or whose images are not over the
+    source's.
     """
     if isinstance(dr_table, IdentityDrTable) and dr_table.template != target:
         raise InputError("the identity table's template is not the target template")
+    if isinstance(dr_table, ExplicitDrTable):
+        target_sides = (target.strict.domain, target.relaxed.domain)
+        source_sides = (source.strict.domain, source.relaxed.domain)
+        for t, images in dr_table.mapping.items():
+            if (t.in_domain, t.out_domain) != target_sides:
+                raise InputError(
+                    f"the explicit table's function of arity {t.arity_set} "
+                    "is not over the target's strict and relaxed domains"
+                )
+            if any((g.in_domain, g.out_domain) != source_sides for g in images):
+                raise InputError(
+                    f"an image of the explicit table's function of arity {t.arity_set} "
+                    "is not over the source's strict and relaxed domains"
+                )
     m = max(rel.arity for rel in source.strict.relations.values())
     if params is None:
         params = gap_parameters(
@@ -435,7 +462,6 @@ def pipeline_reduce(
         layout = CloudLayout(
             target=target,
             aux=None,
-            reps={},
             padding=pads,
             gadget=True,
             gadget_reason=str(exc),
@@ -466,14 +492,13 @@ def read_cloud_functions(
     if layout.gadget:
         raise InputError("a gadget layout has no clouds to read")
     a1 = layout.target.strict.domain
+    classes, names = layout.classes, layout.position_names
     out = {}
-    for cloud in layout.clouds:
-        table = []
-        for name in layout.position_names[cloud]:
-            pos = layout.rep(name)
-            if pos not in assignment:
-                raise InputError(f"assignment is missing position {pos!r}")
-            table.append(assignment[pos])
+    for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
+        try:
+            table = [assignment[names[r]] for r in classes[start:end]]
+        except KeyError as exc:
+            raise InputError(f"assignment is missing position {exc.args[0]!r}") from None
         out[cloud.ref] = FiniteFunction(cloud.index_labels, a1, out_domain, table)
     return out
 
@@ -492,20 +517,15 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
                 f"the strict solution is missing variable {x!r}; it must cover the source "
                 f"and the padding variables listed in layout.padding {list(layout.padding)}"
             )
-    star = {}
-    for var in aux.variables:
+    values = {}
+    a1, names = layout.target.strict.domain, layout.position_names
+    for var, start, end in zip(aux.variables, layout.offsets, layout.offsets[1:]):
         restriction = tuple(hmap[x] for x in var.subset)
         if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
-        star[var.name] = var.solutions.index(restriction)
-
-    values = {}
-    a1 = layout.target.strict.domain
-    for cloud in layout.clouds:
-        evaluation = dictator(cloud.index_labels, a1, star[cloud.ref])
-        for name, value in zip(layout.position_names[cloud], evaluation.table):
-            rep = layout.rep(name)
-            if values.setdefault(rep, value) != value:
+        evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
+        for r, value in zip(layout.classes[start:end], evaluation.table):
+            if values.setdefault(names[r], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
     return Assignment(values, side="strict")
 

@@ -3,7 +3,11 @@ all of C, one cloud per constraint over the constraint's graph, and a string
 union-find that merges each variable-cloud position with the matching
 projection position of every constraint cloud.  Tests use it as the reference
 for pcspkit.longcode_reduce, whose output must be the same instance up to a
-renaming of variables."""
+renaming of variables.
+
+`merge_reps` is the integer union-find that longcode_reduce ran before the
+layout derived its merge classes itself; tests compare the derived classes
+with it, position name by position name."""
 
 import itertools
 from dataclasses import dataclass
@@ -11,6 +15,7 @@ from typing import Optional, Sequence
 
 from pcspkit.core import DEFAULT_BUDGET, Constraint, Instance, PcspTemplate
 from pcspkit.errors import ResourceError
+from pcspkit.minion import _minor_index
 from pcspkit.reduction import AuxiliaryInstance
 
 
@@ -190,3 +195,38 @@ def longcode_reduce(
         [Constraint(scope, rel_name) for rel_name, scope in sorted(emitted)],
     )
     return instance, layout
+
+
+def merge_reps(aux: AuxiliaryInstance, target: PcspTemplate) -> dict:
+    """Position name -> the least position name of its merge class, identity
+    entries omitted.  One cloud per subset variable over its own labels, and
+    a constraint u -> w identifies position g of w with position g o pi of u."""
+    base = len(target.strict.domain)
+    width = len(str(max(len(aux.variables) - 1, 0)))
+    offset = {}
+    names = []
+    for n, var in enumerate(aux.variables):
+        size = base ** len(var.labels())
+        offset[var.name] = len(names)
+        names.extend(f"u{n:0{width}d}p{i:0{len(str(size - 1))}d}" for i in range(size))
+
+    parent = list(range(len(names)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    labels = {var.name: var.labels() for var in aux.variables}
+    for con in aux.constraints:
+        if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
+            continue
+        u, w = offset[con.u], offset[con.w]
+        for gidx, fidx in enumerate(_minor_index(base, labels[con.u], con.cmap, labels[con.w])):
+            ru, rw = find(u + fidx), find(w + gidx)
+            if ru != rw:
+                parent[max(ru, rw)] = min(ru, rw)
+
+    roots = [find(x) for x in range(len(names))]
+    return {names[x]: names[r] for x, r in enumerate(roots) if x != r}

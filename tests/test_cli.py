@@ -347,7 +347,7 @@ class TestDecodeAgainstTheLayout:
     @pytest.mark.parametrize(
         "drop, message",
         [
-            (("reps",), "reps: missing"),
+            (("padding",), "padding: missing"),
             (("aux", "k"), "aux.k: missing"),
             (("target", "strict"), "strict: missing"),
         ],
@@ -411,13 +411,17 @@ class TestBareArguments:
         k3 = pk.complete_graph(3)
         xi33 = pk.IdentityDrTable(pk.PcspTemplate(k3, k3), r=1)
         jsonio.write_canonical(tmp_path / "xi33.json", xi33.to_payload())
+        t3 = pk.dictator(("x",), "012", "x")
+        jsonio.write_canonical(
+            tmp_path / "explicit33.json", pk.ExplicitDrTable(1, 1, {t3: (t3,)}).to_payload()
+        )
         jsonio.write_canonical(
             tmp_path / "path.json",
             pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")]).to_payload(),
         )
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
-            "xi33.json", "path.json",
+            "xi33.json", "explicit33.json", "path.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -475,6 +479,11 @@ class TestBareArguments:
                  "--target-template", "t22.json", "--dr-table", "xi33.json"],
                 "the identity table's template is not the target template",
             ),
+            (
+                ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "explicit33.json"],
+                "is not over the target's strict and relaxed domains",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -482,6 +491,7 @@ class TestBareArguments:
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
+            "reduce-pcsp-explicit-table-off-the-target",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

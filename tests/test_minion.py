@@ -338,6 +338,16 @@ class TestDrTables:
         with pytest.raises(InputError, match=re.escape(message)):
             pk.minion.dr_table_from_payload(payload)
 
+    def test_a_repeated_source_function_is_refused(self):
+        # the later image set used to replace the earlier one without a word
+        ident, neg = fn(("x",), ("0", "1")), fn(("x",), ("1", "0"))
+        payload = pk.ExplicitDrTable(1, 1, {ident: (ident,), neg: (neg,)}).to_payload()
+        payload["source"].append(payload["source"][0])
+        payload["images"].append(payload["images"][1])
+        message = "source[2]: repeats the function source[0]"
+        with pytest.raises(InputError, match=re.escape(message)):
+            pk.minion.dr_table_from_payload(payload)
+
 
 class TestFreeRelations:
     def test_identity_graph_over_dictators(self):

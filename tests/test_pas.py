@@ -437,3 +437,13 @@ class TestValueOracle:
             container[key] = value
         with pytest.raises(InputError, match=re.escape(message)):
             pk.PasSequence.from_payload(payload)
+
+    def test_a_repeated_set_is_refused(self):
+        # the later entry used to replace the earlier one without a word
+        pas = pk.pas_from_assignment({"x": "0", "y": "1"}, "xy", ["0", "1"], 1)
+        payload = pas.to_payload()
+        payload["entries"].append({"set": ["x"], "assignments": [{"x": "1"}]})
+        with pytest.raises(InputError, match=re.escape("entries[2]: repeats the set ['x']")):
+            pk.Pas.from_payload(payload)
+        with pytest.raises(InputError, match=re.escape("systems[1].entries[2]: repeats the set")):
+            pk.PasSequence.from_payload({"systems": [pas.to_payload(), payload]})

@@ -173,6 +173,29 @@ class TestPipeline:
         with pytest.raises(InputError, match="^the identity table's template is not the target"):
             pk.pipeline_reduce(path_instance(), t22, t22, table)
 
+    @pytest.mark.parametrize(
+        "function, image, message",
+        [
+            ("012", "012", "^the explicit table's function of arity .* not over the target"),
+            ("01", "012", "^an image of the explicit table's function .* not over the source"),
+        ],
+        ids=["function-off-the-target", "image-off-the-source"],
+    )
+    def test_explicit_table_off_the_templates_is_refused(
+        self, monkeypatch, t22, function, image, message
+    ):
+        # a table of K3 functions used to emit the path's 16 variables and
+        # fail only at decode, as a table that does not cover a function
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started work on a table it must refuse")
+
+        monkeypatch.setattr(pk.reduction, "build_auxiliary", no_work)
+        monkeypatch.setattr(pk.reduction, "longcode_reduce", no_work)
+        t = pk.dictator(("x",), function, "x")
+        table = pk.ExplicitDrTable(1, 1, {t: (pk.dictator(("x",), image, "x"),)})
+        with pytest.raises(InputError, match=message):
+            pk.pipeline_reduce(path_instance(), t22, t22, table)
+
     def test_solvable_edge_end_to_end(self, k2, t22, ident22):
         result = pk.pipeline_reduce(edge_instance(), t22, t22, ident22)
         assert not result.layout.gadget
@@ -253,10 +276,10 @@ class TestDecode:
         assert loaded.reps == result.layout.reps
         assert loaded.clouds == result.layout.clouds
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, "4"])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, "5"])
     def test_layout_of_another_format_is_rejected(self, t22, ident22, fmt):
         payload = pk.pipeline_reduce(edge_instance(), t22, t22, ident22).layout.to_payload()
-        assert payload["format"] == 4
+        assert payload["format"] == 5
         if fmt is None:
             del payload["format"]
         else:
@@ -266,7 +289,7 @@ class TestDecode:
 
     def test_layout_records_only_what_the_subset_instance_is_built_from(self, t22, ident22):
         payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
-        assert set(payload) == {"format", "target", "gadget", "gadget_reason", "padding", "reps", "aux"}
+        assert set(payload) == {"format", "target", "gadget", "gadget_reason", "padding", "aux"}
         assert set(payload["aux"]) == {"source", "strict", "k"}
         assert payload["aux"]["source"]["variables"] == ["x", "y", "z", "~pad0"]
 
@@ -337,8 +360,7 @@ class TestDecode:
         phi = path_instance()
         _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
         lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
-        cloud = layout.clouds[-1]
-        absent = layout.rep(layout.position_names[cloud][-1])
+        absent = layout.position_names[layout.classes[-1]]
         partial = {pos: v for pos, v in lift.mapping.items() if pos != absent}
         with pytest.raises(InputError, match=f"missing position '{absent}'"):
             pk.read_cloud_functions(partial, layout, k2.domain)
@@ -585,7 +607,7 @@ class TestEmittedBytes:
         lift = pk.lift_strict_solution({"x": "0", "y": "1", "z": "1", "~pad0": "0"}, result.layout)
         assert [self._sha(x) for x in (result.instance, result.layout, lift)] == [
             "361d7adf5fac48b30b04ff9396764ab0f29dfb52cba58ca1625fcf9c55965861",
-            "2715cb855b76fb41e9a4212d70c4c7b5b6cdd6fdbd99d3c1f3f4debaa579c682",
+            "170274957d96f654f44253c750b73a3dff88dffd0f6687df1ef913f64baab7ec",
             "a78df0460e18ea51565098d5cde151b4bf46d9dcdcc4c4194148c2caab5af0d1",
         ]
 
@@ -607,6 +629,7 @@ def _renaming(old_layout, new_layout, base: int) -> dict:
     members, each restricted to that variable's own labels; fails if two
     members of one old class land in different new classes."""
     new_cloud = {cloud.ref: cloud for cloud in new_layout.clouds}
+    new_start = dict(zip(new_cloud, new_layout.offsets))
     column = {label: i for i, label in enumerate(old_layout.aux.c_labels)}
     rename = {}
     for cloud in old_layout.clouds:
@@ -619,7 +642,8 @@ def _renaming(old_layout, new_layout, base: int) -> dict:
             for p in keep:
                 new_idx = new_idx * base + digits[p]
             old_name = old_layout.rep(old_layout.position(cloud, idx))
-            new_name = new_layout.rep(new_layout.position_names[new][new_idx])
+            new_rep = new_layout.classes[new_start[cloud.ref] + new_idx]
+            new_name = new_layout.position_names[new_rep]
             assert rename.setdefault(old_name, new_name) == new_name, old_name
     return rename
 
@@ -689,6 +713,32 @@ def test_layout_round_trip_rebuilds_the_same_layout(t22, aux):
     assert loaded.aux == layout.aux
     assert loaded.clouds == layout.clouds
     assert loaded.reps == layout.reps
+
+
+def _subset_instance(case):
+    phi, k = case
+    return pk.build_auxiliary(phi, pk.complete_graph(2), k)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(aux=st.one_of(layout_cases(), graph_cases().map(_subset_instance)))
+def test_derived_classes_are_the_union_find_of_the_emission(k2, t22, aux):
+    # the classes the layout derives, from the emitting layout and from one
+    # rebuilt from its canonical text, are the ones the union-find over the
+    # constraints' index maps gives; lifting and reading through either agree
+    instance, layout = pk.longcode_reduce(aux, t22)
+    loaded = pk.CloudLayout.from_payload(json.loads(jsonio.canonical_dumps(layout.to_payload())))
+    expected = reference_longcode.merge_reps(aux, t22)
+    assert dict(layout.reps) == expected
+    assert dict(loaded.reps) == expected
+    h = pk.brute_force_solve(aux.source, k2)
+    if h is not None:
+        assert pk.lift_strict_solution(h, loaded) == pk.lift_strict_solution(h, layout)
+    # any assignment of the emitted variables reads back, a solution or not
+    assignment = {x: "01"[n % 3 % 2] for n, x in enumerate(instance.variables)}
+    assert pk.read_cloud_functions(assignment, loaded, k2.domain) == pk.read_cloud_functions(
+        assignment, layout, k2.domain
+    )
 
 
 class TestMinorConditionAgainstReference:
