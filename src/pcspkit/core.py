@@ -9,7 +9,10 @@ are reported by constraint index.
 Inside, an instance's scopes are integers, indices into its sorted variable
 tuple: evaluation, brute force and induced sub-instances run on them, and
 variable names appear only in `Instance.to_payload`, `Instance.from_payload`
-and the `Instance.constraints` view.
+and the `Instance.constraints` view.  The subset lattice is on integers too:
+the partial solutions on every k_i-subset are found from the scopes inside
+it, and one restriction map between nested subsets serves both subset
+reductions.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -21,6 +24,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError, StructuralError
@@ -376,18 +380,23 @@ class Assignment:
         return Assignment(values, side=field("side", str) if "side" in payload else None)
 
 
+def _relation_tuples(i: int, name: str, scope: tuple, side: RelationalStructure) -> frozenset:
+    """The tuples constraint number i may take; an unknown relation or a
+    scope whose length is not the arity is a StructuralError."""
+    rel = side.relations.get(name)
+    if rel is None:
+        raise StructuralError(f"constraint {i} names unknown relation {name!r}")
+    if len(scope) != rel.arity:
+        raise StructuralError(f"constraint {i} scope length {len(scope)} != arity {rel.arity}")
+    return rel.tuples
+
+
 def _validate_against(instance: Instance, side: RelationalStructure, indices=None) -> None:
     """Refuse the first constraint among `indices` (all by default) that
     names an unknown relation or whose scope length is not its arity."""
     names, scopes = instance.relation_names, instance.scopes
     for i in range(len(scopes)) if indices is None else indices:
-        rel = side.relations.get(names[i])
-        if rel is None:
-            raise StructuralError(f"constraint {i} names unknown relation {names[i]!r}")
-        if len(scopes[i]) != rel.arity:
-            raise StructuralError(
-                f"constraint {i} scope length {len(scopes[i])} != arity {rel.arity}"
-            )
+        _relation_tuples(i, names[i], scopes[i], side)
 
 
 def check_homomorphism(
@@ -450,23 +459,27 @@ def _solutions(instance: Instance, side: RelationalStructure, budget: int, tag: 
     The candidate space |domain|^|V| is checked against `budget` before the
     first candidate; an exceeded budget is an error, never a silent truncation.
     """
-    _validate_against(instance, side)
-    total = len(side.domain) ** len(instance.variables)
+    n = len(instance.variables)
+    for values in _satisfying(_subset_checks(instance, side, range(n)), side.domain, n, budget):
+        yield Assignment(dict(zip(instance.variables, values)), side=tag)
+
+
+def _satisfying(checks: list, domain: tuple, n: int, budget: int):
+    """The value tuples on n positions, in lexicographic product order, that
+    satisfy every check: a scope of positions and the tuples it may take.
+    The |domain|^n candidates are priced against `budget` before the first."""
+    total = len(domain) ** n
     if total > budget:
         raise ResourceError(
             f"brute force would enumerate {total} candidates, over the budget of {budget}"
         )
-    checks = [
-        (scope, side.relations[name].tuples)
-        for name, scope in zip(instance.relation_names, instance.scopes)
-    ]
-    for values in itertools.product(side.domain, repeat=len(instance.variables)):
+    for values in itertools.product(domain, repeat=n):
         value = values.__getitem__
         for scope, tuples in checks:
             if tuple(map(value, scope)) not in tuples:
                 break
         else:
-            yield Assignment(dict(zip(instance.variables, values)), side=tag)
+            yield values
 
 
 def brute_force_solve(
@@ -544,6 +557,22 @@ def completion_order(items: Iterable, groups: Sequence, tiebreak=lambda item: 0)
     return order, judged_at
 
 
+def _subset_checks(phi: Instance, side: RelationalStructure, subset: Sequence[int]) -> list:
+    """The constraints of phi inside a subset of its variable indices, in
+    increasing order: in phi's order, each scope as positions within the
+    subset and the tuples it may take.  The first malformed one is a
+    StructuralError, numbered as in the induced sub-instance."""
+    move = [-1] * len(phi.variables)
+    for position, x in enumerate(subset):
+        move[x] = position
+    checks = []
+    for name, scope in zip(phi.relation_names, phi.scopes):
+        scope = tuple(map(move.__getitem__, scope))
+        if -1 not in scope:
+            checks.append((scope, _relation_tuples(len(checks), name, scope, side)))
+    return checks
+
+
 def partial_solution_table(
     phi: Instance, side: RelationalStructure, k: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> dict:
@@ -553,6 +582,9 @@ def partial_solution_table(
     The arities must be non-increasing with the top one at most |V|.  Subsets
     appear in first-occurrence layer order: by arity as listed in k, then
     lexicographically.  An empty tuple marks a subset with no partial solution.
+    The lattice is walked on integer scopes, with no sub-instance or
+    assignment built: each subset's constraints come from `_subset_checks`,
+    and `_restriction_maps` gives the maps between nested subsets.
     """
     k = tuple(int(x) for x in k)
     if any(a < b for a, b in zip(k, k[1:])):
@@ -563,7 +595,33 @@ def partial_solution_table(
         )
     table = {}
     for size in dict.fromkeys(k):
-        for u in itertools.combinations(phi.variables, size):
-            sols = all_solutions(phi.induced(u), side, budget=budget)
-            table[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
+        for at in itertools.combinations(range(len(phi.variables)), size):
+            checks = _subset_checks(phi, side, at)
+            sols = tuple(_satisfying(checks, side.domain, size, budget))
+            table[tuple(map(phi.variables.__getitem__, at))] = sols
     return table
+
+
+def _restriction_maps(table: Mapping, k: Sequence[int]) -> dict:
+    """For subsets u and w of a partial-solution table, u of arity k[i] and
+    w inside u of arity k[j] with i < j: per solution on u, the index in
+    table[w] of its restriction to w.  Keyed (u, w), in layer order; each
+    subset's solutions are indexed once."""
+    index_of, maps = {}, {}
+    for i, j in itertools.combinations(range(len(k)), 2):
+        for u, sols in table.items():
+            if len(u) != k[i]:
+                continue
+            for where in itertools.combinations(range(k[i]), k[j]):
+                w = tuple(map(u.__getitem__, where))
+                if w not in index_of:
+                    keys = map(_picker(range(k[j])), table[w])
+                    index_of[w] = dict(zip(keys, itertools.count())).__getitem__
+                maps[u, w] = list(map(index_of[w], map(_picker(where), sols)))
+    return maps
+
+
+def _picker(positions: Sequence[int]):
+    """A value tuple's entries at `positions`: a tuple, or the entry itself
+    at one position, the same for every value tuple it is applied to."""
+    return itemgetter(*positions) if positions else lambda values: ()

@@ -20,8 +20,9 @@ from .core import (
     Instance,
     RelationalStructure,
     _payload_field,
+    _restriction_maps,
+    _subset_checks,
     completion_order,
-    evaluate,
     partial_solution_table,
 )
 from .errors import InputError, ResourceError, StructuralError
@@ -193,21 +194,22 @@ def reduce_mcsp_to_llc(
 
 
 def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
+    """The subset reduction of a partial-solution table.  Each subset's
+    solutions are joined into labels once, and each nested pair's constraint
+    relabels the restriction map that `build_auxiliary` uses too
+    (`core._restriction_maps`)."""
+    labels = {u: tuple(map(tuple_label, sols)) for u, sols in table.items()}
+    maps = _restriction_maps(table, k)
     layers = [[u for u in table if len(u) == size] for size in k]
-    domains = {}
+    names = [{u: _llc_variable(i, u) for u in layer} for i, layer in enumerate(layers)]
+    domains = {names[i][u]: labels[u] for i, layer in enumerate(layers) for u in layer}
     constraints = {}
-    for i, layer in enumerate(layers):
-        for u in layer:
-            domains[_llc_variable(i, u)] = tuple(tuple_label(g) for g in table[u])
-            for j in range(i + 1, len(k)):
-                for w in itertools.combinations(u, k[j]):
-                    idx = [u.index(x) for x in w]
-                    constraints[(_llc_variable(i, u), _llc_variable(j, w))] = {
-                        tuple_label(g): tuple_label(tuple(g[p] for p in idx))
-                        for g in table[u]
-                    }
-    names = [[_llc_variable(i, u) for u in layer] for i, layer in enumerate(layers)]
-    return LlcInstance(names, domains, constraints)
+    for i, j in itertools.combinations(range(len(k)), 2):
+        for u in layers[i]:
+            for w in itertools.combinations(u, k[j]):
+                relabel = map(labels[w].__getitem__, maps[u, w])
+                constraints[names[i][u], names[j][w]] = dict(zip(labels[u], relabel))
+    return LlcInstance([list(layer.values()) for layer in names], domains, constraints)
 
 
 @dataclass(frozen=True)
@@ -353,14 +355,19 @@ def d_assignment_to_pas(
     systems = []
     for i, size in enumerate(k):
         entries = {}
-        for u in itertools.combinations(phi.variables, size):
+        for at in itertools.combinations(range(len(phi.variables)), size):
+            u = tuple(map(phi.variables.__getitem__, at))
             name = _llc_variable(i, u)
             if name not in mapping:
                 raise InputError(f"assignment is missing variable {name!r}")
             entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
-            induced = phi.induced(u)
-            if any(evaluate(induced, side, dict(zip(u, g))) for g in entries[u]):
-                raise InputError(f"assignment for {name!r} leaves its domain")
+            checks = _subset_checks(phi, side, at)
+            for g in entries[u]:
+                if len(g) < size:
+                    raise InputError(f"assignment is not total: missing {u[len(g)]!r}")
+                value = g.__getitem__
+                if any(tuple(map(value, scope)) not in tuples for scope, tuples in checks):
+                    raise InputError(f"assignment for {name!r} leaves its domain")
         systems.append(Pas(phi.variables, side.domain, size, entries))
     seq = PasSequence(systems)
     cons = check_consistent(seq)

@@ -38,6 +38,7 @@ from .core import (
     PcspTemplate,
     RelationalStructure,
     _payload_field,
+    _restriction_maps,
     brute_force_solve,
     evaluate,
     partial_solution_table,
@@ -124,11 +125,12 @@ def build_auxiliary(
     budget: int = DEFAULT_BUDGET,
 ) -> AuxiliaryInstance:
     """Rewrite phi over its k_i-subsets, each labelled by the indices of its
-    partial solutions.  An empty partial-solution set is a broken promise and
-    is rejected.
+    partial solutions, with the restriction maps between nested subsets
+    (`core._restriction_maps`, shared with the label cover reduction) as
+    constraints.  An empty partial-solution set is a broken promise and is
+    rejected.
     """
     k = tuple(int(x) for x in k)
-    v = phi.variables
     solutions = partial_solution_table(phi, strict_side, k, budget=budget)
     for u, sols in solutions.items():
         if not sols:
@@ -147,19 +149,11 @@ def build_auxiliary(
         for u, sols in solutions.items()
     }
 
-    pairs = set()
-    for i in range(len(k)):
-        for j in range(i + 1, len(k)):
-            for u in itertools.combinations(v, k[i]):
-                for w in itertools.combinations(u, k[j]):
-                    pairs.add((u, w))
-    constraints = []
-    for u, w in sorted(pairs):
-        uvar, wvar = variables[u], variables[w]
-        idx = [u.index(x) for x in w]
-        index_of = {h: n for n, h in enumerate(wvar.solutions)}
-        cmap = {n: index_of[tuple(g[p] for p in idx)] for n, g in enumerate(uvar.solutions)}
-        constraints.append(PsiConstraint(uvar.name, wvar.name, cmap))
+    maps = _restriction_maps(solutions, k)
+    constraints = [
+        PsiConstraint(variables[u].name, variables[w].name, dict(enumerate(maps[u, w])))
+        for u, w in sorted(maps)
+    ]
 
     return AuxiliaryInstance(
         k=k,
@@ -191,9 +185,11 @@ class CloudLayout:
 
     The payload records only what the subset instance is built from (the
     padded source, the strict side and k); `from_payload` rebuilds it with
-    `build_auxiliary` under the caller's budget.  The clouds, their integer
-    positions (`offsets`) and the classes the minor conditions identify (a
-    union-find over the constraints' `_minor_index` maps) are derived.
+    `build_auxiliary` under the caller's budget, and prices its clouds
+    against that budget as `longcode_reduce` does.  The clouds, their
+    integer positions (`offsets`) and the classes the minor conditions
+    identify (a union-find over the constraints' `_minor_index` maps) are
+    derived.
     """
 
     target: PcspTemplate
@@ -308,7 +304,23 @@ class CloudLayout:
                 aux = build_auxiliary(phi, strict, k, budget=budget)
             except (PromiseViolationError, StructuralError) as exc:
                 raise InputError(f"aux does not build a subset instance: {exc}") from exc
-        return CloudLayout(target, aux, tuple(padding), gadget, gadget_reason)
+        layout = CloudLayout(target, aux, tuple(padding), gadget, gadget_reason)
+        _price_clouds(layout, budget)
+        return layout
+
+
+def _price_clouds(layout: CloudLayout, budget: int) -> None:
+    """Refuse a layout whose clouds hold more positions, or more matrices of
+    strict relation tuples, than the budget admits."""
+    relations = layout.target.strict.relations.values()
+    total_matrices = sum(
+        len(rel.tuples) ** len(cloud.index_labels) for cloud in layout.clouds for rel in relations
+    )
+    if layout.offsets[-1] > budget or total_matrices > budget:
+        raise ResourceError(
+            f"cloud enumeration needs {layout.offsets[-1]} positions and "
+            f"{total_matrices} matrices, over the budget of {budget}"
+        )
 
 
 def longcode_reduce(
@@ -329,16 +341,7 @@ def longcode_reduce(
     least position of each identification class.
     """
     layout = CloudLayout(target=target, aux=aux, padding=tuple(padding))
-    total_matrices = sum(
-        len(rel.tuples) ** len(cloud.index_labels)
-        for cloud in layout.clouds
-        for rel in target.strict.relations.values()
-    )
-    if layout.offsets[-1] > budget or total_matrices > budget:
-        raise ResourceError(
-            f"cloud enumeration needs {layout.offsets[-1]} positions and "
-            f"{total_matrices} matrices, over the budget of {budget}"
-        )
+    _price_clouds(layout, budget)
 
     # Scopes index the kept positions, the least of each class, in order.
     # Integer positions sort as their names do: cloud ids share one width and
@@ -400,6 +403,29 @@ def find_unsolvable_gadget(
     return None
 
 
+def _check_table_fits(dr_table, source: PcspTemplate, target: PcspTemplate) -> None:
+    """Refuse, with an InputError, a table that does not fit the templates:
+    an identity table over another template than the target, or an explicit
+    table whose functions are not over the target's domains or whose images
+    are not over the source's."""
+    if isinstance(dr_table, IdentityDrTable) and dr_table.template != target:
+        raise InputError("the identity table's template is not the target template")
+    if isinstance(dr_table, ExplicitDrTable):
+        target_sides = (target.strict.domain, target.relaxed.domain)
+        source_sides = (source.strict.domain, source.relaxed.domain)
+        for t, images in dr_table.mapping.items():
+            if (t.in_domain, t.out_domain) != target_sides:
+                raise InputError(
+                    f"the explicit table's function of arity {t.arity_set} "
+                    "is not over the target's strict and relaxed domains"
+                )
+            if any((g.in_domain, g.out_domain) != source_sides for g in images):
+                raise InputError(
+                    f"an image of the explicit table's function of arity {t.arity_set} "
+                    "is not over the source's strict and relaxed domains"
+                )
+
+
 def pipeline_reduce(
     phi: Instance,
     source: PcspTemplate,
@@ -417,27 +443,9 @@ def pipeline_reduce(
     input as a no-instance, which is mapped to a fixed relaxed-unsolvable
     gadget of the target.  Any other source with more variables than a compact
     parameter record's top arity is refused with a ParameterError.  A table
-    that does not fit is refused with an InputError: an identity table over
-    another template than the target, or an explicit table whose functions
-    are not over the target's domains or whose images are not over the
-    source's.
+    that does not fit is refused with an InputError (`_check_table_fits`).
     """
-    if isinstance(dr_table, IdentityDrTable) and dr_table.template != target:
-        raise InputError("the identity table's template is not the target template")
-    if isinstance(dr_table, ExplicitDrTable):
-        target_sides = (target.strict.domain, target.relaxed.domain)
-        source_sides = (source.strict.domain, source.relaxed.domain)
-        for t, images in dr_table.mapping.items():
-            if (t.in_domain, t.out_domain) != target_sides:
-                raise InputError(
-                    f"the explicit table's function of arity {t.arity_set} "
-                    "is not over the target's strict and relaxed domains"
-                )
-            if any((g.in_domain, g.out_domain) != source_sides for g in images):
-                raise InputError(
-                    f"an image of the explicit table's function of arity {t.arity_set} "
-                    "is not over the source's strict and relaxed domains"
-                )
+    _check_table_fits(dr_table, source, target)
     m = max(rel.arity for rel in source.strict.relations.values())
     if params is None:
         params = gap_parameters(
@@ -627,7 +635,10 @@ def recover_source_solution(
 ) -> Assignment:
     """Full completeness path: read the clouds of a relaxed solution of the
     long-code instance, decode them to a sequence of systems, extract an
-    assignment, and verify it solves the relaxed source."""
+    assignment, and verify it solves the relaxed source.  A table that does
+    not fit the templates is refused before any cloud is read, as in
+    `pipeline_reduce`."""
+    _check_table_fits(dr_table, source, layout.target)
     m = max(rel.arity for rel in source.strict.relations.values())
     if params is None:
         params = gap_parameters(

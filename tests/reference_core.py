@@ -1,7 +1,10 @@
 """Name-based instance walks, kept as oracles for the integer-scope core.
 
 These read an instance only through its `constraints` view, by variable
-name, as the core did before its scopes became integers.
+name, as the core did before its scopes became integers.  The subset
+lattice below is built the same way: one induced instance per subset,
+brute-forced into assignments, with each nested pair's restriction map
+worked out again for each reduction.
 """
 
 from __future__ import annotations
@@ -9,7 +12,9 @@ from __future__ import annotations
 import itertools
 
 from pcspkit.core import Assignment, Instance
-from pcspkit.errors import InputError, StructuralError
+from pcspkit.errors import InputError, ResourceError, StructuralError
+from pcspkit.labelcover import LlcInstance
+from pcspkit.reduction import PsiConstraint
 
 
 def _validate(instance, side) -> None:
@@ -46,12 +51,75 @@ def induced(instance, subset) -> Instance:
     return Instance(subset, [c for c in instance.constraints if set(c.scope) <= sub])
 
 
-def all_solutions(instance, side) -> tuple:
-    """Every solution, a dict per candidate in lexicographic order."""
+def all_solutions(instance, side, budget=None) -> tuple:
+    """Every solution, a dict per candidate in lexicographic order; with a
+    budget, the candidates are priced after the constraints are validated."""
     _validate(instance, side)
+    total = len(side.domain) ** len(instance.variables)
+    if budget is not None and total > budget:
+        raise ResourceError(
+            f"brute force would enumerate {total} candidates, over the budget of {budget}"
+        )
     found = []
     for values in itertools.product(side.domain, repeat=len(instance.variables)):
         mapping = dict(zip(instance.variables, values))
         if not evaluate(instance, side, mapping):
             found.append(Assignment(mapping))
     return tuple(found)
+
+
+def partial_solution_table(phi, side, k, budget) -> dict:
+    """Every k_i-subset's partial solutions, from its induced instance."""
+    k = tuple(int(x) for x in k)
+    if any(a < b for a, b in zip(k, k[1:])):
+        raise InputError(f"arities {list(k)} must be non-increasing")
+    if k[0] > len(phi.variables):
+        raise InputError(
+            f"top arity {k[0]} exceeds the {len(phi.variables)} variables; pad the instance first"
+        )
+    table = {}
+    for size in dict.fromkeys(k):
+        for u in itertools.combinations(phi.variables, size):
+            sols = all_solutions(induced(phi, u), side, budget)
+            table[u] = tuple(tuple(s.mapping[x] for x in u) for s in sols)
+    return table
+
+
+def _llc_variable(layer, subset) -> str:
+    return f"L{layer}|{','.join(subset)}"
+
+
+def llc_from_table(table, k) -> LlcInstance:
+    """The subset reduction, each nested pair's label map joined afresh."""
+    layers = [[u for u in table if len(u) == size] for size in k]
+    domains = {}
+    constraints = {}
+    for i, layer in enumerate(layers):
+        for u in layer:
+            domains[_llc_variable(i, u)] = tuple(",".join(g) for g in table[u])
+            for j in range(i + 1, len(k)):
+                for w in itertools.combinations(u, k[j]):
+                    idx = [u.index(x) for x in w]
+                    constraints[(_llc_variable(i, u), _llc_variable(j, w))] = {
+                        ",".join(g): ",".join(tuple(g[p] for p in idx)) for g in table[u]
+                    }
+    names = [[_llc_variable(i, u) for u in layer] for i, layer in enumerate(layers)]
+    return LlcInstance(names, domains, constraints)
+
+
+def auxiliary_constraints(phi, table, k) -> tuple:
+    """The subset instance's constraints, each index map worked out from the
+    solution lists of its two subsets."""
+    pairs = set()
+    for i in range(len(k)):
+        for j in range(i + 1, len(k)):
+            for u in itertools.combinations(phi.variables, k[i]):
+                for w in itertools.combinations(u, k[j]):
+                    pairs.add((u, w))
+    constraints = []
+    for u, w in sorted(pairs):
+        idx = [u.index(x) for x in w]
+        index_of = {h: n for n, h in enumerate(table[w])}
+        cmap = {n: index_of[tuple(g[p] for p in idx)] for n, g in enumerate(table[u])}
+        constraints.append(PsiConstraint(",".join(u), ",".join(w), cmap))
+    return tuple(constraints)

@@ -396,7 +396,7 @@ class TestBareArguments:
     report); a file its kind cannot run without is a usage error (exit 2)."""
 
     @pytest.fixture()
-    def more(self, files, tmp_path):
+    def more(self, files, tmp_path, t22):
         jsonio.write_canonical(tmp_path / "empty.json", {})
         jsonio.write_canonical(tmp_path / "list-value.json", {"values": {"x": ["0"]}})
         jsonio.write_canonical(tmp_path / "number-side.json", {"values": {"x": "0"}, "side": 5})
@@ -419,9 +419,25 @@ class TestBareArguments:
             tmp_path / "path.json",
             pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")]).to_payload(),
         )
+        # the path's layout and canonical lift through the (K2,K2) identity table
+        path = pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")])
+        layout = pk.pipeline_reduce(path, t22, t22, pk.IdentityDrTable(t22, r=1)).layout
+        lift = pk.lift_strict_solution(pk.brute_force_solve(layout.aux.source, t22.strict), layout)
+        jsonio.write_canonical(tmp_path / "path-layout.json", layout.to_payload())
+        jsonio.write_canonical(tmp_path / "path-lift.json", lift.to_payload())
+        # W1's layout: the empty 3-variable source at k=(4,4), one cloud of 65,536 positions
+        padded = pk.Instance(["x", "y", "z", "~pad0"], [])
+        w1 = pk.CloudLayout(t22, pk.build_auxiliary(padded, t22.strict, (4, 4)), ("~pad0",))
+        jsonio.write_canonical(tmp_path / "w1-layout.json", w1.to_payload())
+        assert jsonio.digest(tmp_path / "w1-layout.json") == (
+            "170274957d96f654f44253c750b73a3dff88dffd0f6687df1ef913f64baab7ec"
+        )
+        empty3 = pk.Instance(["x", "y", "z"], [])
+        jsonio.write_canonical(tmp_path / "empty3.json", empty3.to_payload())
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
-            "xi33.json", "explicit33.json", "path.json",
+            "xi33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
+            "w1-layout.json", "empty3.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -484,6 +500,18 @@ class TestBareArguments:
                  "--target-template", "t22.json", "--dr-table", "explicit33.json"],
                 "is not over the target's strict and relaxed domains",
             ),
+            (
+                ["decode", "--assignment", "path-lift.json", "--layout", "path-layout.json",
+                 "--dr-table", "explicit33.json", "--source", "path.json",
+                 "--source-template", "t22.json"],
+                "is not over the target's strict and relaxed domains",
+            ),
+            (
+                ["decode", "--assignment", "zeros.json", "--layout", "w1-layout.json",
+                 "--dr-table", "xi.json", "--source", "empty3.json",
+                 "--source-template", "t22.json", "--budget", "1000"],
+                "cloud enumeration needs 65536 positions",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -491,7 +519,8 @@ class TestBareArguments:
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
-            "reduce-pcsp-explicit-table-off-the-target",
+            "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
+            "decode-budget-on-the-layout",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
+from pcspkit.core import partial_solution_table
+
 import reference_core
 from conftest import cycle_instance, triangle_instance
 
@@ -292,6 +294,75 @@ class TestIntegerScopesAgainstReference:
         assert inst.variables == ("x", "y")
         assert inst.relation_names == ("neq", "neq")
         assert inst.scopes == ((1, 0), (0, 0))
+
+
+# K2 and K3 with a unary relation each; "other" names no relation of them
+LATTICE_SIDES = [
+    pk.structure(["0", "1"], neq=(2, {("0", "1"), ("1", "0")}), only0=(1, {("0",)})),
+    pk.structure(
+        ["0", "1", "2"],
+        neq=(2, {(a, b) for a in "012" for b in "012" if a != b}),
+        only0=(1, {("0",), ("1",)}),
+    ),
+]
+
+
+@st.composite
+def lattice_cases(draw):
+    """An instance over 2-5 variables, a side, arities and a budget.  Most
+    constraints are graph edges or unary; some repeat a variable, name a
+    relation the side lacks or have a scope whose length is not the arity."""
+    names = NAMES[: draw(st.integers(2, 5))]
+    edge = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True).map(
+        lambda scope: (tuple(scope), "neq")
+    )
+    unary = st.sampled_from(names).map(lambda x: ((x,), "only0"))
+    wild = st.tuples(
+        st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple),
+        st.sampled_from(["neq", "only0", "other"]),
+    )
+    kinds = st.one_of(edge, edge, unary, wild)
+    phi = pk.Instance(names, draw(st.lists(kinds, max_size=6)))
+    side = draw(st.sampled_from(LATTICE_SIDES))
+    k = draw(st.sampled_from([(2, 1), (3, 2), (3, 3), (3, 2, 1)]))
+    return phi, side, k, draw(st.sampled_from([4, 30, 300, 3000]))
+
+
+def _returned_or_class(fn, *args):
+    """What a call returns, or only the class of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except pk.PcspkitError as exc:
+        return type(exc).__name__
+
+
+def _reference_auxiliary(phi, side, k, budget):
+    table = reference_core.partial_solution_table(phi, side, k, budget)
+    if not all(table.values()):
+        raise pk.PromiseViolationError("a subset has no partial solution")
+    return reference_core.auxiliary_constraints(phi, table, k)
+
+
+class TestSubsetLatticeAgainstReference:
+    """The partial-solution table on integer scopes, and the restriction maps
+    both subset reductions share, against the name-based walks of
+    tests/reference_core."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_cases())
+    def test_same_table_subset_instance_and_label_cover(self, case):
+        phi, side, k, budget = case
+        table = _returned_or_class(partial_solution_table, phi, side, k, budget)
+        expected = _returned_or_class(reference_core.partial_solution_table, *case)
+        assert table == expected
+        if isinstance(table, tuple):  # the same subsets, in the same order
+            assert list(table[1]) == list(expected[1])
+            llc = _returned_or_class(pk.reduce_mcsp_to_llc, phi, side, k, budget)
+            assert llc == ("returned", reference_core.llc_from_table(table[1], k))
+        aux = _returned_or_class(pk.build_auxiliary, phi, side, k, budget)
+        if isinstance(aux, tuple):
+            aux = ("returned", aux[1].constraints)
+        assert aux == _returned_or_class(_reference_auxiliary, *case)
 
 
 class TestAssignments:

@@ -1,5 +1,6 @@
 """Layered label cover: chains, weak satisfaction, the subset reduction."""
 
+import hashlib
 import itertools
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcspkit as pk
+from pcspkit import jsonio
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
 from pcspkit.core import DEFAULT_BUDGET, partial_solution_table
@@ -383,6 +385,30 @@ def _all_zero_choice(phi, k):
         for i, size in enumerate(k)
         for u in itertools.combinations(phi.variables, size)
     }
+
+
+class TestLlcBytes:
+    """The canonical bytes of the subset reduction over K2 at k=(3,2), pinned
+    by sha256; CI pins the path's bytes as written by `reduce llc`."""
+
+    @pytest.mark.parametrize(
+        "phi, digest",
+        [
+            (
+                cycle_instance(5),
+                "43eb03a1ad7267838213d8c3013632c089d6d06141c36ecaec3b4e5318bb3ec5",
+            ),
+            (
+                pk.Instance(["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq")]),
+                "7f91885e5d33b35cc88dfdbe71b19f67a14d4abb2eaafd2f2c34c6c1765792b2",
+            ),
+        ],
+        ids=["five-cycle", "three-vertex-path"],
+    )
+    def test_reduced_instance_bytes(self, phi, digest):
+        reduced = pk.reduce_mcsp_to_llc(phi, pk.complete_graph(2), (3, 2))
+        text = jsonio.canonical_dumps(reduced.to_payload())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDAssignmentDomains:

@@ -196,6 +196,32 @@ class TestPipeline:
         with pytest.raises(InputError, match=message):
             pk.pipeline_reduce(path_instance(), t22, t22, table)
 
+    @pytest.mark.parametrize(
+        "function, image, message",
+        [
+            ("012", "012", "^the explicit table's function of arity .* not over the target"),
+            ("01", "012", "^an image of the explicit table's function .* not over the source"),
+        ],
+        ids=["function-off-the-target", "image-off-the-source"],
+    )
+    def test_decoding_through_a_table_off_the_templates_is_refused(
+        self, monkeypatch, t22, ident22, function, image, message
+    ):
+        # the table is refused before any cloud is read, not as a decoded
+        # function it "does not cover"
+        result = pk.pipeline_reduce(path_instance(), t22, t22, ident22)
+        h = pk.brute_force_solve(result.layout.aux.source, t22.strict)
+        lift = pk.lift_strict_solution(h, result.layout)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("decoding read a cloud through a table it must refuse")
+
+        monkeypatch.setattr(pk.reduction, "read_cloud_functions", no_read)
+        t = pk.dictator(("x",), function, "x")
+        table = pk.ExplicitDrTable(1, 1, {t: (pk.dictator(("x",), image, "x"),)})
+        with pytest.raises(InputError, match=message):
+            pk.recover_source_solution(lift.mapping, result.layout, table, path_instance(), t22)
+
     def test_solvable_edge_end_to_end(self, k2, t22, ident22):
         result = pk.pipeline_reduce(edge_instance(), t22, t22, ident22)
         assert not result.layout.gadget
