@@ -579,14 +579,16 @@ def partial_solution_table(
     """Map every k_i-subset of phi's variables to its partial solutions, as
     value tuples aligned with the subset, in lexicographic order.
 
-    The arities must be non-increasing with the top one at most |V|.  Subsets
-    appear in first-occurrence layer order: by arity as listed in k, then
-    lexicographically.  An empty tuple marks a subset with no partial solution.
-    The lattice is walked on integer scopes, with no sub-instance or
-    assignment built: each subset's constraints come from `_subset_checks`,
-    and `_restriction_maps` gives the maps between nested subsets.
+    The arities, one or more, must be positive and non-increasing, the top one
+    at most |V|.  Subsets appear in first-occurrence layer order: by arity as
+    listed in k, then lexicographically.  An empty tuple marks a subset with no
+    partial solution.  The lattice is walked on integer scopes
+    (`_subset_checks`), with no sub-instance or assignment built, and
+    `_restriction_maps` gives the maps between nested subsets.
     """
     k = tuple(int(x) for x in k)
+    if not k or any(a < 1 for a in k):
+        raise InputError(f"arities {list(k)} must be one or more positive integers")
     if any(a < b for a, b in zip(k, k[1:])):
         raise InputError(f"arities {list(k)} must be non-increasing")
     if k[0] > len(phi.variables):

@@ -397,12 +397,18 @@ class LazyDictatorSlice:
 
 
 @dataclass(frozen=True)
-class ClosureCheck:
+class MinionCheck:
+    """An audit's verdict and, on failure, its first counterexample: (t, pi,
+    the minor) for closure and homomorphism, (functions, maps) for chains."""
+
     ok: bool
-    counterexample: Optional[tuple] = None  # (t, pi, missing minor)
+    counterexample: Optional[tuple] = None
 
     def __bool__(self):
         return self.ok
+
+
+ClosureCheck = HomomorphismCheck = ChainCheck = MinionCheck
 
 
 class _MinorGraph:
@@ -467,15 +473,6 @@ def check_minor_closure(slice_: MinionSlice) -> ClosureCheck:
             if s >= graph.size:
                 return ClosureCheck(False, graph.witness(i, m, s))
     return ClosureCheck(True, None)
-
-
-@dataclass(frozen=True)
-class HomomorphismCheck:
-    ok: bool
-    counterexample: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_minion_homomorphism(
@@ -597,15 +594,6 @@ def dr_table_from_payload(payload: Mapping):
                 raise InputError(f"source[{i}]: repeats the function source[{first[t]}]")
         return ExplicitDrTable(field("d", int), field("r", int), dict(zip(source, images)))
     raise InputError(f"unknown table kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    ok: bool
-    counterexample: Optional[tuple] = None  # (functions, maps)
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_dr_homomorphism(

@@ -210,34 +210,28 @@ class ConsistencyResult:
 
 def check_consistent(seq: PasSequence) -> ConsistencyResult:
     """For every nested subset chain there must be a pair i < j whose entries
-    meet under projection.  Returns a violating chain on failure."""
-    systems = seq.systems
-    arities = seq.arities
-    v = systems[0].variables
+    meet under projection; on failure, the lexicographically first violating
+    chain.  The chains are walked depth first in that order, skipping those
+    below a prefix whose newest member meets the earlier members' entries."""
+    systems, arities = seq.systems, seq.arities
 
-    def chains(prefix):
-        i = len(prefix)
-        if i == len(systems):
-            yield tuple(prefix)
-            return
-        pool = v if i == 0 else prefix[-1]
-        for u in itertools.combinations(pool, arities[i]):
-            yield from chains(prefix + [u])
+    def walk(chain: tuple, carried: frozenset) -> Optional[tuple]:
+        # `carried` holds the earlier members' entries projected onto the
+        # newest subset: projections compose, so one step moves them all.
+        if len(chain) == len(systems):
+            return chain
+        u = chain[-1] if chain else systems[0].variables
+        entries = systems[len(chain)].entries
+        for where in itertools.combinations(range(len(u)), arities[len(chain)]):
+            w = tuple(map(u.__getitem__, where))
+            moved = {tuple(map(g.__getitem__, where)) for g in carried}
+            if moved.isdisjoint(entries[w]):
+                if failed := walk(chain + (w,), entries[w].union(moved)):
+                    return failed
+        return None
 
-    for chain in chains([]):
-        if not _chain_has_agreement(systems, chain):
-            return ConsistencyResult(False, chain)
-    return ConsistencyResult(True, None)
-
-
-def _chain_has_agreement(systems, chain) -> bool:
-    for i in range(len(systems)):
-        for j in range(i + 1, len(systems)):
-            ui, uj = chain[i], chain[j]
-            down = {_proj(g, ui, uj) for g in systems[i].entries[ui]}
-            if down & systems[j].entries[uj]:
-                return True
-    return False
+    failed = walk((), frozenset())
+    return ConsistencyResult(failed is None, failed)
 
 
 class LocalProperty(enum.Enum):
@@ -636,30 +630,30 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
     # extensions of f from position zero, and recurse on the reduced values.
     p = params.p
     ex = {i: {} for i in range(r + 1)}
+
+    def need(y: tuple, i: int) -> set:
+        # y, plus the extension sets chosen at the positions after i for y's subsets
+        out = set(y)
+        for j in range(i + 1, r + 1):
+            for z in itertools.combinations(y, p[j]):
+                out |= set(ex[j][z])
+        return out
+
     for i in range(r, 0, -1):
         x_i = blocked[i]
         f_i = tuple(fmap[x] for x in x_i)
         for y in itertools.combinations(v, p[i]):
-            need = set(y)
-            for j in range(i + 1, r + 1):
-                for z in itertools.combinations(y, p[j]):
-                    need |= set(ex[j][z])
-            ex[i][y] = _first_superset(seq[i], x_i, f_i, need, extends=False)
+            ex[i][y] = _first_superset(seq[i], x_i, f_i, need(y, i), extends=False)
             if ex[i][y] is None:
                 raise InvariantError(f"no avoiding superset for {x_i}; avoidance property broken")
 
     stripped = {}
-    x_idx = xs
     for y in itertools.combinations(v, p[0]):
-        need = set(y)
-        for j in range(1, r + 1):
-            for z in itertools.combinations(y, p[j]):
-                need |= set(ex[j][z])
-        u = _first_superset(seq[0], x_idx, f, need, extends=True)
+        u = _first_superset(seq[0], xs, f, need(y, 0), extends=True)
         if u is None:
-            raise InvariantError(f"no extending superset for {x_idx}; extension property broken")
+            raise InvariantError(f"no extending superset for {xs}; extension property broken")
         survivors = frozenset(
-            _proj(g, u, y) for g in seq[0].entries[u] if _proj(g, u, x_idx) != f
+            _proj(g, u, y) for g in seq[0].entries[u] if _proj(g, u, xs) != f
         )
         if not survivors:
             raise InvariantError(

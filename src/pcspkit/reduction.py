@@ -39,6 +39,7 @@ from .core import (
     RelationalStructure,
     _payload_field,
     _restriction_maps,
+    _subset_checks,
     brute_force_solve,
     evaluate,
     partial_solution_table,
@@ -73,10 +74,6 @@ from .pas import (
 )
 
 PAD_PREFIX = "~pad"
-
-
-def _subset_name(subset) -> str:
-    return ",".join(subset)
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,13 @@ def build_auxiliary(
     for u, sols in solutions.items():
         if not sols:
             raise PromiseViolationError(
-                f"no partial solution on subset {_subset_name(u)}; "
+                f"no partial solution on subset {tuple_label(u)}; "
                 "the strict side is unsolvable"
             )
 
     variables = {
         u: PsiVariable(
-            name=_subset_name(u),
+            name=tuple_label(u),
             subset=u,
             layers=tuple(i for i, ki in enumerate(k) if ki == len(u)),
             solutions=sols,
@@ -426,6 +423,19 @@ def _check_table_fits(dr_table, source: PcspTemplate, target: PcspTemplate) -> N
                 )
 
 
+def _pipeline_params(source: PcspTemplate, dr_table, params: Optional[GapParameters]):
+    """The record both stages use, for the relaxed source domain, m the largest
+    source arity and the table's (d, r); a differing one is a ParameterError."""
+    m = max(rel.arity for rel in source.strict.relations.values())
+    expected = (len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1))
+    if params is None:
+        return gap_parameters(*expected)
+    got = (params.domain_size, params.m, params.values)
+    if expected != got:
+        raise ParameterError(f"parameter record {got} does not match the pipeline {expected}")
+    return params
+
+
 def pipeline_reduce(
     phi: Instance,
     source: PcspTemplate,
@@ -446,17 +456,7 @@ def pipeline_reduce(
     that does not fit is refused with an InputError (`_check_table_fits`).
     """
     _check_table_fits(dr_table, source, target)
-    m = max(rel.arity for rel in source.strict.relations.values())
-    if params is None:
-        params = gap_parameters(
-            len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1)
-        )
-    else:
-        expected = (len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1))
-        got = (params.domain_size, params.m, params.values)
-        if expected != got:
-            raise ParameterError(f"parameter record {got} does not match the pipeline {expected}")
-
+    params = _pipeline_params(source, dr_table, params)
     padded, pads = _pad_instance(phi, params.k[0])
     try:
         aux = build_auxiliary(padded, source.strict, params.k, budget=budget)
@@ -551,9 +551,9 @@ def decode_relaxed_solution(
 
     Every step the construction promises is re-verified here: each subset
     variable's function lives on its own labels and is a polymorphism of the
-    target, every constraint holds as a minor, the decoded entries are partial
-    solutions, the value bound holds, and the final sequence is consistent.
-    Any breach aborts loudly.
+    target, every constraint holds as a minor, each decoded entry solves the
+    subset's constraints (`_subset_checks`, on integer scopes), the value bound
+    holds, and the final sequence is consistent.  Any breach aborts loudly.
     """
     if layout.gadget:
         raise InputError("a gadget layout cannot be decoded")
@@ -584,9 +584,8 @@ def decode_relaxed_solution(
             )
 
     # Push through the table and evaluate on the partial-solution matrices.
-    relaxed_domain = source.relaxed.domain
     entries_by_layer: dict = {i: {} for i in range(len(aux.k))}
-    d_bound = dr_table.d
+    index = dict(zip(padded.variables, range(len(padded.variables))))
     for var in aux.variables:
         t = functions[var.name]
         images = dr_table.image(t)  # raises InputError when t is not covered
@@ -599,13 +598,14 @@ def decode_relaxed_solution(
         for q in images:
             if q.arity_set != t.arity_set:
                 raise StructuralError("table image changes the arity set")
-            value_tuple = tuple(q.apply(rows[x]) for x in var.subset)
-            produced.add(value_tuple)
-        if len(produced) > d_bound:
+            produced.add(tuple(q.apply(rows[x]) for x in var.subset))
+        if len(produced) > dr_table.d:
             raise InvariantError("entry exceeds the table's width bound")
+        # Numbered as in the sub-instance the subset induces.
+        checks = _subset_checks(padded, source.relaxed, tuple(map(index.__getitem__, var.subset)))
         for x_tuple in produced:
-            entry = dict(zip(var.subset, x_tuple))
-            check = evaluate(padded.induced(var.subset), source.relaxed, entry)
+            at = x_tuple.__getitem__
+            check = [n for n, (scope, ok) in enumerate(checks) if tuple(map(at, scope)) not in ok]
             if check:
                 raise InvariantError(
                     f"decoded entry at {var.name} violates relaxed constraints {check}"
@@ -614,7 +614,7 @@ def decode_relaxed_solution(
             entries_by_layer[layer][var.subset] = frozenset(produced)
 
     systems = [
-        Pas(padded.variables, relaxed_domain, aux.k[i], entries_by_layer[i])
+        Pas(padded.variables, source.relaxed.domain, aux.k[i], entries_by_layer[i])
         for i in range(len(aux.k))
     ]
     seq = PasSequence(systems)
@@ -636,17 +636,13 @@ def recover_source_solution(
     """Full completeness path: read the clouds of a relaxed solution of the
     long-code instance, decode them to a sequence of systems, extract an
     assignment, and verify it solves the relaxed source.  A table that does
-    not fit the templates is refused before any cloud is read, as in
-    `pipeline_reduce`."""
+    not fit the templates, or a parameter record that does not match the
+    pipeline, is refused before any cloud is read, as in `pipeline_reduce`."""
     _check_table_fits(dr_table, source, layout.target)
-    m = max(rel.arity for rel in source.strict.relations.values())
-    if params is None:
-        params = gap_parameters(
-            len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1)
-        )
+    params = _pipeline_params(source, dr_table, params)
     s = read_cloud_functions(assignment, layout, layout.target.relaxed.domain)
     seq = decode_relaxed_solution(s, layout, dr_table, phi, source, budget=budget)
-    extraction = extract_solution(seq, params, m)
+    extraction = extract_solution(seq, params, params.m)
     solution = extraction.assignment.restrict(phi.variables)
     solution = Assignment(solution.mapping, side="relaxed")
     if evaluate(phi, source.relaxed, solution):

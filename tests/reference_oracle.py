@@ -4,6 +4,11 @@ layered instance in between.  Tests use it as the reference for
 pcspkit.csp_value_oracle, which must give the same answer wherever this one
 finishes within its budget.
 
+`check_consistent` is the consistency check as it was before it walked
+chains depth first, unchanged: it enumerates every nested subset chain and
+tests every pair of its members.  Tests require the same verdict and the
+same first failing chain from pcspkit.check_consistent.
+
 `_chain_order` is the chain search's variable order as it was before it kept
 its counts up to date, unchanged: it scores every unplaced variable from its
 chains at every step.  Tests require the same order and the same judged
@@ -15,7 +20,7 @@ from typing import Mapping, Sequence
 from pcspkit.core import DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions
 from pcspkit.errors import InputError, ResourceError
 from pcspkit.labelcover import LlcInstance, enumerate_chains
-from pcspkit.pas import _proj
+from pcspkit.pas import ConsistencyResult, PasSequence, _proj
 
 
 def csp_value_oracle(
@@ -113,6 +118,38 @@ def csp_value_oracle(
         return False
 
     return search(0)
+
+
+def check_consistent(seq: PasSequence) -> ConsistencyResult:
+    """For every nested subset chain there must be a pair i < j whose entries
+    meet under projection.  Returns a violating chain on failure."""
+    systems = seq.systems
+    arities = seq.arities
+    v = systems[0].variables
+
+    def chains(prefix):
+        i = len(prefix)
+        if i == len(systems):
+            yield tuple(prefix)
+            return
+        pool = v if i == 0 else prefix[-1]
+        for u in itertools.combinations(pool, arities[i]):
+            yield from chains(prefix + [u])
+
+    for chain in chains([]):
+        if not _chain_has_agreement(systems, chain):
+            return ConsistencyResult(False, chain)
+    return ConsistencyResult(True, None)
+
+
+def _chain_has_agreement(systems, chain) -> bool:
+    for i in range(len(systems)):
+        for j in range(i + 1, len(systems)):
+            ui, uj = chain[i], chain[j]
+            down = {_proj(g, ui, uj) for g in systems[i].entries[ui]}
+            if down & systems[j].entries[uj]:
+                return True
+    return False
 
 
 def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:

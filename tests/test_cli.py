@@ -187,6 +187,16 @@ class TestCommands:
     def test_verify_consistent(self, files):
         assert main(["verify", "consistent", "--pas", files["seq.json"]]) == 0
 
+    def test_verify_inconsistent_names_the_chain(self, tmp_path, capsys):
+        i0 = pk.Pas("xy", ["0", "1"], 1, {("x",): {("0",)}, ("y",): {("0",)}})
+        i1 = pk.Pas("xy", ["0", "1"], 1, {("x",): {("1",)}, ("y",): {("0",)}})
+        seq, report = tmp_path / "seq.json", tmp_path / "report.json"
+        jsonio.write_canonical(seq, pk.PasSequence([i0, i1]).to_payload())
+        capsys.readouterr()
+        assert main(["verify", "consistent", "--pas", str(seq), "--report", str(report)]) == 1
+        assert capsys.readouterr().out == "inconsistent on chain (('x',), ('x',))\n"
+        assert json.loads(report.read_text())["verifications"] == {"consistent": False}
+
     def test_verify_solution_negative(self, files, tmp_path):
         bad = tmp_path / "bad_assign.json"
         jsonio.write_canonical(bad, pk.Assignment({f"v{i}": "0" for i in range(5)}).to_payload())
@@ -434,10 +444,12 @@ class TestBareArguments:
         )
         empty3 = pk.Instance(["x", "y", "z"], [])
         jsonio.write_canonical(tmp_path / "empty3.json", empty3.to_payload())
+        jsonio.write_canonical(tmp_path / "k-negative.json", [2, -1])
+        jsonio.write_canonical(tmp_path / "k-none.json", [])
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
-            "w1-layout.json", "empty3.json",
+            "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -464,6 +476,21 @@ class TestBareArguments:
                 ["reduce", "llc", "--instance", "edge3.json", "--template", "k2.json",
                  "--params", "empty.json"],
                 "k: missing",
+            ),
+            (
+                ["gap", "oracle", "--instance", "edge3.json", "--template", "k2.json",
+                 "--k", "2,-1", "--d", "1"],
+                "arities [2, -1] must be one or more positive integers",
+            ),
+            (
+                ["reduce", "llc", "--instance", "edge3.json", "--template", "k2.json",
+                 "--params", "k-negative.json"],
+                "arities [2, -1] must be one or more positive integers",
+            ),
+            (
+                ["reduce", "llc", "--instance", "edge3.json", "--template", "k2.json",
+                 "--params", "k-none.json"],
+                "arities [] must be one or more positive integers",
             ),
             (
                 ["poly", "check", "--template", "t22.json", "--function", "empty.json"],
@@ -515,7 +542,8 @@ class TestBareArguments:
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
-            "msolution-negative-index", "reduce-llc-params", "poly-check-function",
+            "msolution-negative-index", "reduce-llc-params", "gap-oracle-negative-arity",
+            "reduce-llc-negative-arity", "reduce-llc-no-arity", "poly-check-function",
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",

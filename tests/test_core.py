@@ -364,6 +364,12 @@ class TestSubsetLatticeAgainstReference:
             aux = ("returned", aux[1].constraints)
         assert aux == _returned_or_class(_reference_auxiliary, *case)
 
+    @pytest.mark.parametrize("k", [(2, -1), (2, 0), (0,), ()])
+    def test_arities_below_one_or_none_are_refused(self, k):
+        phi = pk.Instance(["x", "y"], [(("x", "y"), "neq")])
+        with pytest.raises(InputError, match=r"must be one or more positive integers"):
+            partial_solution_table(phi, pk.complete_graph(2), k)
+
 
 class TestAssignments:
     def test_one_sorted_mapping(self):

@@ -5,10 +5,13 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit.errors import InputError, ParameterError, StructuralError
 from pcspkit.pas import LocalProperty, _proj
+
+import reference_oracle
 
 EXTEND = LocalProperty.EXTENSION
 AVOID = LocalProperty.AVOIDANCE
@@ -82,7 +85,49 @@ class TestMSolution:
             pk.is_m_solution(pk.Assignment(f), system, 2)
 
 
+@st.composite
+def pas_sequences(draw):
+    """2-4 systems over 1-5 variables and 2-3 atoms.  Each entry holds 1-3
+    value tuples, drawn from the restrictions of two global assignments and
+    from all tuples, so both verdicts are common."""
+    n = draw(st.integers(1, 5))
+    variables = [f"v{i}" for i in range(n)]
+    domain = "012"[: draw(st.integers(2, 3))]
+    globals_ = draw(st.lists(st.text(domain, min_size=n, max_size=n), min_size=2, max_size=2))
+    arities = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=4)), reverse=True)
+    systems = []
+    for k in arities:
+        entries = {}
+        for u in itertools.combinations(range(n), k):
+            tuples = st.tuples(*[st.sampled_from(domain)] * k)
+            restrictions = st.sampled_from([tuple(g[i] for i in u) for g in globals_])
+            entries[tuple(variables[i] for i in u)] = draw(
+                st.sets(st.one_of(restrictions, restrictions, tuples), min_size=1, max_size=3)
+            )
+        systems.append(pk.Pas(variables, list(domain), k, entries))
+    return pk.PasSequence(systems)
+
+
+def constant_systems(values, arities):
+    """Per system, the restrictions of the constant assignment to its value."""
+    return pk.PasSequence([
+        pk.pas_from_assignment(dict.fromkeys("abcd", a), "abcd", "0123", k)
+        for a, k in zip(values, arities)
+    ])
+
+
 class TestConsistency:
+    @settings(max_examples=300, deadline=None)
+    @given(pas_sequences())
+    # at r = 2 and r = 3: only the first and the last member agree, or none do
+    @example(constant_systems("010", (3, 2, 1)))
+    @example(constant_systems("012", (3, 2, 1)))
+    @example(constant_systems("0120", (3, 2, 2, 1)))
+    @example(constant_systems("0123", (3, 2, 2, 1)))
+    def test_same_verdict_and_chain_as_the_full_enumeration(self, seq):
+        walked, enumerated = pk.check_consistent(seq), reference_oracle.check_consistent(seq)
+        assert (walked.ok, walked.chain) == (enumerated.ok, enumerated.chain)
+
     def test_restrictions_of_one_assignment(self):
         f = {v: "0" for v in ["a", "b", "c"]}
         seq = pk.PasSequence(

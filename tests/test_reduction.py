@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit import jsonio
-from pcspkit.errors import InputError, ParameterError, PromiseViolationError
+from pcspkit.errors import InputError, InvariantError, ParameterError, PromiseViolationError
 from pcspkit.reduction import _pad_instance
 
 import reference_longcode
@@ -417,6 +417,63 @@ class TestDecode:
         )
         solution = pk.recover_source_solution(lift, result.layout, ident22, phi, t22)
         assert pk.evaluate(phi, k2, solution) == []
+
+    def test_recovery_builds_no_induced_instance(self, monkeypatch, t22, ident22, unary_side):
+        # the path over (K2,K2) decodes at k=(4,4); a unary source, m=1, at k=(3,2)
+        unary = pk.PcspTemplate(unary_side, unary_side)
+        pinned = pk.Instance(["x", "y", "z"], [(("x",), "only0"), (("z",), "only1")])
+        runs = []
+        for phi, source in ((path_instance(), t22), (pinned, unary)):
+            result = pk.pipeline_reduce(phi, source, t22, ident22)
+            h = pk.brute_force_solve(result.layout.aux.source, source.strict)
+            runs.append((phi, source, result, pk.lift_strict_solution(h, result.layout)))
+        assert [result.params.k for _, _, result, _ in runs] == [(4, 4), (3, 2)]
+
+        def induced(self, subset):
+            raise AssertionError("decoding built an induced sub-instance")
+
+        monkeypatch.setattr(pk.Instance, "induced", induced)
+        for phi, source, result, lift in runs:
+            solution = pk.recover_source_solution(lift, result.layout, ident22, phi, source)
+            assert pk.evaluate(phi, source.relaxed, solution) == []
+
+    def test_a_constant_image_names_the_constraints_as_the_induced_instance_does(
+        self, k2, t22
+    ):
+        # the first top subset a,b,c holds phi's constraints 1 and 2, which
+        # are 0 and 1 in the sub-instance it induces
+        phi = pk.Instance(
+            list("abcd"), [(("c", "d"), "neq"), (("a", "b"), "neq"), (("b", "c"), "neq")]
+        )
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        fns = pk.read_cloud_functions(lift.mapping, layout, k2.domain)
+        constant = SimpleNamespace(d=1, r=1, image=lambda t: (
+            pk.FiniteFunction(t.arity_set, t.in_domain, k2.domain, ["0"] * len(t.table)),
+        ))
+        u = layout.aux.variables[0].subset
+        expected = pk.evaluate(phi.induced(u), k2, dict.fromkeys(u, "0"))
+        assert u == ("a", "b", "c") and expected == [0, 1]
+        message = f"at a,b,c violates relaxed constraints {expected}"
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            pk.decode_relaxed_solution(fns, layout, constant, phi, t22)
+
+    def test_a_parameter_record_off_the_pipeline_is_refused_before_any_cloud_is_read(
+        self, monkeypatch, k2, t22, ident22
+    ):
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        h = pk.brute_force_solve(result.layout.aux.source, k2)
+        lift = pk.lift_strict_solution(h, result.layout)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a cloud was read")
+
+        monkeypatch.setattr(pk.reduction, "read_cloud_functions", unread)
+        with pytest.raises(ParameterError, match=r"\(2, 2, \(2, 1\)\) does not match the pipeline"):
+            pk.recover_source_solution(
+                lift, result.layout, ident22, phi, t22, params=pk.gap_parameters(2, 2, (2, 1))
+            )
 
 
 def _nested_path_functions(k2, t22):
