@@ -295,7 +295,7 @@ def _payload_field(payload, path: str, key: str, kind: type, items: Optional[typ
     if key not in payload:
         raise InputError(f"{path}: missing")
     value = payload[key]
-    if not isinstance(value, kind):
+    if not _is_kind(value, kind):
         raise InputError(f"{path}: expected {_KIND_NAMES[kind]}")
     if items is not None:
         entries = (
@@ -304,9 +304,14 @@ def _payload_field(payload, path: str, key: str, kind: type, items: Optional[typ
             else ((f"[{j}]", item) for j, item in enumerate(value))
         )
         for where, item in entries:
-            if not isinstance(item, items):
+            if not _is_kind(item, items):
                 raise InputError(f"{path}{where}: expected {_KIND_NAMES[items]}")
     return value
+
+
+def _is_kind(value, kind: type) -> bool:
+    # bool subclasses int, but a JSON true or false is no integer
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def _read_structure(payload, path: str) -> RelationalStructure:

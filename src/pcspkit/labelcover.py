@@ -59,9 +59,12 @@ class LlcInstance:
             psi = dict(psi)
             if set(psi) != set(domains[x]):
                 raise InputError(f"constraint {x}->{y} is not total on the source domain")
-            for value in psi.values():
-                if value not in domains[y]:
-                    raise InputError(f"constraint {x}->{y} leaves the target domain")
+            try:
+                inside = set(psi.values()).issubset(domains[y])
+            except TypeError:  # an unhashable image or atom
+                inside = all(value in domains[y] for value in psi.values())
+            if not inside:
+                raise InputError(f"constraint {x}->{y} leaves the target domain")
             cmap[(x, y)] = psi
         empty = any(not domains[x] for x in domains)
         if has_empty_domain is not None and bool(has_empty_domain) != empty:

@@ -11,7 +11,10 @@ Inside, a function is its table and an argument is a table index: a minor is
 an index remapping of the table, and a polymorphism check looks up, for every
 matrix of strict-relation columns, the table indices of its rows.  Enumeration
 sets a table's entries one index at a time and checks each matrix once its
-rows are set.
+rows are set.  The row indices depend only on the template and the arity, so
+they are built once per template value and arity and held, as int arrays, in
+a cache of at most 32 such entries (`_row_sets`); each entry holds at most
+_BLOCK matrices' row indices per strict relation.
 
 The audits share one minor graph per call.  Each map between the declared
 arities gets its table index once, functions are interned by value (arity set,
@@ -28,6 +31,7 @@ homomorphism check is a bounded verification over the arity sets it is given.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
@@ -64,9 +68,14 @@ class FiniteFunction:
                 f"table has {len(table)} entries, expected "
                 f"{len(in_domain) ** len(arity_set)}"
             )
-        for value in table:
-            if value not in out_domain:
-                raise InputError(f"table value {value!r} outside the output domain")
+        try:
+            clean = set(table).issubset(out_domain)
+        except TypeError:  # an unhashable value, named below
+            clean = False
+        if not clean:
+            for value in table:
+                if value not in out_domain:
+                    raise InputError(f"table value {value!r} outside the output domain")
         object.__setattr__(self, "arity_set", arity_set)
         object.__setattr__(self, "in_domain", in_domain)
         object.__setattr__(self, "out_domain", out_domain)
@@ -148,6 +157,9 @@ def minor(
         target = tuple(sorted(set(target)))
         if not set(pi.values()) <= set(target):
             raise InputError("minor map leaves the declared codomain")
+    if tuple(map(pi.__getitem__, t.arity_set)) == target:
+        # pi relabels the sorted arity set onto the sorted target in order
+        return FiniteFunction(target, t.in_domain, t.out_domain, t.table)
     idx = _minor_index(len(t.in_domain), t.arity_set, pi, target)
     return FiniteFunction(target, t.in_domain, t.out_domain, map(t.table.__getitem__, idx))
 
@@ -170,28 +182,50 @@ def _minor_index(base: int, arity_set: Sequence, pi: Mapping, target: Sequence) 
 _BLOCK = 1 << 16
 
 
-def _row_index_sets(template: PcspTemplate, n: int) -> list:
+def _row_index_sets(template: PcspTemplate, n: int) -> tuple:
     """Per strict relation, the table indices of the rows of every matrix of
-    n columns: (name, relaxed tuples, head, tail).
+    n columns: (name, relaxed tuples, head, tail), built once per template
+    value and n (`_row_sets`) and only read by callers.  A template is not
+    hashable, so the key is its strict domain, each strict relation's sorted
+    tuples and the relaxed relation's tuples, never its identity."""
+    relations = tuple(
+        (name, rel.sorted_tuples, template.relaxed.relations[name].tuples)
+        for name, rel in template.strict.relations.items()
+    )
+    return _row_sets(template.strict.domain, relations, n, _BLOCK)
+
+
+@lru_cache(maxsize=32)
+def _row_sets(domain: tuple, relations: tuple, n: int, block: int) -> tuple:
+    """The rows `_row_index_sets` returns, keyed by value: the block size is
+    part of the key, so a caller that lowers _BLOCK gets rows of its own.
 
     offsets[j][c][i] is what column c at coordinate j adds to the index of
-    row i.  `tail` lists, per row, the indices over the last coordinates in
-    product order, for at most _BLOCK matrices, aligned across rows; the
+    row i.  `tail` holds, per row, the indices over the last coordinates in
+    product order, for at most `block` matrices, aligned across rows, as an
+    array of the smallest unsigned type that holds the table's indices; the
     leading coordinates' offsets, `head`, are walked lazily by _blocks."""
-    digit = _digits(template.strict.domain)
+    digit = _digits(domain)
+    typecode = _index_typecode(len(domain) ** n)
     out = []
-    for name, rel in template.strict.relations.items():
-        cols = rel.sorted_tuples
-        strides = _strides(len(digit), n)
-        offsets = [[[s * digit[a] for a in col] for col in cols] for s in strides]
+    for name, cols, target in relations:
+        offsets = tuple(
+            tuple(tuple(s * digit[a] for a in col) for col in cols)
+            for s in _strides(len(domain), n)
+        )
         split = n
-        while split and len(cols) ** (n - split + 1) <= _BLOCK:
+        while split and len(cols) ** (n - split + 1) <= block:
             split -= 1
-        tail = [[0]] * rel.arity
+        tail = [[0]] * len(cols[0])
         for coord in offsets[split:]:
             tail = [[a + c[i] for a in row for c in coord] for i, row in enumerate(tail)]
-        out.append((name, template.relaxed.relations[name].tuples, offsets[:split], tail))
-    return out
+        out.append((name, target, offsets[:split], tuple(array(typecode, row) for row in tail)))
+    return tuple(out)
+
+
+def _index_typecode(size: int) -> str:
+    """The smallest unsigned array type that holds every index below `size`."""
+    return next(code for code in "BHIQ" if size <= 1 << 8 * array(code).itemsize)
 
 
 def _blocks(head: list, tail: list):

@@ -25,6 +25,7 @@ positions, for emission, lifting and reading alike.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -58,6 +59,7 @@ from .minion import (
     IdentityDrTable,
     LazyPolymorphismSlice,
     _blocks,
+    _index_typecode,
     _minor_index,
     _row_index_sets,
     dictator,
@@ -214,13 +216,18 @@ class CloudLayout:
         return tuple(itertools.accumulate((c.size(base) for c in self.clouds), initial=0))
 
     @cached_property
-    def position_names(self) -> list:
-        """The name of every integer position, formatted once per layout."""
-        names = []
-        for cloud, start, end in zip(self.clouds, self.offsets, self.offsets[1:]):
-            width = len(str(end - start - 1))
-            names += [f"{cloud.id}p{index:0{width}d}" for index in range(end - start)]
-        return names
+    def position_names(self) -> tuple:
+        """Per integer position, its name if it is kept, the least of its
+        class, and None if it is merged: an instance or an assignment names
+        only kept positions.  Formatted once per layout."""
+        names = [None] * self.offsets[-1]
+        for fmt, start, end, kept in self._positions(operator.eq):
+            if len(kept) == end - start:
+                names[start:end] = map(fmt.__mod__, kept)
+            else:
+                for i in kept:
+                    names[start + i] = fmt % i
+        return tuple(names)
 
     @cached_property
     def classes(self) -> array:
@@ -247,7 +254,8 @@ class CloudLayout:
                 elif rw < ru:
                     parent[ru] = rw
         # Every parent is smaller than its child, so one increasing pass finishes the roots.
-        classes = array("i", range(self.offsets[-1]))  # 4 bytes a position, kept with the layout
+        # kept with the layout: the narrowest unsigned ints that hold every position
+        classes = array(_index_typecode(self.offsets[-1]), range(self.offsets[-1]))
         for x in sorted(parent):
             classes[x] = classes[parent[x]]
         return classes
@@ -255,8 +263,20 @@ class CloudLayout:
     @property
     def reps(self) -> Mapping:
         """Position name -> its class's least position, identity entries omitted."""
-        names = self.position_names
-        return MappingProxyType({names[x]: names[r] for x, r in enumerate(self.classes) if x != r})
+        names, classes, reps = self.position_names, self.classes, {}
+        for fmt, start, _, merged in self._positions(operator.ne):
+            for i in merged:
+                reps[fmt % i] = names[classes[start + i]]
+        return MappingProxyType(reps)
+
+    def _positions(self, test):
+        """Per cloud, the %-format of its position names, its first and end
+        positions, and the indices in it of the positions x whose class's
+        least position r has test(r, x)."""
+        for cloud, start, end in zip(self.clouds, self.offsets, self.offsets[1:]):
+            fmt = f"{cloud.id}p%0{len(str(end - start - 1))}d"
+            found = map(test, self.classes[start:end], range(start, end))
+            yield fmt, start, end, list(itertools.compress(range(end - start), found))
 
     def to_payload(self) -> dict:
         payload = {
@@ -290,7 +310,7 @@ class CloudLayout:
         padding = field("padding", list)
         gadget, gadget_reason = field("gadget", bool), field("gadget_reason", str)
         aux = None
-        if "aux" in payload:
+        if not gadget or "aux" in payload:  # only a gadget has no subset instance
             aux_field = partial(_payload_field, field("aux", Mapping), "aux")
             phi = Instance.from_payload(aux_field("source", Mapping), "aux.source")
             strict = RelationalStructure.from_payload(aux_field("strict", Mapping), "aux.strict")
@@ -343,8 +363,12 @@ def longcode_reduce(
     # Scopes index the kept positions, the least of each class, in order.
     # Integer positions sort as their names do: cloud ids share one width and
     # follow the offsets, and indices are zero-padded within a cloud.
-    kept = [x for x, r in enumerate(layout.classes) if x == r]
-    rank = list(map(dict(zip(kept, range(len(kept)))).__getitem__, layout.classes))
+    classes = layout.classes
+    every = range(len(classes))
+    is_kept = list(map(operator.eq, classes, every))
+    # A kept position's rank is the number of kept positions before it.
+    before = list(itertools.accumulate(is_kept, initial=-1))[1:]
+    rank = list(map(before.__getitem__, classes))
     scopes = {rel_name: set() for rel_name in target.strict.relations}
     for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
         position = rank[start:end].__getitem__
@@ -356,7 +380,9 @@ def longcode_reduce(
     for rel_name in sorted(scopes):
         relation_names += [rel_name] * len(scopes[rel_name])
         sorted_scopes += sorted(scopes[rel_name])
-    kept_names = tuple(map(layout.position_names.__getitem__, kept))
+    names = layout.position_names  # None at a merged position
+    # With no merges the instance's variables are the layout's names, shared.
+    kept_names = names if all(is_kept) else tuple(filter(None, names))
     instance = Instance._of(kept_names, tuple(relation_names), tuple(sorted_scopes))
     return instance, layout
 

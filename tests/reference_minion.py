@@ -6,6 +6,10 @@ former `FiniteFunction.apply`, `minor`, `is_polymorphism` and
 of the evaluated `FiniteFunction`, and `index_of` and `function_from_callable`
 (which they call) came along with them.
 
+`row_index_sets` is the former `_row_index_sets`, which built each
+template's matrix row indices as lists on every call; it is unchanged except
+that the block size became a parameter.
+
 `check_minor_closure`, `check_minion_homomorphism` and `check_dr_homomorphism`
 are the audits as they were before they shared one minor graph, unchanged,
 with `_all_maps`, `_chains_from`, `_chain_admits_pair` and `compose_maps`;
@@ -27,6 +31,8 @@ from pcspkit.minion import (
     FiniteFunction,
     HomomorphismCheck,
     MinionSlice,
+    _digits,
+    _strides,
 )
 
 
@@ -97,6 +103,30 @@ def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:
             if image not in target:
                 return False
     return True
+
+
+def row_index_sets(template: PcspTemplate, n: int, block: int = 1 << 16) -> list:
+    """Per strict relation, the table indices of the rows of every matrix of
+    n columns: (name, relaxed tuples, head, tail).
+
+    offsets[j][c][i] is what column c at coordinate j adds to the index of
+    row i.  `tail` lists, per row, the indices over the last coordinates in
+    product order, for at most `block` matrices, aligned across rows; the
+    leading coordinates' offsets, `head`, are walked lazily by _blocks."""
+    digit = _digits(template.strict.domain)
+    out = []
+    for name, rel in template.strict.relations.items():
+        cols = rel.sorted_tuples
+        strides = _strides(len(digit), n)
+        offsets = [[[s * digit[a] for a in col] for col in cols] for s in strides]
+        split = n
+        while split and len(cols) ** (n - split + 1) <= block:
+            split -= 1
+        tail = [[0]] * rel.arity
+        for coord in offsets[split:]:
+            tail = [[a + c[i] for a in row for c in coord] for i, row in enumerate(tail)]
+        out.append((name, template.relaxed.relations[name].tuples, offsets[:split], tail))
+    return out
 
 
 def enumerate_polymorphisms(

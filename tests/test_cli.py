@@ -446,10 +446,21 @@ class TestBareArguments:
         jsonio.write_canonical(tmp_path / "empty3.json", empty3.to_payload())
         jsonio.write_canonical(tmp_path / "k-negative.json", [2, -1])
         jsonio.write_canonical(tmp_path / "k-none.json", [])
+        no_aux = layout.to_payload()
+        del no_aux["aux"]
+        jsonio.write_canonical(tmp_path / "no-aux-layout.json", no_aux)
+        jsonio.write_canonical(
+            tmp_path / "xi-r-true.json", {**pk.IdentityDrTable(t22).to_payload(), "r": True}
+        )
+        jsonio.write_canonical(
+            tmp_path / "index-true.json",
+            {"assignment": jsonio.read_json(tmp_path / "zeros.json"), "index": True},
+        )
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
+            "no-aux-layout.json", "xi-r-true.json", "index-true.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -539,6 +550,21 @@ class TestBareArguments:
                  "--source-template", "t22.json", "--budget", "1000"],
                 "cloud enumeration needs 65536 positions",
             ),
+            (
+                ["decode", "--assignment", "path-lift.json", "--layout", "no-aux-layout.json",
+                 "--dr-table", "xi.json", "--source", "path.json",
+                 "--source-template", "t22.json"],
+                "aux: missing",
+            ),
+            (
+                ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi-r-true.json"],
+                "r: expected an integer",
+            ),
+            (
+                ["verify", "msolution", "--pas", "seq.json", "--assignment", "index-true.json"],
+                "index: expected an integer",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -548,7 +574,8 @@ class TestBareArguments:
             "verify-solution-list-value", "verify-solution-number-side",
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
-            "decode-budget-on-the-layout",
+            "decode-budget-on-the-layout", "decode-layout-without-aux",
+            "reduce-pcsp-boolean-r", "msolution-boolean-index",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

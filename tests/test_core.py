@@ -55,6 +55,12 @@ class TestStructures:
         with pytest.raises(InputError, match=r"^strict\.relations\.neq\.arity: expected an integer$"):
             pk.PcspTemplate.from_payload(payload)
 
+    def test_a_boolean_arity_is_refused(self, k2):
+        # true is an int to isinstance, and used to be read as arity 1
+        payload = {"domain": ["0", "1"], "relations": {"u": {"arity": True, "tuples": [["1"]]}}}
+        with pytest.raises(InputError, match=r"^relations\.u\.arity: expected an integer$"):
+            pk.RelationalStructure.from_payload(payload)
+
     def test_an_assignment_without_values_is_refused(self):
         with pytest.raises(InputError, match="^values: missing$"):
             pk.Assignment.from_payload({})

@@ -86,6 +86,9 @@ class TestValidation:
             ("values", [1, "1"], r"values\[1\]: expected an integer"),
             ("k", [9, 2], "k: differs from the record"),
             ("split", None, "split: missing"),
+            ("values", [1, True], r"values\[1\]: expected an integer"),
+            ("domain_size", True, "domain_size: expected an integer"),
+            ("m", True, "m: expected an integer"),
         ],
     )
     def test_a_malformed_record_names_its_field(self, field, value, message):

@@ -47,6 +47,15 @@ class TestLlcInstance:
                 constraints={("a", "b"): {"0": "0"}},
             )
 
+    @pytest.mark.parametrize("image", ["2", ["0"]], ids=["outside", "unhashable"])
+    def test_an_image_outside_the_target_domain_is_refused(self, image):
+        with pytest.raises(InputError, match="^constraint a->b leaves the target domain$"):
+            pk.LlcInstance(
+                layers=[("a",), ("b",)],
+                domains={"a": ("0", "1"), "b": ("0", "1")},
+                constraints={("a", "b"): {"0": "0", "1": image}},
+            )
+
     def test_payload_round_trip(self):
         inst = tiny_llc()
         assert pk.LlcInstance.from_payload(inst.to_payload()) == inst

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
-from pcspkit.minion import LazyDictatorSlice, dictator, restriction_to
+from pcspkit.minion import LazyDictatorSlice, dictator, restriction_to, tuple_label
 
 import reference_minion
 from reference_minion import compose_maps
@@ -338,6 +338,17 @@ class TestDrTables:
         with pytest.raises(InputError, match=re.escape(message)):
             pk.minion.dr_table_from_payload(payload)
 
+    @pytest.mark.parametrize("kind, key", [("identity", "r"), ("explicit", "d"), ("explicit", "r")])
+    def test_a_boolean_width_or_length_is_refused(self, t22, kind, key):
+        # true used to be read as 1
+        ident = fn(("x",), ("0", "1"))
+        table = pk.IdentityDrTable(t22) if kind == "identity" else pk.ExplicitDrTable(
+            1, 1, {ident: (ident,)}
+        )
+        payload = {**table.to_payload(), key: True}
+        with pytest.raises(InputError, match=f"^{key}: expected an integer$"):
+            pk.minion.dr_table_from_payload(payload)
+
     def test_a_repeated_source_function_is_refused(self):
         # the later image set used to replace the earlier one without a word
         ident, neg = fn(("x",), ("0", "1")), fn(("x",), ("1", "0"))
@@ -468,10 +479,10 @@ def small_templates(draw):
 
 
 @st.composite
-def functions(draw, in_domain=("0", "1"), out_domain=("0", "1"), max_arity=4):
+def functions(draw, in_domain=("0", "1"), out_domain=("0", "1"), min_arity=1, max_arity=4):
     """A table at arity 1-4: a projection with a few entries rewritten, or
     uniformly random, so both members and non-members of a slice come up."""
-    n = draw(st.integers(1, max_arity))
+    n = draw(st.integers(min_arity, max_arity))
     arity = tuple(sorted(draw(st.permutations(LABELS))[:n]))
     size = len(in_domain) ** n
     if draw(st.booleans()):
@@ -553,6 +564,97 @@ class TestKernelAgainstReference:
                 assert dictator(arity, domain, c) == reference_minion.function_from_callable(
                     arity, domain, domain, lambda g: g[c]
                 )
+
+
+NAE = pk.structure("01", r=(3, set(itertools.product("01", repeat=3)) - {("0",) * 3, ("1",) * 3}))
+CACHED = {
+    "k2k2": TEMPLATES["k2k2"],
+    "k3k3": TEMPLATES["k3k3"],
+    "k2k3": TEMPLATES["k2k3"],
+    "nae": pk.PcspTemplate(NAE, NAE),
+    "one_in_three": ONE_IN_THREE,
+}
+
+
+class TestRowIndexCache:
+    """The matrix row indices are built once per template value and arity,
+    as int arrays, and read as the uncached lists were."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(CACHED)), n=st.integers(1, 5),
+           block=st.sampled_from([3, 1 << 16]), data=st.data())
+    def test_cached_rows_are_the_uncached_lists(self, name, n, block, data):
+        template = CACHED[name]
+        expected = reference_minion.row_index_sets(template, n, block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pk.minion, "_BLOCK", block)
+            for _ in range(2):  # built, then looked up
+                got = pk.minion._row_index_sets(template, n)
+                assert [
+                    (rel, target, [[list(c) for c in coord] for coord in head],
+                     [list(row) for row in tail])
+                    for rel, target, head, tail in got
+                ] == expected
+                size = len(template.strict.domain) ** n
+                code = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+                assert all(row.typecode == code for _, _, _, tail in got for row in tail)
+            t = data.draw(functions(template.strict.domain, template.relaxed.domain,
+                                    min_arity=n, max_arity=n))
+            assert pk.is_polymorphism(t, template) == reference_minion.is_polymorphism(t, template)
+
+    def test_templates_sharing_a_strict_side_keep_their_own_rows(self, t22, t23):
+        # (K2,K2) and (K2,K3) have one strict side: rows keyed by it alone
+        # would check the second template against the first one's relaxed edges
+        pk.minion._row_sets.cache_clear()
+        negation = fn(("x", "y"), ("1", "1", "0", "0"))
+        constant = fn(("x", "y"), ("0", "0", "0", "0"))
+        # a member of Pol(K2,K3) that is not in Pol(K2,K2): it takes the value 2
+        first_to_two = pk.FiniteFunction(("x", "y"), "01", "012", ("0", "0", "2", "2"))
+        for _ in range(2):
+            assert pk.is_polymorphism(negation, t22)
+            assert not pk.is_polymorphism(constant, t22)
+            assert pk.is_polymorphism(first_to_two, t23)
+
+    def test_one_build_per_template_value_and_arity(self, k2):
+        pk.minion._row_sets.cache_clear()
+        for _ in range(3):  # equal templates, built apart
+            pk.is_polymorphism(fn(("x", "y"), ("0", "0", "1", "1")), pk.PcspTemplate(k2, k2))
+        assert pk.minion._row_sets.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+class TestMinorFastPath:
+    def test_an_order_preserving_relabelling_keeps_the_table(self, monkeypatch):
+        monkeypatch.setattr(pk.minion, "_minor_index", None)
+        t = pk.FiniteFunction((0, 1, 2), "01", "01", MAJ.table)
+        pi = {0: "a", 1: "b", 2: "c"}
+        assert pk.minor(t, pi) == pk.FiniteFunction(("a", "b", "c"), "01", "01", MAJ.table)
+        assert pk.minor(t, pi, target="abc").table is t.table
+
+    @pytest.mark.parametrize("target", [None, ("a+,x", "a,x", "b")])
+    def test_a_bijection_out_of_order_is_reindexed(self, target):
+        # ("a", "x") < ("a+", "x") as tuples, but "a+,x" < "a,x" as labels
+        labels = [tuple_label(t) for t in sorted([("a", "x"), ("a+", "x")])]
+        assert labels == ["a,x", "a+,x"]
+        first = pk.FiniteFunction((0, 1), "01", "01", ("0", "0", "1", "1"))
+        pi = dict(enumerate(labels))
+        got = pk.minor(first, pi, target=target)
+        assert got == reference_minion.minor(first, pi, target=target)
+        if target is None:
+            assert got.table == ("0", "1", "0", "1")
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize(
+        "table, named",
+        [
+            (("0", "2", "3", "1"), "'2'"),
+            (("0", "5", ["1"], "1"), "'5'"),
+            ((["1"], "5", "0", "1"), r"\['1'\]"),
+        ],
+    )
+    def test_the_first_value_outside_the_domain_is_named(self, table, named):
+        with pytest.raises(InputError, match=f"^table value {named} outside the output domain$"):
+            fn(("x", "y"), table)
 
 
 # Pol(K2,K2) at arities 1-3 and Pol(K2,K3) at arities 1-2.

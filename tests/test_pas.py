@@ -466,6 +466,7 @@ class TestValueOracle:
             ),
             (("systems", 0, "arity"), "2", "systems[0].arity: expected an integer"),
             (("systems", 1, "variables", 0), 0, "systems[1].variables[0]: expected a string"),
+            (("systems", 0, "arity"), True, "systems[0].arity: expected an integer"),
         ],
     )
     def test_a_malformed_pas_file_names_its_json_path(self, path, value, message):

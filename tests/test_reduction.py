@@ -355,6 +355,16 @@ class TestDecode:
         with pytest.raises(InputError, match=re.escape(message)):
             pk.CloudLayout.from_payload(payload)
 
+    def test_a_layout_that_is_no_gadget_needs_its_subset_instance(self, t22, ident22):
+        # without `aux` there are no clouds to read, which used to end in an
+        # AttributeError on decoding
+        payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
+        del payload["aux"]
+        with pytest.raises(InputError, match="^aux: missing$"):
+            pk.CloudLayout.from_payload(payload)
+        gadget = pk.pipeline_reduce(triangle_instance(), t22, t22, ident22).layout.to_payload()
+        assert "aux" not in gadget and pk.CloudLayout.from_payload(gadget).gadget
+
     def test_a_strict_side_other_than_the_recorded_one_is_refused(self, k2, t22, ident22):
         phi = path_instance()
         result = pk.pipeline_reduce(phi, t22, t22, ident22)
