@@ -42,7 +42,6 @@ from .minion import (
     LazyPolymorphismSlice,
     MinionSlice,
     check_dr_homomorphism,
-    check_minion_homomorphism,
     check_minor_closure,
     decode_partial_map_constraint,
     dictator,

@@ -150,7 +150,7 @@ class PcspTemplate:
     def __post_init__(self):
         if not self.strict.similar_to(self.relaxed):
             raise StructuralError("strict and relaxed sides are not similar")
-        if _find_homomorphism(self.strict, self.relaxed) is None:
+        if not _has_homomorphism(self.strict, self.relaxed):
             raise StructuralError("no homomorphism from the strict to the relaxed side")
 
     def side(self, which: str) -> RelationalStructure:
@@ -423,18 +423,12 @@ def check_homomorphism(
     return True
 
 
-def _find_homomorphism(src: RelationalStructure, dst: RelationalStructure):
-    """First homomorphism src -> dst in lexicographic order, or None."""
-    for images in itertools.product(dst.domain, repeat=len(src.domain)):
-        h = dict(zip(src.domain, images))
-        ok = all(
-            tuple(h[a] for a in t) in dst.relations[name].tuples
-            for name, rel in src.relations.items()
-            for t in rel.tuples
-        )
-        if ok:
-            return h
-    return None
+def _has_homomorphism(src: RelationalStructure, dst: RelationalStructure) -> bool:
+    """Is some map src -> dst, tried in lexicographic order, a homomorphism?"""
+    return any(
+        check_homomorphism(dict(zip(src.domain, images)), src, dst)
+        for images in itertools.product(dst.domain, repeat=len(src.domain))
+    )
 
 
 def evaluate(instance: Instance, side: RelationalStructure, f: Mapping[str, str]) -> list:

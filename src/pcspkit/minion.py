@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, _payload_field, completion_order
+from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, completion_order
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -433,16 +433,13 @@ class LazyDictatorSlice:
 @dataclass(frozen=True)
 class MinionCheck:
     """An audit's verdict and, on failure, its first counterexample: (t, pi,
-    the minor) for closure and homomorphism, (functions, maps) for chains."""
+    the minor) for closure, (functions, maps) for chains."""
 
     ok: bool
     counterexample: Optional[tuple] = None
 
     def __bool__(self):
         return self.ok
-
-
-ClosureCheck = HomomorphismCheck = ChainCheck = MinionCheck
 
 
 class _MinorGraph:
@@ -499,38 +496,29 @@ class _MinorGraph:
         return t, self.maps[t.arity_set][m][0], self.functions[s]
 
 
-def check_minor_closure(slice_: MinionSlice) -> ClosureCheck:
+def check_minor_closure(slice_: MinionSlice) -> MinionCheck:
     """Is the slice closed under every minor map between its declared arities?"""
     graph = _MinorGraph(slice_, slice_.arity_sets)
     for i in range(graph.size):
         for m, s in enumerate(graph.edges[i]):
             if s >= graph.size:
-                return ClosureCheck(False, graph.witness(i, m, s))
-    return ClosureCheck(True, None)
-
-
-def check_minion_homomorphism(
-    xi: Mapping[FiniteFunction, FiniteFunction],
-    source: MinionSlice,
-    declared: Optional[Iterable] = None,
-) -> HomomorphismCheck:
-    """Does xi preserve arities and every minor between the declared arities?"""
-    graph = _MinorGraph(source, [tuple(sorted(x)) for x in (declared or source.arity_sets)])
-    members = graph.functions[: graph.size]
-    for t in members:
-        if t not in xi:
-            raise InputError(f"map is not total: missing a function of arity {t.arity_set}")
-        if xi[t].arity_set != t.arity_set:
-            raise StructuralError("map does not preserve arities")
-    images = [graph.intern(xi[t]) for t in members]
-    for i in range(graph.size):
-        for m, s in enumerate(graph.edges[i]):
-            if s < graph.size and graph.minor(images[i], m) != images[s]:
-                return HomomorphismCheck(False, graph.witness(i, m, s))
-    return HomomorphismCheck(True, None)
+                return MinionCheck(False, graph.witness(i, m, s))
+    return MinionCheck(True, None)
 
 
 # -- set-valued chain-preserving tables ---------------------------------------
+
+
+def _positive_ints(**values) -> None:
+    """Refuse a table width or chain length that is not a positive integer,
+    a boolean included."""
+    for name, value in values.items():
+        if not _is_kind(value, int) or value < 1:
+            raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _sides(template: PcspTemplate) -> tuple:
+    return template.strict.domain, template.relaxed.domain
 
 
 class ExplicitDrTable:
@@ -540,8 +528,7 @@ class ExplicitDrTable:
     kind = "explicit"
 
     def __init__(self, d: int, r: int, mapping: Mapping[FiniteFunction, Sequence[FiniteFunction]]):
-        if d < 1 or r < 1:
-            raise InputError("d and r must be positive")
+        _positive_ints(d=d, r=r)
         self.d = d
         self.r = r
         self.mapping = {}
@@ -561,6 +548,21 @@ class ExplicitDrTable:
             raise InputError(f"table does not cover a function of arity {t.arity_set}")
         return self.mapping[t]
 
+    def fits(self, source: PcspTemplate, target: PcspTemplate) -> None:
+        """Refuse, with an InputError, a function not over the target's
+        domains or an image not over the source's."""
+        for t, images in self.mapping.items():
+            if (t.in_domain, t.out_domain) != _sides(target):
+                raise InputError(
+                    f"the explicit table's function of arity {t.arity_set} "
+                    "is not over the target's strict and relaxed domains"
+                )
+            if any((g.in_domain, g.out_domain) != _sides(source) for g in images):
+                raise InputError(
+                    f"an image of the explicit table's function of arity {t.arity_set} "
+                    "is not over the source's strict and relaxed domains"
+                )
+
     def to_payload(self) -> dict:
         items = sorted(self.mapping.items(), key=lambda kv: (kv[0].arity_set, kv[0].table))
         return {
@@ -571,47 +573,9 @@ class ExplicitDrTable:
             "images": [[g.to_payload() for g in images] for _, images in items],
         }
 
-
-class IdentityDrTable:
-    """t maps to {t}: the sharpest table, defined on every polymorphism of its
-    template.  Evaluable at any arity without enumerating a slice."""
-
-    kind = "identity"
-
-    def __init__(self, template: PcspTemplate, r: int = 1):
-        if r < 1:
-            raise InputError("r must be positive")
-        self.template = template
-        self.d = 1
-        self.r = r
-
-    def image(self, t: FiniteFunction) -> tuple:
-        try:
-            covered = is_polymorphism(t, self.template)
-        except StructuralError:  # a function over other domains
-            covered = False
-        if not covered:
-            raise InputError(
-                f"identity table does not cover a non-polymorphism of arity {t.arity_set}"
-            )
-        return (t,)
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "r": self.r,
-            "template": self.template.to_payload(),
-        }
-
-
-def dr_table_from_payload(payload: Mapping):
-    field = partial(_payload_field, payload, "")
-    kind = field("kind", str)
-    if kind == "identity":
-        template = PcspTemplate.from_payload(field("template", Mapping))
-        return IdentityDrTable(template, r=field("r", int))
-    if kind == "explicit":
+    @staticmethod
+    def from_payload(payload: Mapping) -> "ExplicitDrTable":
+        field = partial(_payload_field, payload, "")
         source = [
             FiniteFunction.from_payload(p, f"source[{i}]")
             for i, p in enumerate(field("source", list))
@@ -627,17 +591,75 @@ def dr_table_from_payload(payload: Mapping):
             if first.setdefault(t, i) != i:
                 raise InputError(f"source[{i}]: repeats the function source[{first[t]}]")
         return ExplicitDrTable(field("d", int), field("r", int), dict(zip(source, images)))
+
+
+class IdentityDrTable:
+    """t maps to {t}: the sharpest table, defined on every polymorphism of its
+    template.  Evaluable at any arity without enumerating a slice."""
+
+    kind = "identity"
+
+    def __init__(self, template: PcspTemplate, r: int = 1):
+        _positive_ints(r=r)
+        self.template = template
+        self.d = 1
+        self.r = r
+
+    def image(self, t: FiniteFunction) -> tuple:
+        try:
+            covered = is_polymorphism(t, self.template)
+        except StructuralError:  # a function over other domains
+            covered = False
+        if not covered:
+            raise InputError(
+                f"identity table does not cover a non-polymorphism of arity {t.arity_set}"
+            )
+        return (t,)
+
+    def fits(self, source: PcspTemplate, target: PcspTemplate) -> None:
+        """Refuse, with an InputError, a template other than the target, or a
+        target over other domains than the source: the images live there."""
+        if self.template != target:
+            raise InputError("the identity table's template is not the target template")
+        if _sides(target) != _sides(source):
+            raise InputError(
+                "the identity table's images are not over the source's strict and relaxed domains"
+            )
+
+    def to_payload(self) -> dict:
+        return {
+            "kind": self.kind,
+            "d": self.d,
+            "r": self.r,
+            "template": self.template.to_payload(),
+        }
+
+    @staticmethod
+    def from_payload(payload: Mapping) -> "IdentityDrTable":
+        field = partial(_payload_field, payload, "")
+        template = PcspTemplate.from_payload(field("template", Mapping))
+        return IdentityDrTable(template, r=field("r", int))
+
+
+def dr_table_from_payload(payload: Mapping):
+    """A chain table read by the kind its payload names."""
+    kind = _payload_field(payload, "", "kind", str)
+    for table in (IdentityDrTable, ExplicitDrTable):
+        if kind == table.kind:
+            return table.from_payload(payload)
     raise InputError(f"unknown table kind {kind!r}")
 
 
 def check_dr_homomorphism(
     table, source: MinionSlice, budget: int = DEFAULT_BUDGET
-) -> ChainCheck:
+) -> MinionCheck:
     """Verify the weak chain condition on every length-r minor chain whose
     members stay inside the source slice:
 
     for the chain t_0 -> ... -> t_r there must be i < j and g in xi(t_i),
-    h in xi(t_j) with h equal to the composed-map minor of g.
+    h in xi(t_j) with h equal to the composed-map minor of g.  At d = r = 1
+    this is the minion-homomorphism check: xi commutes with every minor
+    between the slice's arities.
     """
     r = table.r
     arities = source.arity_sets
@@ -689,8 +711,8 @@ def check_dr_homomorphism(
         if failed := walk((t0,), (), image(t0)):
             chain = tuple(graph.functions[i] for i in failed[0])
             maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, failed[1]))
-            return ChainCheck(False, (chain, maps))
-    return ChainCheck(True, None)
+            return MinionCheck(False, (chain, maps))
+    return MinionCheck(True, None)
 
 
 # -- lifted relations and their decoder ---------------------------------------

@@ -54,9 +54,7 @@ from .errors import (
     StructuralError,
 )
 from .minion import (
-    ExplicitDrTable,
     FiniteFunction,
-    IdentityDrTable,
     LazyPolymorphismSlice,
     _blocks,
     _index_typecode,
@@ -426,29 +424,6 @@ def find_unsolvable_gadget(
     return None
 
 
-def _check_table_fits(dr_table, source: PcspTemplate, target: PcspTemplate) -> None:
-    """Refuse, with an InputError, a table that does not fit the templates:
-    an identity table over another template than the target, or an explicit
-    table whose functions are not over the target's domains or whose images
-    are not over the source's."""
-    if isinstance(dr_table, IdentityDrTable) and dr_table.template != target:
-        raise InputError("the identity table's template is not the target template")
-    if isinstance(dr_table, ExplicitDrTable):
-        target_sides = (target.strict.domain, target.relaxed.domain)
-        source_sides = (source.strict.domain, source.relaxed.domain)
-        for t, images in dr_table.mapping.items():
-            if (t.in_domain, t.out_domain) != target_sides:
-                raise InputError(
-                    f"the explicit table's function of arity {t.arity_set} "
-                    "is not over the target's strict and relaxed domains"
-                )
-            if any((g.in_domain, g.out_domain) != source_sides for g in images):
-                raise InputError(
-                    f"an image of the explicit table's function of arity {t.arity_set} "
-                    "is not over the source's strict and relaxed domains"
-                )
-
-
 def _pipeline_params(source: PcspTemplate, dr_table, params: Optional[GapParameters]):
     """The record both stages use, for the relaxed source domain, m the largest
     source arity and the table's (d, r); a differing one is a ParameterError."""
@@ -479,9 +454,9 @@ def pipeline_reduce(
     input as a no-instance, which is mapped to a fixed relaxed-unsolvable
     gadget of the target.  Any other source with more variables than a compact
     parameter record's top arity is refused with a ParameterError.  A table
-    that does not fit is refused with an InputError (`_check_table_fits`).
+    that does not fit the templates is refused by its `fits`, an InputError.
     """
-    _check_table_fits(dr_table, source, target)
+    dr_table.fits(source, target)
     params = _pipeline_params(source, dr_table, params)
     padded, pads = _pad_instance(phi, params.k[0])
     try:
@@ -664,7 +639,7 @@ def recover_source_solution(
     assignment, and verify it solves the relaxed source.  A table that does
     not fit the templates, or a parameter record that does not match the
     pipeline, is refused before any cloud is read, as in `pipeline_reduce`."""
-    _check_table_fits(dr_table, source, layout.target)
+    dr_table.fits(source, layout.target)
     params = _pipeline_params(source, dr_table, params)
     s = read_cloud_functions(assignment, layout, layout.target.relaxed.domain)
     seq = decode_relaxed_solution(s, layout, dr_table, phi, source, budget=budget)

@@ -26,10 +26,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from pcspkit.core import DEFAULT_BUDGET, PcspTemplate
 from pcspkit.errors import InputError, ResourceError, StructuralError
 from pcspkit.minion import (
-    ChainCheck,
-    ClosureCheck,
     FiniteFunction,
-    HomomorphismCheck,
+    MinionCheck as ChainCheck,
+    MinionCheck as ClosureCheck,
+    MinionCheck as HomomorphismCheck,
     MinionSlice,
     _digits,
     _strides,

@@ -421,6 +421,7 @@ class TestBareArguments:
         k3 = pk.complete_graph(3)
         xi33 = pk.IdentityDrTable(pk.PcspTemplate(k3, k3), r=1)
         jsonio.write_canonical(tmp_path / "xi33.json", xi33.to_payload())
+        jsonio.write_canonical(tmp_path / "t33.json", xi33.template.to_payload())
         t3 = pk.dictator(("x",), "012", "x")
         jsonio.write_canonical(
             tmp_path / "explicit33.json", pk.ExplicitDrTable(1, 1, {t3: (t3,)}).to_payload()
@@ -458,7 +459,7 @@ class TestBareArguments:
         )
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
-            "xi33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
+            "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "index-true.json",
         )
@@ -535,6 +536,11 @@ class TestBareArguments:
             ),
             (
                 ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
+                 "--target-template", "t33.json", "--dr-table", "xi33.json"],
+                "the identity table's images are not over the source's strict and relaxed domains",
+            ),
+            (
+                ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
                  "--target-template", "t22.json", "--dr-table", "explicit33.json"],
                 "is not over the target's strict and relaxed domains",
             ),
@@ -573,6 +579,7 @@ class TestBareArguments:
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
+            "reduce-pcsp-identity-table-off-the-source",
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
             "decode-budget-on-the-layout", "decode-layout-without-aux",
             "reduce-pcsp-boolean-r", "msolution-boolean-index",

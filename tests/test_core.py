@@ -1,5 +1,7 @@
 """Structures, templates, instances, and the brute-force solvers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,32 @@ class TestStructures:
         # K3 -> K2 has no homomorphism: a triangle is not 2-colorable.
         with pytest.raises(StructuralError):
             pk.PcspTemplate(pk.complete_graph(3), k2)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_template_is_built_exactly_when_a_homomorphism_exists(self, data):
+        sides = []
+        for _ in range(2):
+            domain = "012"[: data.draw(st.integers(1, 3))]
+            rel = {
+                name: (arity, data.draw(st.sets(st.tuples(*[st.sampled_from(domain)] * arity),
+                                                min_size=1, max_size=4)))
+                for name, arity in (("e", 2), ("u", 1))
+            }
+            sides.append(pk.structure(domain, **rel))
+        strict, relaxed = sides
+        exists = any(
+            all(tuple(h[a] for a in t) in relaxed.relations[name].tuples
+                for name, rel in strict.relations.items() for t in rel.tuples)
+            for h in (dict(zip(strict.domain, images))
+                      for images in itertools.product(relaxed.domain, repeat=len(strict.domain)))
+        )
+        try:
+            pk.PcspTemplate(strict, relaxed)
+        except StructuralError:
+            assert not exists
+        else:
+            assert exists
 
     def test_payload_round_trip(self, k2):
         assert pk.RelationalStructure.from_payload(k2.to_payload()) == k2

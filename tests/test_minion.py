@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 import random
 import re
 import types
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcspkit as pk
+from pcspkit import jsonio
 from pcspkit.errors import InputError, ResourceError, StructuralError
 from pcspkit.minion import LazyDictatorSlice, dictator, restriction_to, tuple_label
 
@@ -156,18 +158,23 @@ class TestClosure:
         assert pk.check_minor_closure(sl)
 
 
+def _chain_audit(xi, sl):
+    """The minion-homomorphism check of xi: the chain audit at d = r = 1."""
+    return pk.check_dr_homomorphism(pk.ExplicitDrTable(1, 1, {t: (xi[t],) for t in xi}), sl)
+
+
 class TestMinionHomomorphism:
     def test_identity_map(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
         xi = {t: t for t in sl.all_functions()}
-        assert pk.check_minion_homomorphism(xi, sl)
+        assert _chain_audit(xi, sl)
 
     def test_first_coordinate_collapse_is_not_a_homomorphism(self, t22):
         # sending everything to the first-coordinate projection breaks on any
         # map that moves the first coordinate
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
         xi = {t: dictator(t.arity_set, ("0", "1"), t.arity_set[0]) for t in sl.all_functions()}
-        result = pk.check_minion_homomorphism(xi, sl)
+        result = _chain_audit(xi, sl)
         assert not result
 
     def test_depended_coordinate_map_is_a_homomorphism(self, t22):
@@ -175,7 +182,7 @@ class TestMinionHomomorphism:
         # on commutes with minors on this slice
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
         xi = {t: dictator(t.arity_set, ("0", "1"), _depended(t)[0]) for t in sl.all_functions()}
-        assert pk.check_minion_homomorphism(xi, sl)
+        assert _chain_audit(xi, sl)
 
     def test_negation_to_identity_fails_with_witness(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
@@ -185,9 +192,11 @@ class TestMinionHomomorphism:
             xi[t] = ident
         for t in sl.members(("x", "y")):
             xi[t] = t
-        result = pk.check_minion_homomorphism(xi, sl)
+        result = _chain_audit(xi, sl)
         assert not result
-        assert result.counterexample is not None
+        # the failing chain: a unary member, its minor and the map between them
+        (t, s), (pi,) = result.counterexample
+        assert pk.minor(xi[t], pi, target=s.arity_set) != xi[s]
 
 
 def _depended(t):
@@ -212,14 +221,13 @@ class TestDrTables:
 
     def test_explicit_and_identity_agree_on_small_maps(self, t22):
         # every (1,1) table that is a minion homomorphism passes, every one
-        # that is not fails, matching the plain homomorphism check
+        # that is not fails, matching the reference homomorphism check
         sl = pk.polymorphism_slice(t22, [("x",)])
         members = sl.members(("x",))
         for images in itertools.product(members, repeat=len(members)):
             xi = dict(zip(members, images))
-            expect = bool(pk.check_minion_homomorphism(xi, sl))
-            table = pk.ExplicitDrTable(1, 1, {t: (xi[t],) for t in members})
-            assert bool(pk.check_dr_homomorphism(table, sl)) == expect
+            expect = bool(reference_minion.check_minion_homomorphism(xi, sl))
+            assert bool(_chain_audit(xi, sl)) == expect
 
     def test_agreement_on_sampled_tables_over_the_full_slice(self, t22):
         # same agreement over the six-function slice, on seeded samples of the
@@ -230,9 +238,8 @@ class TestDrTables:
             xi = {
                 t: rng.choice(sl.members(t.arity_set)) for t in sl.all_functions()
             }
-            expect = bool(pk.check_minion_homomorphism(xi, sl))
-            table = pk.ExplicitDrTable(1, 1, {t: (xi[t],) for t in xi})
-            assert bool(pk.check_dr_homomorphism(table, sl)) == expect
+            expect = bool(reference_minion.check_minion_homomorphism(xi, sl))
+            assert bool(_chain_audit(xi, sl)) == expect
 
     def test_depended_coordinates_table(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
@@ -347,6 +354,35 @@ class TestDrTables:
         )
         payload = {**table.to_payload(), key: True}
         with pytest.raises(InputError, match=f"^{key}: expected an integer$"):
+            pk.minion.dr_table_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda t22: pk.IdentityDrTable(t22, r=True), "r must be a positive integer, got True"),
+            (lambda t22: pk.IdentityDrTable(t22, r=2.0), "r must be a positive integer, got 2.0"),
+            (lambda t22: pk.IdentityDrTable(t22, r=0), "r must be a positive integer, got 0"),
+            (lambda t22: pk.ExplicitDrTable(True, 1, {}), "d must be a positive integer, got True"),
+            (lambda t22: pk.ExplicitDrTable(1, 2.0, {}), "r must be a positive integer, got 2.0"),
+            (lambda t22: pk.ExplicitDrTable(1, 0, {}), "r must be a positive integer, got 0"),
+        ],
+        ids=["identity-bool", "identity-float", "identity-zero", "explicit-bool",
+             "explicit-float", "explicit-zero"],
+    )
+    def test_a_width_or_length_that_is_no_positive_integer_is_refused(self, t22, build, message):
+        # r=True used to be written as "r": true, and r=2.0 failed in
+        # gap_parameters with a TypeError
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build(t22)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("cyclic", "unknown table kind 'cyclic'"), (1, "kind: expected a string"),
+         (None, "kind: expected a string")],
+    )
+    def test_an_unknown_or_non_string_kind_is_refused(self, t22, kind, message):
+        payload = {**pk.IdentityDrTable(t22).to_payload(), "kind": kind}
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             pk.minion.dr_table_from_payload(payload)
 
     def test_a_repeated_source_function_is_refused(self):
@@ -698,6 +734,33 @@ def _outcome(audit, *args):
         return type(exc), str(exc)
 
 
+class TestTablePayloads:
+    """Each table kind reads back from its payload to the same canonical bytes."""
+
+    @staticmethod
+    def _round_trip(table):
+        text = jsonio.canonical_dumps(table.to_payload())
+        loaded = pk.minion.dr_table_from_payload(json.loads(text))
+        assert type(loaded) is type(table)
+        assert jsonio.canonical_dumps(loaded.to_payload()) == text
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(name=st.sampled_from(("k2k2", "k3k3", "k2k3")), r=st.integers(1, 3))
+    def test_an_identity_table(self, name, r):
+        self._round_trip(pk.IdentityDrTable(TEMPLATES[name], r=r))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_an_explicit_table(self, data):
+        members = list(AUDITED[data.draw(st.sampled_from(sorted(AUDITED)))].all_functions())
+        mapping = data.draw(_rewritten_xi(members))
+        d, r = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+        for t in members if d == 2 else ():
+            if data.draw(st.integers(0, 3)) == 0:
+                mapping[t].append(data.draw(_images(t)))
+        self._round_trip(pk.ExplicitDrTable(d, r, mapping))
+
+
 class TestAuditsAgainstReference:
     """The audits over one minor graph against the audits that minor every
     member along every map where they meet it: the same answer, the same first
@@ -726,6 +789,8 @@ class TestAuditsAgainstReference:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(data=st.data())
     def test_homomorphism_audit_is_the_same(self, data):
+        # the reference homomorphism check against the chain audit at d = r = 1,
+        # run on the slice restricted to the arities the reference declares
         sl = AUDITED[data.draw(st.sampled_from(sorted(AUDITED)))]
         members = list(sl.all_functions())
         xi = {t: images[0] for t, images in data.draw(_rewritten_xi(members)).items()}
@@ -733,13 +798,30 @@ class TestAuditsAgainstReference:
             del xi[data.draw(st.sampled_from(members))]
         if data.draw(st.integers(0, 5)) == 0:
             xi[data.draw(st.sampled_from(members))] = fn(("z",), ("0", "1"))
-        declared = None
+        declared, audited = None, sl
         if data.draw(st.booleans()):
             pool = sl.arity_sets + (LABELS[1:3],)
             declared = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        assert _outcome(pk.check_minion_homomorphism, xi, sl, declared) == _outcome(
-            reference_minion.check_minion_homomorphism, xi, sl, declared
-        )
+            audited = pk.MinionSlice(sl.in_domain, sl.out_domain, {x: sl.members(x) for x in declared})
+        covered = {t: xi[t] for t in audited.all_functions() if t in xi}
+        expected = _outcome(reference_minion.check_minion_homomorphism, xi, sl, declared)
+        got = _outcome(_chain_audit, covered, audited)
+        if isinstance(expected, pk.minion.MinionCheck):
+            assert isinstance(got, pk.minion.MinionCheck) and got.ok == expected.ok
+            if declared is None and not expected:
+                t, pi, s = expected.counterexample
+                assert got.counterexample == ((t, s), (pi,))
+        elif any(g.arity_set != t.arity_set for t, g in covered.items()):
+            # the table refuses an image off its function's arity when it is
+            # built, even where the reference first meets a member xi misses
+            assert got[0] is StructuralError
+        elif isinstance(got, pk.minion.MinionCheck):
+            # xi misses a member, but the chain audit images members in walk
+            # order and met a failing pair first
+            (t, s), (pi,) = got.counterexample
+            assert not got and pk.minor(xi[t], pi, target=s.arity_set) != xi[s]
+        else:
+            assert got[0] is expected[0] is InputError
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(data=st.data())
@@ -793,14 +875,13 @@ class TestAuditsAgainstReference:
                 for t in sl.all_functions()}
         assert all(pk.is_polymorphism(g, t23) for g in twin.values())
         # every twin: the inclusion of Pol(K2,K2) into Pol(K2,K3)
-        assert pk.check_minion_homomorphism(twin, sl)
-        lifted = pk.ExplicitDrTable(1, 1, {t: (g,) for t, g in twin.items()})
-        assert pk.check_dr_homomorphism(lifted, sl)
+        assert reference_minion.check_minion_homomorphism(twin, sl)
+        assert _chain_audit(twin, sl)
         # twins at arities 1 and 3 only: a twin's minor has a member's table,
         # but another out-domain, and must not be taken for that member
         mixed = {t: g if len(t.arity_set) != 2 else t for t, g in twin.items()}
         table = pk.ExplicitDrTable(1, 1, {t: (g,) for t, g in mixed.items()})
         expected = reference_minion.check_dr_homomorphism(table, sl)
         assert not expected and pk.check_dr_homomorphism(table, sl) == expected
-        expected = reference_minion.check_minion_homomorphism(mixed, sl)
-        assert not expected and pk.check_minion_homomorphism(mixed, sl) == expected
+        t, pi, s = reference_minion.check_minion_homomorphism(mixed, sl).counterexample
+        assert _chain_audit(mixed, sl).counterexample == ((t, s), (pi,))

@@ -173,6 +173,35 @@ class TestPipeline:
         with pytest.raises(InputError, match="^the identity table's template is not the target"):
             pk.pipeline_reduce(path_instance(), t22, t22, table)
 
+    def test_identity_table_off_the_source_domains_is_refused(self, monkeypatch, t22, k3):
+        # the (K3,K3) identity used to emit 6,561 variables for the (K2,K2)
+        # path, and a relaxed solution using colour 2 failed at decode as an
+        # InvariantError
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started work on a table it must refuse")
+
+        monkeypatch.setattr(pk.reduction, "build_auxiliary", no_work)
+        monkeypatch.setattr(pk.reduction, "longcode_reduce", no_work)
+        t33 = pk.PcspTemplate(k3, k3)
+        with pytest.raises(InputError, match="^the identity table's images are not over the source"):
+            pk.pipeline_reduce(path_instance(), t22, t33, pk.IdentityDrTable(t33, r=1))
+
+    def test_decoding_through_an_identity_table_off_the_source_domains_is_refused(
+        self, monkeypatch, k2, k3, t22
+    ):
+        t33 = pk.PcspTemplate(k3, k3)
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t33)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        recoloured = {pos: "2" if v == "1" else v for pos, v in lift.mapping.items()}
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("decoding read a cloud through a table it must refuse")
+
+        monkeypatch.setattr(pk.reduction, "read_cloud_functions", no_read)
+        with pytest.raises(InputError, match="^the identity table's images are not over the source"):
+            pk.recover_source_solution(recoloured, layout, pk.IdentityDrTable(t33), phi, t22)
+
     @pytest.mark.parametrize(
         "function, image, message",
         [
@@ -371,10 +400,17 @@ class TestDecode:
         lift = pk.lift_strict_solution(
             pk.brute_force_solve(result.layout.aux.source, k2), result.layout
         )
+        # a source over other domains than the table's images is refused by the
+        # table itself; one over the same domains reaches the layout's record
         k3 = pk.complete_graph(3)
-        with pytest.raises(InputError, match="does not match the layout"):
+        with pytest.raises(InputError, match="^the identity table's images are not over the source"):
             pk.recover_source_solution(
                 lift.mapping, result.layout, ident22, phi, pk.PcspTemplate(k3, k3)
+            )
+        one_way = pk.structure("01", neq=(2, {("0", "1")}))
+        with pytest.raises(InputError, match="does not match the layout"):
+            pk.recover_source_solution(
+                lift.mapping, result.layout, ident22, phi, pk.PcspTemplate(one_way, k2)
             )
 
     def test_nested_layers_end_to_end(self, k2, t22, ident22):
@@ -599,6 +635,10 @@ class PostCompositionTable:
         self.target_template = target_template
         self.source_template = source_template
         self.h = dict(h)
+
+    def fits(self, source, target):
+        if (source, target) != (self.source_template, self.target_template):
+            raise InputError("the post-composition table is over other templates")
 
     def covers(self, t):
         try:
