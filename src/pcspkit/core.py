@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceError, StructuralError
 
@@ -172,14 +172,9 @@ class PcspTemplate:
         return PcspTemplate(strict, relaxed)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     scope: tuple
     relation: str
-
-    def __init__(self, scope: Sequence[str], relation: str):
-        object.__setattr__(self, "scope", tuple(scope))
-        object.__setattr__(self, "relation", relation)
 
 
 @dataclass(frozen=True)
@@ -203,8 +198,7 @@ class Instance:
         _check_labels("variable", variables)
         index = dict(zip(variables, range(len(variables))))
         names, scopes = [], []
-        for c in constraints:
-            scope, name = (c.scope, c.relation) if isinstance(c, Constraint) else c
+        for scope, name in constraints:
             scope = tuple(scope)
             try:
                 scopes.append(tuple(map(index.__getitem__, scope)))
@@ -225,7 +219,7 @@ class Instance:
         """The constraints over variable names, built on each call."""
         name = self.variables.__getitem__
         return tuple(
-            Constraint(map(name, scope), relation)
+            Constraint(tuple(map(name, scope)), relation)
             for relation, scope in zip(self.relation_names, self.scopes)
         )
 
@@ -415,6 +409,13 @@ def check_homomorphism(
             raise InputError(f"map is not total: missing {atom!r}")
         if h[atom] not in dst.domain:
             raise InputError(f"map sends {atom!r} outside the target domain")
+    return _preserves_tuples(h, src, dst)
+
+
+def _preserves_tuples(
+    h: Mapping[str, str], src: RelationalStructure, dst: RelationalStructure
+) -> bool:
+    """Does the total map h send each tuple of src into dst's relation of its name?"""
     for name, rel in src.relations.items():
         target = dst.relations[name].tuples
         for t in rel.tuples:
@@ -424,9 +425,11 @@ def check_homomorphism(
 
 
 def _has_homomorphism(src: RelationalStructure, dst: RelationalStructure) -> bool:
-    """Is some map src -> dst, tried in lexicographic order, a homomorphism?"""
+    """Is some map between similar structures src -> dst, tried in
+    lexicographic order, a homomorphism?  Each candidate is total and lands
+    in dst's domain by construction, so only its tuples are checked."""
     return any(
-        check_homomorphism(dict(zip(src.domain, images)), src, dst)
+        _preserves_tuples(dict(zip(src.domain, images)), src, dst)
         for images in itertools.product(dst.domain, repeat=len(src.domain))
     )
 

@@ -627,17 +627,14 @@ class IdentityDrTable:
             )
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "r": self.r,
-            "template": self.template.to_payload(),
-        }
+        return {"kind": self.kind, "d": self.d, "r": self.r, "template": self.template.to_payload()}
 
     @staticmethod
     def from_payload(payload: Mapping) -> "IdentityDrTable":
         field = partial(_payload_field, payload, "")
         template = PcspTemplate.from_payload(field("template", Mapping))
+        if field("d", int) != 1:
+            raise InputError(f"d: the identity table has width 1, got {payload['d']}")
         return IdentityDrTable(template, r=field("r", int))
 
 

@@ -18,8 +18,9 @@ The subset instance is fixed by the padded source, the strict side and k, so
 a layout records those and its reader rebuilds the instance with
 `build_auxiliary`; decoding refuses a source or strict side that differs.
 The identification classes are fixed by the subset instance and the target,
-so the layout derives them once (`CloudLayout.classes`), on integer
-positions, for emission, lifting and reading alike.
+so the layout derives them once, filled from the top-layer clouds, numbers
+them and names each once (`CloudLayout.classes` and `names`), for emission,
+lifting and reading alike.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from types import MappingProxyType
@@ -184,9 +186,15 @@ class CloudLayout:
     padded source, the strict side and k); `from_payload` rebuilds it with
     `build_auxiliary` under the caller's budget, and prices its clouds
     against that budget as `longcode_reduce` does.  The clouds, their
-    integer positions (`offsets`) and the classes the minor conditions
-    identify (a union-find over the constraints' `_minor_index` maps) are
-    derived.
+    integer positions (`offsets`), the classes the minor conditions identify
+    (`classes`) and one name per class (`names`) are derived.
+
+    Every subset lies in a top-layer (k[0]) subset, restriction maps compose
+    and the top clouds come first, so every class holds a top position, its
+    least.  Each lower cloud reads its classes off its first top parent
+    (`_minor_index`), top positions are joined only where a lower subset lies
+    in two top subsets (never when the source has k[0] variables), and
+    constraints between two lower clouds identify nothing more.
     """
 
     target: PcspTemplate
@@ -214,67 +222,78 @@ class CloudLayout:
         return tuple(itertools.accumulate((c.size(base) for c in self.clouds), initial=0))
 
     @cached_property
-    def position_names(self) -> tuple:
-        """Per integer position, its name if it is kept, the least of its
-        class, and None if it is merged: an instance or an assignment names
-        only kept positions.  Formatted once per layout."""
-        names = [None] * self.offsets[-1]
-        for fmt, start, end, kept in self._positions(operator.eq):
-            if len(kept) == end - start:
-                names[start:end] = map(fmt.__mod__, kept)
-            else:
-                for i in kept:
-                    names[start + i] = fmt % i
-        return tuple(names)
-
-    @cached_property
-    def classes(self) -> array:
-        """For every integer position, the least position of its
-        identification class.  A constraint u -> w with map pi identifies
-        position g of w with position g o pi of u, the index `minor` reads."""
-        base = len(self.target.strict.domain)
-        at = {c.ref: (start, c.index_labels) for c, start in zip(self.clouds, self.offsets)}
-        parent = {}  # a merged position -> a smaller one; roots are absent
+    def _numbering(self) -> tuple:
+        """The classes and the least position of each, filled from the top layer."""
+        aux, base = self.aux, len(self.target.strict.domain)
+        variables = aux.variables if aux is not None else ()
+        tops = {var.name for var in variables if len(var.subset) == aux.k[0]}
+        top = self.offsets[len(tops)]
+        at = dict(zip((c.ref for c in self.clouds), map(range, self.offsets, self.offsets[1:])))
+        reads = {}  # a lower variable -> per top subset holding it, its cloud and index map
+        for con in aux.constraints if variables else ():
+            if con.u in tops and con.w not in tops:
+                args = aux.variable(con.u).labels(), con.cmap, aux.variable(con.w).labels()
+                reads.setdefault(con.w, []).append((at[con.u], partial(_minor_index, base, *args)))
+        parent = {}  # a joined top position -> a smaller one; roots are absent
 
         def find(x: int) -> int:
             while x in parent:  # path halving: x points at its grandparent, then moves there
                 parent[x] = x = parent.get(parent[x], parent[x])
             return x
 
-        for con in self.aux.constraints if self.aux is not None else ():
-            if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
-                continue
-            (u, u_labels), (w, w_labels) = at[con.u], at[con.w]
-            for gidx, fidx in enumerate(_minor_index(base, u_labels, con.cmap, w_labels)):
-                ru, rw = find(u + fidx), find(w + gidx)
-                if ru < rw:
-                    parent[rw] = ru
-                elif rw < ru:
-                    parent[ru] = rw
-        # Every parent is smaller than its child, so one increasing pass finishes the roots.
-        # kept with the layout: the narrowest unsigned ints that hold every position
-        classes = array(_index_typecode(self.offsets[-1]), range(self.offsets[-1]))
-        for x in sorted(parent):
-            classes[x] = classes[parent[x]]
-        return classes
+        firsts = {w: index() for w, ((_, index), *others) in reads.items() if others}
+        for w, first in firsts.items():  # a lower subset in several top subsets joins them
+            (u, _), *others = reads[w]
+            for v, other in others:
+                for a, b in zip(map(u.__getitem__, first), map(v.__getitem__, other())):
+                    a, b = find(a), find(b)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        # kept with the layout: the narrowest unsigned ints that hold every class number
+        classes, least = array(_index_typecode(top), range(top)), range(top)
+        if parent:  # the roots in order, then each joined position after its smaller parent
+            least = [x for x in least if x not in parent]
+            for number, x in enumerate(least):
+                classes[x] = number
+            for x in sorted(parent):
+                classes[x] = classes[parent[x]]
+        for ref in list(at)[len(tops) :]:
+            (u, index), *_ = reads[ref]
+            classes.extend(map(classes[u.start : u.stop].__getitem__, firsts.get(ref) or index()))
+        return classes, least
+
+    @property
+    def classes(self) -> array:
+        """Per integer position, the number of its identification class, numbered
+        in the order of the classes' least positions.  A constraint u -> w with
+        map pi identifies position g of w with g o pi of u, the index `minor` reads."""
+        return self._numbering[0]
+
+    @cached_property
+    def names(self) -> tuple:
+        """One name per class, its least position's: an instance or an
+        assignment names only these.  Formatted once per layout."""
+        names = []
+        for fmt, start, _, kept in self._positions():
+            names += map(fmt.__mod__, map(operator.sub, kept, itertools.repeat(start)))
+        return tuple(names)
 
     @property
     def reps(self) -> Mapping:
         """Position name -> its class's least position, identity entries omitted."""
-        names, classes, reps = self.position_names, self.classes, {}
-        for fmt, start, _, merged in self._positions(operator.ne):
-            for i in merged:
-                reps[fmt % i] = names[classes[start + i]]
+        names, classes, reps = self.names, self.classes, {}
+        for fmt, start, end, kept in self._positions():
+            if len(kept) < end - start:  # else every position is the least of its class
+                for x in itertools.filterfalse(set(kept).__contains__, range(start, end)):
+                    reps[fmt % (x - start)] = names[classes[x]]
         return MappingProxyType(reps)
 
-    def _positions(self, test):
-        """Per cloud, the %-format of its position names, its first and end
-        positions, and the indices in it of the positions x whose class's
-        least position r has test(r, x)."""
+    def _positions(self):
+        """Per cloud, its name format, first and end positions and least positions of classes."""
+        least = self._numbering[1]
         for cloud, start, end in zip(self.clouds, self.offsets, self.offsets[1:]):
-            fmt = f"{cloud.id}p%0{len(str(end - start - 1))}d"
-            found = map(test, self.classes[start:end], range(start, end))
-            yield fmt, start, end, list(itertools.compress(range(end - start), found))
+            kept = least[bisect_left(least, start) : bisect_left(least, end)]
+            yield f"{cloud.id}p%0{len(str(end - start - 1))}d", start, end, kept
 
     def to_payload(self) -> dict:
         payload = {
@@ -352,24 +371,18 @@ def longcode_reduce(
     the cloud's labels: its scope is the positions of the matrix rows, the
     indices `is_polymorphism` looks up.  A constraint u -> w with map pi is
     the minor condition F_w = F_u minored along pi, which identifies
-    positions of the two clouds (`CloudLayout.classes`).  Scopes reference the
-    least position of each identification class.
+    positions of the two clouds (`CloudLayout.classes`).  The instance has
+    one variable per identification class, named after its least position.
     """
     layout = CloudLayout(target=target, aux=aux, padding=tuple(padding))
     _price_clouds(layout, budget)
 
-    # Scopes index the kept positions, the least of each class, in order.
-    # Integer positions sort as their names do: cloud ids share one width and
-    # follow the offsets, and indices are zero-padded within a cloud.
-    classes = layout.classes
-    every = range(len(classes))
-    is_kept = list(map(operator.eq, classes, every))
-    # A kept position's rank is the number of kept positions before it.
-    before = list(itertools.accumulate(is_kept, initial=-1))[1:]
-    rank = list(map(before.__getitem__, classes))
+    # Scopes index the classes.  Integer positions sort as their names do:
+    # cloud ids share one width and follow the offsets, and indices are
+    # zero-padded within a cloud, so the class names are sorted.
     scopes = {rel_name: set() for rel_name in target.strict.relations}
     for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
-        position = rank[start:end].__getitem__
+        position = layout.classes[start:end].tolist().__getitem__  # scopes share its ints
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
                 scopes[rel_name].update(zip(*[map(position, r) for r in rows]))
@@ -378,10 +391,7 @@ def longcode_reduce(
     for rel_name in sorted(scopes):
         relation_names += [rel_name] * len(scopes[rel_name])
         sorted_scopes += sorted(scopes[rel_name])
-    names = layout.position_names  # None at a merged position
-    # With no merges the instance's variables are the layout's names, shared.
-    kept_names = names if all(is_kept) else tuple(filter(None, names))
-    instance = Instance._of(kept_names, tuple(relation_names), tuple(sorted_scopes))
+    instance = Instance._of(layout.names, tuple(relation_names), tuple(sorted_scopes))
     return instance, layout
 
 
@@ -468,13 +478,7 @@ def pipeline_reduce(
                 "the input is a no-instance but the target has no small "
                 "relaxed-unsolvable gadget to map it to"
             ) from exc
-        layout = CloudLayout(
-            target=target,
-            aux=None,
-            padding=pads,
-            gadget=True,
-            gadget_reason=str(exc),
-        )
+        layout = CloudLayout(target, None, pads, gadget=True, gadget_reason=str(exc))
         return PipelineResult(gadget, layout, params)
 
     # Compact arities are only shown to decode sources that fit in one
@@ -500,14 +504,13 @@ def read_cloud_functions(
     assignment of the long-code instance."""
     if layout.gadget:
         raise InputError("a gadget layout has no clouds to read")
-    a1 = layout.target.strict.domain
-    classes, names = layout.classes, layout.position_names
-    out = {}
+    try:
+        values = list(map(assignment.__getitem__, layout.names))  # per class
+    except KeyError as exc:
+        raise InputError(f"assignment is missing position {exc.args[0]!r}") from None
+    a1, out = layout.target.strict.domain, {}
     for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
-        try:
-            table = [assignment[names[r]] for r in classes[start:end]]
-        except KeyError as exc:
-            raise InputError(f"assignment is missing position {exc.args[0]!r}") from None
+        table = [values[number] for number in layout.classes[start:end]]
         out[cloud.ref] = FiniteFunction(cloud.index_labels, a1, out_domain, table)
     return out
 
@@ -526,15 +529,15 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
                 f"the strict solution is missing variable {x!r}; it must cover the source "
                 f"and the padding variables listed in layout.padding {list(layout.padding)}"
             )
-    values = {}
-    a1, names = layout.target.strict.domain, layout.position_names
+    values, names = {}, layout.names
+    a1 = layout.target.strict.domain
     for var, start, end in zip(aux.variables, layout.offsets, layout.offsets[1:]):
         restriction = tuple(hmap[x] for x in var.subset)
         if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
         evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
-        for r, value in zip(layout.classes[start:end], evaluation.table):
-            if values.setdefault(names[r], value) != value:
+        for number, value in zip(layout.classes[start:end], evaluation.table):
+            if values.setdefault(names[number], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
     return Assignment(values, side="strict")
 
@@ -585,7 +588,7 @@ def decode_relaxed_solution(
             )
 
     # Push through the table and evaluate on the partial-solution matrices.
-    entries_by_layer: dict = {i: {} for i in range(len(aux.k))}
+    entries = [{} for _ in aux.k]
     index = dict(zip(padded.variables, range(len(padded.variables))))
     for var in aux.variables:
         t = functions[var.name]
@@ -612,12 +615,9 @@ def decode_relaxed_solution(
                     f"decoded entry at {var.name} violates relaxed constraints {check}"
                 )
         for layer in var.layers:
-            entries_by_layer[layer][var.subset] = frozenset(produced)
+            entries[layer][var.subset] = frozenset(produced)
 
-    systems = [
-        Pas(padded.variables, source.relaxed.domain, aux.k[i], entries_by_layer[i])
-        for i in range(len(aux.k))
-    ]
+    systems = [Pas(padded.variables, source.relaxed.domain, k, e) for k, e in zip(aux.k, entries)]
     seq = PasSequence(systems)
     cons = check_consistent(seq)
     if not cons:
@@ -644,8 +644,7 @@ def recover_source_solution(
     s = read_cloud_functions(assignment, layout, layout.target.relaxed.domain)
     seq = decode_relaxed_solution(s, layout, dr_table, phi, source, budget=budget)
     extraction = extract_solution(seq, params, params.m)
-    solution = extraction.assignment.restrict(phi.variables)
-    solution = Assignment(solution.mapping, side="relaxed")
+    solution = Assignment(extraction.assignment.restrict(phi.variables).mapping, side="relaxed")
     if evaluate(phi, source.relaxed, solution):
         raise InvariantError("recovered assignment fails the relaxed source instance")
     return solution

@@ -58,6 +58,12 @@ def cycle_instance(n: int) -> pk.Instance:
     )
 
 
+def bipartite_instance(n: int) -> pk.Instance:
+    """K_{n,n}: every a_i is joined to every b_j."""
+    left, right = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    return pk.Instance(left + right, [((a, b), "neq") for a in left for b in right])
+
+
 def triangle_instance() -> pk.Instance:
     return pk.Instance(
         ["x", "y", "z"], [(("x", "y"), "neq"), (("y", "z"), "neq"), (("x", "z"), "neq")]

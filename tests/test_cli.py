@@ -8,7 +8,7 @@ import pcspkit as pk
 from pcspkit import jsonio
 from pcspkit.cli import main
 
-from conftest import cycle_instance, seeded_value1_sequence
+from conftest import bipartite_instance, cycle_instance, seeded_value1_sequence
 
 
 @pytest.fixture()
@@ -157,6 +157,34 @@ class TestCommands:
         ]) == 0
         recovered = pk.Assignment.from_payload(json.loads(sol_out.read_text()))
         assert pk.evaluate(phi, k2, recovered) == []
+
+    def test_reduce_pcsp_and_decode_at_chain_length_two(self, files, tmp_path, t22, k2):
+        # K_{5,5} through the identity table at r=2: k=(10,10,4), so decoding
+        # reads 210 clouds of 4-subsets that the layout fills from the one
+        # top cloud
+        phi = bipartite_instance(5)
+        src, xi2 = tmp_path / "k55.json", tmp_path / "xi-r2.json"
+        jsonio.write_canonical(src, phi.to_payload())
+        jsonio.write_canonical(xi2, pk.IdentityDrTable(t22, r=2).to_payload())
+        out, layout_path = tmp_path / "out.json", tmp_path / "layout.json"
+        assert main([
+            "reduce", "pcsp", "--source", str(src), "--source-template", files["t22.json"],
+            "--target-template", files["t22.json"], "--dr-table", str(xi2),
+            "--out", str(out), "--layout", str(layout_path),
+        ]) == 0
+        assert len(pk.Instance.from_payload(json.loads(out.read_text())).variables) == 4
+        layout = pk.CloudLayout.from_payload(json.loads(layout_path.read_text()))
+        assert layout.aux.k == (10, 10, 4)
+        h = {x: "0" if x.startswith("a") else "1" for x in phi.variables}
+        assign_path, sol_out = tmp_path / "assign.json", tmp_path / "recovered.json"
+        jsonio.write_canonical(assign_path, pk.lift_strict_solution(h, layout).to_payload())
+        assert main([
+            "decode", "--assignment", str(assign_path), "--layout", str(layout_path),
+            "--dr-table", str(xi2), "--source", str(src),
+            "--source-template", files["t22.json"], "--out", str(sol_out),
+        ]) == 0
+        recovered = pk.Assignment.from_payload(json.loads(sol_out.read_text()))
+        assert recovered.mapping == h
 
     def test_decode_rejects_a_layout_without_format(self, files, tmp_path, capsys):
         src = tmp_path / "edge.json"
@@ -454,6 +482,9 @@ class TestBareArguments:
             tmp_path / "xi-r-true.json", {**pk.IdentityDrTable(t22).to_payload(), "r": True}
         )
         jsonio.write_canonical(
+            tmp_path / "xi-d7.json", {**pk.IdentityDrTable(t22).to_payload(), "d": 7}
+        )
+        jsonio.write_canonical(
             tmp_path / "index-true.json",
             {"assignment": jsonio.read_json(tmp_path / "zeros.json"), "index": True},
         )
@@ -461,7 +492,7 @@ class TestBareArguments:
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
-            "no-aux-layout.json", "xi-r-true.json", "index-true.json",
+            "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -571,6 +602,11 @@ class TestBareArguments:
                 ["verify", "msolution", "--pas", "seq.json", "--assignment", "index-true.json"],
                 "index: expected an integer",
             ),
+            (
+                ["reduce", "pcsp", "--source", "path.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi-d7.json"],
+                "d: the identity table has width 1, got 7",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -582,7 +618,7 @@ class TestBareArguments:
             "reduce-pcsp-identity-table-off-the-source",
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
             "decode-budget-on-the-layout", "decode-layout-without-aux",
-            "reduce-pcsp-boolean-r", "msolution-boolean-index",
+            "reduce-pcsp-boolean-r", "msolution-boolean-index", "reduce-pcsp-identity-width-7",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

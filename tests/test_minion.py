@@ -357,6 +357,21 @@ class TestDrTables:
             pk.minion.dr_table_from_payload(payload)
 
     @pytest.mark.parametrize(
+        "d, message",
+        [(7, "d: the identity table has width 1, got 7"), (None, "d: missing"),
+         (True, "d: expected an integer")],
+        ids=["seven", "missing", "bool"],
+    )
+    def test_an_identity_width_other_than_one_is_refused(self, t22, d, message):
+        # the identity payload's d used to be ignored, so "d": 7 or no d at all
+        # was read as a width-1 table without a word
+        payload = {**pk.IdentityDrTable(t22).to_payload(), "d": d}
+        if d is None:
+            del payload["d"]
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            pk.minion.dr_table_from_payload(payload)
+
+    @pytest.mark.parametrize(
         "build, message",
         [
             (lambda t22: pk.IdentityDrTable(t22, r=True), "r must be a positive integer, got True"),

@@ -8,7 +8,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit import jsonio
@@ -16,7 +16,7 @@ from pcspkit.errors import InputError, InvariantError, ParameterError, PromiseVi
 from pcspkit.reduction import _pad_instance
 
 import reference_longcode
-from conftest import cycle_instance, triangle_instance
+from conftest import bipartite_instance, cycle_instance, triangle_instance
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ class TestLongCode:
         # lifting and reading the returned layout reuse the names formatted
         # during the reduction instead of formatting them again
         _, layout = pk.longcode_reduce(pk.build_auxiliary(path_instance(), k2, (3, 2)), t22)
-        assert "position_names" in vars(layout)
+        assert "names" in vars(layout)
         assert layout.reps
 
     def test_strict_solution_restricted_to_cloud_is_a_polymorphism(self, k2, t22, ident22):
@@ -140,13 +140,13 @@ class TestLongCode:
         # built on demand, which the patch sees
         aux = pk.build_auxiliary(phi, k2, k)
         built = []
-        original = pk.Constraint.__init__
+        original = pk.Constraint.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             built.append(args)
-            original(self, *args)
+            return original(cls, *args)
 
-        monkeypatch.setattr(pk.Constraint, "__init__", counted)
+        monkeypatch.setattr(pk.Constraint, "__new__", staticmethod(counted))
         instance, _ = pk.longcode_reduce(aux, t22)
         assert built == [] and instance.scopes
         assert len(instance.constraints) == len(built) == len(instance.scopes)
@@ -432,7 +432,7 @@ class TestDecode:
         phi = path_instance()
         _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
         lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
-        absent = layout.position_names[layout.classes[-1]]
+        absent = layout.names[layout.classes[-1]]
         partial = {pos: v for pos, v in lift.mapping.items() if pos != absent}
         with pytest.raises(InputError, match=f"missing position '{absent}'"):
             pk.read_cloud_functions(partial, layout, k2.domain)
@@ -713,6 +713,47 @@ class TestRowProjectionClaim:
             assert applied_big["x"] == applied_small["x"]
 
 
+@pytest.fixture(scope="module")
+def k55_r2(t22):
+    """K_{5,5} through the identity table at r=2: k=(10,10,4), one top cloud
+    of 4 positions above 210 clouds of 4-subsets, 656,164 positions."""
+    table = pk.IdentityDrTable(t22, r=2)
+    return pk.pipeline_reduce(bipartite_instance(5), t22, t22, table), table
+
+
+class TestChainLengthTwo:
+    def test_the_lower_clouds_are_filled_from_the_one_top_cloud(self, k55_r2):
+        result, _ = k55_r2
+        assert result.params.k == (10, 10, 4)
+        assert result.layout.offsets[-1] == 656164
+        assert result.instance.variables == ("u000p0", "u000p1", "u000p2", "u000p3")
+        assert len(result.layout.reps) == 656164 - 4
+
+    def test_every_solution_of_the_emission_recovers_a_two_colouring(self, k2, t22, k55_r2):
+        (result, table), phi = k55_r2, bipartite_instance(5)
+        solutions = pk.all_solutions(result.instance, k2)
+        assert len(solutions) == 4
+        for solution in solutions:
+            recovered = pk.recover_source_solution(solution.mapping, result.layout, table, phi, t22)
+            assert pk.evaluate(phi, k2, recovered) == []
+
+    def test_the_lift_of_a_two_colouring_solves_the_emission_and_recovers_it(
+        self, k2, t22, k55_r2
+    ):
+        (result, table), phi = k55_r2, bipartite_instance(5)
+        h = {x: "0" if x.startswith("a") else "1" for x in phi.variables}
+        lift = pk.lift_strict_solution(h, result.layout)
+        assert pk.evaluate(result.instance, k2, lift) == []
+        loaded = pk.CloudLayout.from_payload(result.layout.to_payload())
+        recovered = pk.recover_source_solution(lift.mapping, loaded, table, phi, t22)
+        assert recovered.mapping == h
+
+    def test_the_five_cycle_maps_to_the_gadget(self, t22):
+        result = pk.pipeline_reduce(cycle_instance(5), t22, t22, pk.IdentityDrTable(t22, r=2))
+        assert result.layout.gadget and result.params.k == (10, 10, 4)
+        assert pk.brute_force_solve(result.instance, t22.relaxed) is None
+
+
 class TestEmittedBytes:
     """The canonical bytes of emitted instances, layouts and lifts, pinned by sha256."""
 
@@ -776,7 +817,7 @@ def _renaming(old_layout, new_layout, base: int) -> dict:
                 new_idx = new_idx * base + digits[p]
             old_name = old_layout.rep(old_layout.position(cloud, idx))
             new_rep = new_layout.classes[new_start[cloud.ref] + new_idx]
-            new_name = new_layout.position_names[new_rep]
+            new_name = new_layout.names[new_rep]
             assert rename.setdefault(old_name, new_name) == new_name, old_name
     return rename
 
@@ -802,11 +843,11 @@ def assert_same_up_to_renaming(phi, k):
 
 
 @st.composite
-def graph_cases(draw):
-    """A loop-free graph instance on at most 5 vertices with arities that fit,
-    whose subsets all carry a strict partial solution."""
+def graph_cases(draw, shapes=((2, 1), (3, 2), (3, 2, 1))):
+    """A loop-free graph instance on at most 5 vertices with arities among
+    `shapes` that fit, whose subsets all carry a strict partial solution."""
     n = draw(st.integers(2, 5))
-    k = draw(st.sampled_from([k for k in ((2, 1), (3, 2), (3, 2, 1)) if k[0] <= n]))
+    k = draw(st.sampled_from([k for k in shapes if k[0] <= n]))
     variables = [f"x{i}" for i in range(n)]
     pairs = list(itertools.combinations(variables, 2))
     scopes = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
@@ -853,12 +894,26 @@ def _subset_instance(case):
     return pk.build_auxiliary(phi, pk.complete_graph(2), k)
 
 
+# two equal top layers (the pipeline's shape at r=2) and three layers under
+# several top subsets, whose lower subsets join top positions
+WIDE_SHAPES = ((2, 1), (3, 2), (3, 2, 1), (3, 3, 2), (4, 3, 2))
+
+
+def _path(n: int) -> pk.Instance:
+    edges = [((f"v{i}", f"v{i + 1}"), "neq") for i in range(n - 1)]
+    return pk.Instance([f"v{i}" for i in range(n)], edges)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(aux=st.one_of(layout_cases(), graph_cases().map(_subset_instance)))
+@given(aux=st.one_of(layout_cases(), graph_cases(WIDE_SHAPES).map(_subset_instance)))
+@example(aux=_subset_instance((cycle_instance(5), (3, 3, 2))))
+@example(aux=_subset_instance((cycle_instance(5), (4, 3, 2))))
+@example(aux=_subset_instance((_path(5), (4, 3, 2))))
 def test_derived_classes_are_the_union_find_of_the_emission(k2, t22, aux):
-    # the classes the layout derives, from the emitting layout and from one
-    # rebuilt from its canonical text, are the ones the union-find over the
-    # constraints' index maps gives; lifting and reading through either agree
+    # the classes the layout derives from the top layer, from the emitting
+    # layout and from one rebuilt from its canonical text, are the ones the
+    # union-find over every constraint's index map gives; lifting and reading
+    # through either agree
     instance, layout = pk.longcode_reduce(aux, t22)
     loaded = pk.CloudLayout.from_payload(json.loads(jsonio.canonical_dumps(layout.to_payload())))
     expected = reference_longcode.merge_reps(aux, t22)
