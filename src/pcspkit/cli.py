@@ -6,16 +6,25 @@ newline terminated) so identical inputs give byte-identical outputs, and an
 optional machine-readable report collects input digests, timings, and the
 outcome of each replayed verification.
 
+Each subcommand names its input-file options once, in `_add_common`.  `main`
+reads each file the invocation uses once, records the SHA-256 of every
+file's bytes, and only then decodes those same bytes (`jsonio.loads`) and
+hands the payloads to the handler.  A file that is missing, or that `json`
+cannot decode, is an error like any other; so is a report that cannot be
+written.
+
 Exit codes: 0 success (or "solvable"), 1 domain-level negative or error,
-2 usage error.
+2 usage error.  An error prints `error:` lines on stderr, never a
+traceback, and still writes the report when its path can be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import hashlib
 import sys
 import time
+from pathlib import Path
 
 from . import jsonio
 from .core import (
@@ -65,10 +74,6 @@ class _Report:
         self.payload: dict = {}
         self.result_path = None
 
-    def add_input(self, path) -> None:
-        if path:
-            self.inputs[str(path)] = jsonio.digest(path)
-
     def verified(self, name: str, ok: bool) -> None:
         self.verifications[name] = bool(ok)
 
@@ -92,9 +97,8 @@ class _Report:
         return all(self.verifications.values())
 
 
-def _load_side(path: str, side: str) -> RelationalStructure:
-    payload = jsonio.read_json(path)
-    if "strict" in payload and "relaxed" in payload:
+def _load_side(payload, side: str) -> RelationalStructure:
+    if isinstance(payload, dict) and "strict" in payload and "relaxed" in payload:
         return PcspTemplate.from_payload(payload).side(side)
     return RelationalStructure.from_payload(payload)
 
@@ -113,11 +117,9 @@ def _emit(path, payload, report: _Report) -> None:
         report.result_path = str(path)
 
 
-def _cmd_solve(args, report: _Report) -> int:
-    report.add_input(args.instance)
-    report.add_input(args.template)
-    instance = Instance.from_payload(jsonio.read_json(args.instance))
-    side = _load_side(args.template, args.side)
+def _cmd_solve(args, inputs: dict, report: _Report) -> int:
+    instance = Instance.from_payload(inputs[args.instance])
+    side = _load_side(inputs[args.template], args.side)
     if args.all:
         solutions = all_solutions(instance, side, budget=args.budget, tag=args.side)
         report.payload["count"] = len(solutions)
@@ -134,9 +136,8 @@ def _cmd_solve(args, report: _Report) -> int:
     return 0
 
 
-def _cmd_poly_enum(args, report: _Report) -> int:
-    report.add_input(args.template)
-    template = PcspTemplate.from_payload(jsonio.read_json(args.template))
+def _cmd_poly_enum(args, inputs: dict, report: _Report) -> int:
+    template = PcspTemplate.from_payload(inputs[args.template])
     labels = args.labels.split(",") if args.labels else [f"x{i}" for i in range(args.arity)]
     found = enumerate_polymorphisms(template, labels, budget=args.budget)
     report.payload["count"] = len(found)
@@ -145,23 +146,19 @@ def _cmd_poly_enum(args, report: _Report) -> int:
     return 0
 
 
-def _cmd_poly_check(args, report: _Report) -> int:
-    report.add_input(args.template)
-    template = PcspTemplate.from_payload(jsonio.read_json(args.template))
+def _cmd_poly_check(args, inputs: dict, report: _Report) -> int:
+    template = PcspTemplate.from_payload(inputs[args.template])
     ok = True
     if args.function:
         for path in args.function:
-            report.add_input(path)
-            fn = FiniteFunction.from_payload(jsonio.read_json(path))
+            fn = FiniteFunction.from_payload(inputs[path])
             good = is_polymorphism(fn, template)
             report.verified(f"polymorphism:{path}", good)
             print(f"{path}: {'polymorphism' if good else 'NOT a polymorphism'}")
             ok = ok and good
     if args.dr_table:
-        report.add_input(args.dr_table)
-        report.add_input(args.slice)
-        table = dr_table_from_payload(jsonio.read_json(args.dr_table))
-        slice_ = MinionSlice.from_payload(jsonio.read_json(args.slice))
+        table = dr_table_from_payload(inputs[args.dr_table])
+        slice_ = MinionSlice.from_payload(inputs[args.slice])
         result = check_dr_homomorphism(table, slice_, budget=args.budget)
         report.verified("dr_homomorphism", bool(result))
         print(f"chain condition: {'holds' if result else 'violated'}")
@@ -169,7 +166,7 @@ def _cmd_poly_check(args, report: _Report) -> int:
     return 0 if ok else 1
 
 
-def _cmd_gap_params(args, report: _Report) -> int:
+def _cmd_gap_params(args, inputs: dict, report: _Report) -> int:
     values = _ints(args.values, "--values")
     params = gap_parameters(args.domain_size, args.m, values, mode=args.mode)
     report.payload["k"] = list(params.k)
@@ -178,11 +175,9 @@ def _cmd_gap_params(args, report: _Report) -> int:
     return 0
 
 
-def _cmd_gap_extract(args, report: _Report) -> int:
-    report.add_input(args.pas)
-    report.add_input(args.params)
-    seq = PasSequence.from_payload(jsonio.read_json(args.pas))
-    params = GapParameters.from_payload(jsonio.read_json(args.params))
+def _cmd_gap_extract(args, inputs: dict, report: _Report) -> int:
+    seq = PasSequence.from_payload(inputs[args.pas])
+    params = GapParameters.from_payload(inputs[args.params])
     result = extract_solution(seq, params, args.m)
     report.verified(
         "is_m_solution", is_m_solution(result.assignment, seq[result.index], args.m)
@@ -196,11 +191,9 @@ def _cmd_gap_extract(args, report: _Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_gap_oracle(args, report: _Report) -> int:
-    report.add_input(args.instance)
-    report.add_input(args.template)
-    instance = Instance.from_payload(jsonio.read_json(args.instance))
-    side = _load_side(args.template, args.side)
+def _cmd_gap_oracle(args, inputs: dict, report: _Report) -> int:
+    instance = Instance.from_payload(inputs[args.instance])
+    side = _load_side(inputs[args.template], args.side)
     k = _ints(args.k, "--k")
     answer = csp_value_oracle(instance, side, k, args.d, budget=args.budget)
     report.payload["value_at_most_d"] = answer
@@ -208,9 +201,8 @@ def _cmd_gap_oracle(args, report: _Report) -> int:
     return 0 if answer else 1
 
 
-def _cmd_gap_layered(args, report: _Report) -> int:
-    report.add_input(args.llc)
-    instance = LlcInstance.from_payload(jsonio.read_json(args.llc))
+def _cmd_gap_layered(args, inputs: dict, report: _Report) -> int:
+    instance = LlcInstance.from_payload(inputs[args.llc])
     result = combinatorial_layered_value(instance, args.d, budget=args.budget)
     report.payload["value"] = result.value
     if result:
@@ -219,13 +211,10 @@ def _cmd_gap_layered(args, report: _Report) -> int:
     return 0 if result else 1
 
 
-def _cmd_reduce_llc(args, report: _Report) -> int:
-    report.add_input(args.instance)
-    report.add_input(args.template)
-    report.add_input(args.params)
-    instance = Instance.from_payload(jsonio.read_json(args.instance))
-    side = _load_side(args.template, args.side)
-    params = jsonio.read_json(args.params)
+def _cmd_reduce_llc(args, inputs: dict, report: _Report) -> int:
+    instance = Instance.from_payload(inputs[args.instance])
+    side = _load_side(inputs[args.template], args.side)
+    params = inputs[args.params]
     if isinstance(params, list):  # the arities alone
         params = {"k": params}
     k = _payload_field(params, "", "k", list, items=int)
@@ -238,13 +227,11 @@ def _cmd_reduce_llc(args, report: _Report) -> int:
     return 0
 
 
-def _cmd_reduce_pcsp(args, report: _Report) -> int:
-    for path in (args.source, args.source_template, args.target_template, args.dr_table):
-        report.add_input(path)
-    phi = Instance.from_payload(jsonio.read_json(args.source))
-    source = PcspTemplate.from_payload(jsonio.read_json(args.source_template))
-    target = PcspTemplate.from_payload(jsonio.read_json(args.target_template))
-    table = dr_table_from_payload(jsonio.read_json(args.dr_table))
+def _cmd_reduce_pcsp(args, inputs: dict, report: _Report) -> int:
+    phi = Instance.from_payload(inputs[args.source])
+    source = PcspTemplate.from_payload(inputs[args.source_template])
+    target = PcspTemplate.from_payload(inputs[args.target_template])
+    table = dr_table_from_payload(inputs[args.dr_table])
     result = pipeline_reduce(phi, source, target, table, budget=args.budget)
     _emit(args.out, result.instance.to_payload(), report)
     if args.layout:
@@ -265,24 +252,20 @@ def _cmd_reduce_pcsp(args, report: _Report) -> int:
     return 0
 
 
-def _cmd_decode(args, report: _Report) -> int:
-    for path in (args.assignment, args.layout, args.dr_table, args.source, args.source_template):
-        report.add_input(path)
-    assignment = Assignment.from_payload(jsonio.read_json(args.assignment)).mapping
-    layout = CloudLayout.from_payload(jsonio.read_json(args.layout), budget=args.budget)
-    table = dr_table_from_payload(jsonio.read_json(args.dr_table))
-    phi = Instance.from_payload(jsonio.read_json(args.source))
-    source = PcspTemplate.from_payload(jsonio.read_json(args.source_template))
-    solution = recover_source_solution(
-        assignment, layout, table, phi, source, budget=args.budget
-    )
+def _cmd_decode(args, inputs: dict, report: _Report) -> int:
+    assignment = Assignment.from_payload(inputs[args.assignment]).mapping
+    layout = CloudLayout.from_payload(inputs[args.layout], budget=args.budget)
+    table = dr_table_from_payload(inputs[args.dr_table])
+    phi = Instance.from_payload(inputs[args.source])
+    source = PcspTemplate.from_payload(inputs[args.source_template])
+    solution = recover_source_solution(assignment, layout, table, phi, source)
     report.verified("solves_relaxed_source", not evaluate(phi, source.relaxed, solution))
     _emit(args.out, solution.to_payload(), report)
     print(f"recovered a relaxed solution: {dict(solution.values)}")
     return 0 if report.all_passed else 1
 
 
-# The files each kind of `verify` reads.
+# The files each kind of `verify` reads, and so its file options.
 _VERIFY_NEEDS = {
     "consistent": ("pas",),
     "msolution": ("pas", "assignment"),
@@ -290,18 +273,16 @@ _VERIFY_NEEDS = {
 }
 
 
-def _cmd_verify(args, report: _Report) -> int:
-    for name in _VERIFY_NEEDS[args.kind]:
-        report.add_input(getattr(args, name))
+def _cmd_verify(args, inputs: dict, report: _Report) -> int:
     if args.kind == "consistent":
-        seq = PasSequence.from_payload(jsonio.read_json(args.pas))
+        seq = PasSequence.from_payload(inputs[args.pas])
         result = check_consistent(seq)
         report.verified("consistent", bool(result))
         print("consistent" if result else f"inconsistent on chain {result.chain}")
         return 0 if result else 1
     if args.kind == "msolution":
-        seq = PasSequence.from_payload(jsonio.read_json(args.pas))
-        payload = jsonio.read_json(args.assignment)
+        seq = PasSequence.from_payload(inputs[args.pas])
+        payload = inputs[args.assignment]
         index = args.index
         if isinstance(payload, dict) and "assignment" in payload:
             # an extraction artifact carries its index
@@ -315,19 +296,31 @@ def _cmd_verify(args, report: _Report) -> int:
         report.verified("is_m_solution", ok)
         print("verified" if ok else "NOT an m-solution")
         return 0 if ok else 1
-    instance = Instance.from_payload(jsonio.read_json(args.instance))
-    side = _load_side(args.template, args.side)
-    f = Assignment.from_payload(jsonio.read_json(args.assignment))
+    instance = Instance.from_payload(inputs[args.instance])
+    side = _load_side(inputs[args.template], args.side)
+    f = Assignment.from_payload(inputs[args.assignment])
     violated = evaluate(instance, side, f)
     report.verified("evaluate_empty", not violated)
     print("verified" if not violated else f"violates constraints {violated}")
     return 0 if not violated else 1
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, handler, *files, optional=(), repeated=()) -> None:
+    """The options every subcommand takes, its handler, and the options that
+    name its input files, each named once here: `files` are required,
+    `optional` ones may be left out, and a `repeated` one may be given any
+    number of times.  `main` reads the files before the handler runs."""
+    for option in files:
+        parser.add_argument(option, required=True)
+    for option in optional:
+        parser.add_argument(option, default=None)
+    for option in repeated:
+        parser.add_argument(option, action="append", default=[])
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--report", default=None)
     parser.add_argument("--out", default=None)
+    names = [option[2:].replace("-", "_") for option in (*files, *optional, *repeated)]
+    parser.set_defaults(func=handler, files=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,29 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="brute-force solve an instance over a structure")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--template", required=True)
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--all", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
+    _add_common(p, _cmd_solve, "--instance", "--template")
 
     poly = sub.add_parser("poly", help="polymorphism operations").add_subparsers(
         dest="subcommand", required=True
     )
     p = poly.add_parser("enum")
-    p.add_argument("--template", required=True)
     p.add_argument("--arity", type=int, default=None)
     p.add_argument("--labels", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_poly_enum)
+    _add_common(p, _cmd_poly_enum, "--template")
     p = poly.add_parser("check")
-    p.add_argument("--template", required=True)
-    p.add_argument("--function", action="append", default=[])
-    p.add_argument("--dr-table", default=None)
-    p.add_argument("--slice", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_poly_check)
+    optional, repeated = ("--dr-table", "--slice"), ("--function",)
+    _add_common(p, _cmd_poly_check, "--template", optional=optional, repeated=repeated)
 
     gap = sub.add_parser("gap", help="partial assignment system operations").add_subparsers(
         dest="subcommand", required=True
@@ -367,67 +351,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--mode", choices=("compact", "conservative"), default="compact")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap_params)
+    _add_common(p, _cmd_gap_params)
     p = gap.add_parser("extract")
-    p.add_argument("--pas", required=True)
-    p.add_argument("--params", required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap_extract)
+    _add_common(p, _cmd_gap_extract, "--pas", "--params")
     p = gap.add_parser("oracle")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--template", required=True)
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--k", required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap_oracle)
+    _add_common(p, _cmd_gap_oracle, "--instance", "--template")
     p = gap.add_parser("layered")
-    p.add_argument("--llc", required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap_layered)
+    _add_common(p, _cmd_gap_layered, "--llc")
 
     reduce_ = sub.add_parser("reduce", help="instance reductions").add_subparsers(
         dest="subcommand", required=True
     )
     p = reduce_.add_parser("llc")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--template", required=True)
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
-    p.add_argument("--params", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_reduce_llc)
+    _add_common(p, _cmd_reduce_llc, "--instance", "--template", "--params")
     p = reduce_.add_parser("pcsp")
-    p.add_argument("--source", required=True)
-    p.add_argument("--source-template", required=True)
-    p.add_argument("--target-template", required=True)
-    p.add_argument("--dr-table", required=True)
-    p.add_argument("--layout", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_reduce_pcsp)
+    p.add_argument("--layout", default=None)  # written, not read
+    _add_common(
+        p, _cmd_reduce_pcsp, "--source", "--source-template", "--target-template", "--dr-table"
+    )
 
     p = sub.add_parser("decode", help="decode a relaxed solution of a reduced instance")
-    p.add_argument("--assignment", required=True)
-    p.add_argument("--layout", required=True)
-    p.add_argument("--dr-table", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--source-template", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_decode)
+    _add_common(
+        p, _cmd_decode, "--assignment", "--layout", "--dr-table", "--source", "--source-template"
+    )
 
     p = sub.add_parser("verify", help="replay stored post-conditions on artifacts")
-    p.add_argument("kind", choices=("consistent", "msolution", "solution"))
-    p.add_argument("--pas", default=None)
-    p.add_argument("--assignment", default=None)
-    p.add_argument("--instance", default=None)
-    p.add_argument("--template", default=None)
+    p.add_argument("kind", choices=tuple(_VERIFY_NEEDS))
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--index", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    files = dict.fromkeys(name for needs in _VERIFY_NEEDS.values() for name in needs)
+    _add_common(p, _cmd_verify, optional=[f"--{name}" for name in files])
 
     return parser
 
@@ -436,24 +396,41 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    # what an invocation lacks that the parser cannot require by itself
+    files = args.files
+    # what an invocation lacks that the parser cannot require by itself, and
+    # the files it reads: those given, but a slice only with a table, and
+    # for `verify` only what its kind needs
     if command == "poly enum" and args.arity is None and args.labels is None:
         parser.error("poly enum needs --arity or --labels")
     if command == "poly check" and args.dr_table and args.slice is None:
         parser.error("poly check --dr-table needs --slice")
+    if command == "poly check" and not args.dr_table:
+        args.dr_table = args.slice = None
     if command == "verify":
-        missing = [f"--{name}" for name in _VERIFY_NEEDS[args.kind] if getattr(args, name) is None]
+        files = _VERIFY_NEEDS[args.kind]
+        missing = [f"--{name}" for name in files if getattr(args, name) is None]
         if missing:
             parser.error(f"verify {args.kind} needs {' and '.join(missing)}")
+    given = [getattr(args, name) for name in files]
+    paths = [p for value in given for p in (value if isinstance(value, list) else [value])]
     report = _Report(command)
     try:
-        code = args.func(args, report)
-    except (PcspkitError, json.JSONDecodeError, OSError) as exc:
+        # every digest is of the bytes parsed, and all are taken before any parse
+        data = {}
+        for path in dict.fromkeys(p for p in paths if p is not None):
+            data[path] = Path(path).read_bytes()
+            report.inputs[path] = hashlib.sha256(data[path]).hexdigest()
+        inputs = {path: jsonio.loads(text, path) for path, text in data.items()}
+        code = args.func(args, inputs, report)
+    except (PcspkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.payload["error"] = str(exc)
+        code = 1
+    try:
         report.finish(args.report)
+    except OSError as exc:
+        print(f"error: --report {args.report}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    report.finish(args.report)
     return code
 
 

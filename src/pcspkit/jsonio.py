@@ -20,12 +20,13 @@ together with `join`, which copies them once.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import re
 from json.encoder import encode_basestring
 from pathlib import Path
+
+from .errors import InputError
 
 
 def _key(key) -> str:
@@ -144,9 +145,13 @@ def write_canonical(path, payload) -> None:
     Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
 
 
+def loads(data: bytes, path):
+    """The JSON value of `data`, read from `path`; what `json` cannot decode is an InputError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return loads(Path(path).read_bytes(), path)

@@ -116,9 +116,8 @@ class Pas:
 def pas_from_assignment(f: Mapping[str, str], variables, domain, arity: int) -> Pas:
     """The PAS whose every entry is the single restriction of f."""
     variables = tuple(sorted(set(variables)))
-    fmap = dict(f)
     entries = {
-        u: frozenset({tuple(fmap[v] for v in u)})
+        u: frozenset({tuple(f[v] for v in u)})
         for u in itertools.combinations(variables, arity)
     }
     return Pas(variables, domain, arity, entries)
@@ -170,8 +169,8 @@ def pas_value(system: Pas) -> int:
 def is_m_solution(f, system: Pas, m: int) -> bool:
     """True iff every m-subset restriction of f appears among the projections
     of some entry of the system."""
-    if m > system.arity:
-        raise InputError(f"m={m} exceeds the system arity {system.arity}")
+    if not 1 <= m <= system.arity:
+        raise InputError(f"m={m}: expected 1 <= m <= the system arity {system.arity}")
     fmap = dict(f)
     for u in itertools.combinations(system.variables, m):
         if _first_superset(system, u, tuple(fmap[x] for x in u), (), extends=True) is None:
@@ -410,10 +409,6 @@ class GapParameters:
     trace: tuple
 
     @property
-    def r(self) -> int:
-        return len(self.values) - 1
-
-    @property
     def k_prime(self) -> tuple:
         out = [None]
         for i in range(1, len(self.values)):
@@ -478,6 +473,10 @@ def gap_parameters(
         raise InputError("domain size and m must be positive")
     if mode not in K0_MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {K0_MODES}")
+    # From the smallest first value up, so that each record finds the one it
+    # recurses on cached, and the depth stays one level whatever the values.
+    for first in range(1, values[0]):
+        _gap_parameters(domain_size, m, (first,) + values[1:], mode)
     return _gap_parameters(domain_size, m, values, mode)
 
 
@@ -501,19 +500,20 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
         l[i] = p[i] + sum(comb(p[i], p[j]) * (k[j] - p[j]) for j in range(i + 1, r + 1))
         if values[i] == 1:
             k[i] = (l[i] + 1) * m
-            trace.append(f"l[{i}]={l[i]} k[{i}]=(l+1)m={k[i]} k'[{i}]=1")
         else:
-            sub_i = _gap_parameters(domain_size, m, (values[i], 1), mode)
+            sub_i = gap_parameters(domain_size, m, (values[i], 1), mode)
             kdd, kd = sub_i.k
             split[i] = (kdd, kd)
             k[i] = kdd + comb(kdd, kd) * l[i]
-            trace.append(
-                f"l[{i}]={l[i]} split[{i}]=({kdd},{kd}) k[{i}]={kdd}+C({kdd},{kd})*{l[i]}={k[i]}"
-            )
         if k[i] > PARAMETER_LIMIT:
             raise ResourceError(
                 f"arity k[{i}] has {k[i].bit_length()} bits, over the limit {PARAMETER_LIMIT}"
             )
+        trace.append(
+            f"l[{i}]={l[i]} k[{i}]=(l+1)m={k[i]} k'[{i}]=1"
+            if values[i] == 1
+            else f"l[{i}]={l[i]} split[{i}]=({kdd},{kd}) k[{i}]={kdd}+C({kdd},{kd})*{l[i]}={k[i]}"
+        )
 
     l[0] = p[0] + sum(comb(p[0], p[j]) * (k[j] - p[j]) for j in range(1, r + 1))
     s = sum(split[i][1] if split[i] else 1 for i in range(1, r + 1))
@@ -521,11 +521,11 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
     if mode == "conservative":
         raw = s + domain_size**s * l[0]
     k[0] = max(raw, k[1])
-    trace.append(f"l[0]={l[0]} sum k'={s} k0_raw={raw} k[0]=max(raw,k[1])={k[0]}")
     if k[0] > PARAMETER_LIMIT:
         raise ResourceError(
             f"arity k[0] has {k[0].bit_length()} bits, over the limit {PARAMETER_LIMIT}"
         )
+    trace.append(f"l[0]={l[0]} sum k'={s} k0_raw={raw} k[0]=max(raw,k[1])={k[0]}")
 
     if any(a < b for a, b in zip(k, k[1:])):
         raise InvariantError(f"parameter recursion produced increasing arities {k}")
@@ -553,9 +553,6 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
 class Extraction:
     index: int
     assignment: Assignment
-
-    def __iter__(self):
-        return iter((self.index, self.assignment))
 
 
 def extract_solution(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
@@ -608,7 +605,7 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
                 return _verified(seq, i, s, m)
             blocked[i] = bad
         else:
-            sub = _gap_parameters(len(domain), m, (params.values[i], 1), params.mode)
+            sub = gap_parameters(len(domain), m, (params.values[i], 1), params.mode)
             kdd, kd = sub.k
             if params.split[i] != (kdd, kd):
                 raise InvariantError("split record disagrees with its recursion")
@@ -666,7 +663,7 @@ def _extract(seq: PasSequence, params: GapParameters, m: int) -> Extraction:
     if pas_value(head) > params.values[0] - 1:
         raise InvariantError("stripped system exceeds its reduced value bound")
     tail = [refine(seq[i], p[i], ex[i]) for i in range(1, r + 1)]
-    sub = _gap_parameters(len(domain), m, (params.values[0] - 1,) + params.values[1:], params.mode)
+    sub = gap_parameters(len(domain), m, (params.values[0] - 1,) + params.values[1:], params.mode)
     if sub.k != p:
         raise InvariantError("refined arities disagree with the recursion record")
     inner = extract_solution(PasSequence([head] + tail), sub, m)

@@ -548,7 +548,6 @@ def decode_relaxed_solution(
     dr_table,
     phi: Instance,
     source: PcspTemplate,
-    budget: int = DEFAULT_BUDGET,
 ) -> PasSequence:
     """Turn a solution of the subset instance over the lifted side into a
     sequence of partial assignment systems for the relaxed source.
@@ -569,7 +568,7 @@ def decode_relaxed_solution(
         raise InputError("instance or strict source side does not match the layout")
 
     # Each function is checked for membership once; the memo dies with this call.
-    contains = cache(LazyPolymorphismSlice(layout.target, budget=budget).contains)
+    contains = cache(LazyPolymorphismSlice(layout.target).contains)
     functions: dict = {}
     for var in aux.variables:
         if var.name not in s:
@@ -632,7 +631,6 @@ def recover_source_solution(
     phi: Instance,
     source: PcspTemplate,
     params: Optional[GapParameters] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Assignment:
     """Full completeness path: read the clouds of a relaxed solution of the
     long-code instance, decode them to a sequence of systems, extract an
@@ -642,7 +640,7 @@ def recover_source_solution(
     dr_table.fits(source, layout.target)
     params = _pipeline_params(source, dr_table, params)
     s = read_cloud_functions(assignment, layout, layout.target.relaxed.domain)
-    seq = decode_relaxed_solution(s, layout, dr_table, phi, source, budget=budget)
+    seq = decode_relaxed_solution(s, layout, dr_table, phi, source)
     extraction = extract_solution(seq, params, params.m)
     solution = Assignment(extraction.assignment.restrict(phi.variables).mapping, side="relaxed")
     if evaluate(phi, source.relaxed, solution):

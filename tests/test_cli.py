@@ -1,12 +1,15 @@
 """The command-line adapters: dispatch, exit codes, reports, determinism."""
 
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 import pcspkit as pk
 from pcspkit import jsonio
-from pcspkit.cli import main
+from pcspkit.cli import build_parser, main
 
 from conftest import bipartite_instance, cycle_instance, seeded_value1_sequence
 
@@ -37,6 +40,118 @@ def files(tmp_path, k2, t22):
     return paths
 
 
+def _surface(parser, name="") -> dict:
+    """Every option of every (sub)command: its kind, its dest when that is
+    not the one argparse derives, required, default, choices, type and help."""
+    out = {name: {}}
+    for action in parser._actions:
+        kind = type(action).__name__.strip("_").removesuffix("Action").lower()
+        key = "/".join(action.option_strings) or action.dest
+        derived = key.split("/")[-1].lstrip("-").replace("-", "_")
+        parts = [kind] + ([f"dest={action.dest}"] if action.dest != derived else [])
+        parts += ["required"] if action.required else []
+        if action.default is not None and kind not in ("storetrue", "help"):
+            parts.append(f"default={action.default!r}")
+        if action.choices and kind != "subparsers":
+            parts.append(f"choices={tuple(action.choices)!r}")
+        parts += [f"type={action.type.__name__}"] if action.type else []
+        parts += [f"help={action.help!r}"] if action.help and kind != "help" else []
+        out[name][key] = " ".join(parts)
+        if kind == "subparsers":
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            for sub, subparser in action.choices.items():
+                full = f"{name} {sub}".strip()
+                out.update(_surface(subparser, full))
+                out[full]["help"] = helps.get(sub)
+    return out
+
+
+_COMMON = {
+    "-h/--help": "help",
+    "--budget": "store default=10000000 type=int",
+    "--report": "store",
+    "--out": "store",
+}
+_SIDE = "store default='strict' choices=('strict', 'relaxed')"
+
+
+class TestParserSurface:
+    """The options, dests, required flags, defaults, choices, actions and help
+    of every subcommand, as the parser builds them."""
+
+    def test_every_subcommand(self):
+        assert _surface(build_parser()) == {
+            "": {"-h/--help": "help", "command": "subparsers required"},
+            "solve": {
+                **_COMMON, "--instance": "store required", "--template": "store required",
+                "--side": _SIDE, "--all": "storetrue",
+                "help": "brute-force solve an instance over a structure",
+            },
+            "poly": {
+                "-h/--help": "help", "subcommand": "subparsers required",
+                "help": "polymorphism operations",
+            },
+            "poly enum": {
+                **_COMMON, "--template": "store required", "--arity": "store type=int",
+                "--labels": "store", "help": None,
+            },
+            "poly check": {
+                **_COMMON, "--template": "store required", "--function": "append default=[]",
+                "--dr-table": "store", "--slice": "store", "help": None,
+            },
+            "gap": {
+                "-h/--help": "help", "subcommand": "subparsers required",
+                "help": "partial assignment system operations",
+            },
+            "gap params": {
+                **_COMMON, "--domain-size": "store required type=int",
+                "--m": "store required type=int", "--values": "store required",
+                "--mode": "store default='compact' choices=('compact', 'conservative')",
+                "help": None,
+            },
+            "gap extract": {
+                **_COMMON, "--pas": "store required", "--params": "store required",
+                "--m": "store required type=int", "help": None,
+            },
+            "gap oracle": {
+                **_COMMON, "--instance": "store required", "--template": "store required",
+                "--side": _SIDE, "--k": "store required", "--d": "store required type=int",
+                "help": None,
+            },
+            "gap layered": {
+                **_COMMON, "--llc": "store required", "--d": "store required type=int",
+                "help": None,
+            },
+            "reduce": {
+                "-h/--help": "help", "subcommand": "subparsers required",
+                "help": "instance reductions",
+            },
+            "reduce llc": {
+                **_COMMON, "--instance": "store required", "--template": "store required",
+                "--side": _SIDE, "--params": "store required", "help": None,
+            },
+            "reduce pcsp": {
+                **_COMMON, "--source": "store required", "--source-template": "store required",
+                "--target-template": "store required", "--dr-table": "store required",
+                "--layout": "store", "help": None,
+            },
+            "decode": {
+                **_COMMON, "--assignment": "store required", "--layout": "store required",
+                "--dr-table": "store required", "--source": "store required",
+                "--source-template": "store required",
+                "help": "decode a relaxed solution of a reduced instance",
+            },
+            "verify": {
+                **_COMMON,
+                "kind": "store required choices=('consistent', 'msolution', 'solution')",
+                "--pas": "store", "--assignment": "store", "--instance": "store",
+                "--template": "store", "--side": _SIDE, "--m": "store default=1 type=int",
+                "--index": "store default=0 type=int",
+                "help": "replay stored post-conditions on artifacts",
+            },
+        }
+
+
 class TestExitCodes:
     def test_unsatisfiable_is_one(self, files):
         assert main(["solve", "--instance", files["c5.json"], "--template", files["k2.json"]]) == 1
@@ -61,6 +176,12 @@ class TestCommands:
         assert main(["gap", "params", "--domain-size", "2", "--m", "1", "--values", "1,1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["k"] == [3, 2]
         assert "k = [3, 2]" in capsys.readouterr().out
+
+    def test_gap_params_with_a_first_value_of_2000(self, capsys):
+        # each record recurses on the one with the first value less by one;
+        # they are filled from the smallest up, so no recursion limit is hit
+        assert main(["gap", "params", "--domain-size", "2", "--m", "1", "--values", "2000,1"]) == 0
+        assert capsys.readouterr().out.startswith("k = [2001, 2001]")
 
     def test_gap_params_over_the_limit_is_one_short_error_line(self, capsys):
         assert main(["gap", "params", "--domain-size", "2", "--m", "2", "--values", "3,3,3"]) == 1
@@ -240,6 +361,83 @@ class TestCommands:
         jsonio.write_canonical(bad, {"variables": ["x"], "constraints": [{"scope": ["x", "q"], "relation": "neq"}]})
         main(["solve", "--instance", str(bad), "--template", files["k2.json"], "--report", str(report)])
         assert "error" in json.loads(report.read_text())["payload"]
+
+
+class TestReadOnce:
+    """`main` opens each input file once, takes every digest before it
+    decodes any file, and digests the bytes it decodes."""
+
+    def _run(self, argv, inputs, monkeypatch):
+        events = []
+        real_open, real_loads = io.open, jsonio.loads
+
+        def counting_open(file, *args, **kwargs):
+            events.append(("open", str(file)))
+            return real_open(file, *args, **kwargs)
+
+        def recording_loads(data, path):
+            events.append(("loads", str(path)))
+            return real_loads(data, path)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(jsonio, "loads", recording_loads)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        opened = [path for event, path in events if event == "open" and path in inputs]
+        assert sorted(opened) == sorted(set(inputs))
+        decoded = [i for i, (event, _) in enumerate(events) if event == "loads"]
+        assert sorted(path for event, path in events if event == "loads") == sorted(set(inputs))
+        assert max(events.index(("open", path)) for path in inputs) < min(decoded)
+
+    def test_reduce_pcsp_and_decode(self, files, tmp_path, k2, monkeypatch):
+        src, out, layout = (str(tmp_path / n) for n in ("path.json", "out.json", "layout.json"))
+        jsonio.write_canonical(src, _path_and_empty()[0].to_payload())
+        # the source and target templates are one file, read once
+        inputs = [src, files["t22.json"], files["t22.json"], files["xi.json"]]
+        report = tmp_path / "reduce-report.json"
+        self._run([
+            "reduce", "pcsp", "--source", src, "--source-template", inputs[1],
+            "--target-template", inputs[2], "--dr-table", inputs[3], "--out", out,
+            "--layout", layout, "--report", str(report),
+        ], inputs, monkeypatch)
+        digests = json.loads(report.read_text())["inputs"]
+        assert digests == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+        loaded = pk.CloudLayout.from_payload(jsonio.read_json(layout))
+        h = pk.brute_force_solve(loaded.aux.source, k2)
+        lift = tmp_path / "lift.json"
+        jsonio.write_canonical(lift, pk.lift_strict_solution(h, loaded).to_payload())
+        inputs = [str(lift), layout, files["xi.json"], src, files["t22.json"]]
+        report = tmp_path / "decode-report.json"
+        self._run([
+            "decode", "--assignment", inputs[0], "--layout", layout, "--dr-table", inputs[2],
+            "--source", src, "--source-template", inputs[4],
+            "--out", str(tmp_path / "sol.json"), "--report", str(report),
+        ], inputs, monkeypatch)
+        digests = json.loads(report.read_text())["inputs"]
+        assert digests == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+
+class TestUnwritableReport:
+    """A report path that cannot be written ends in exit 1 and `error:` lines
+    only, the last naming the path, whether the command itself succeeded or not."""
+
+    @pytest.mark.parametrize("values, lines", [("1,1", 1), ("1,x", 2)], ids=["ok", "failed"])
+    def test_is_error_lines_naming_the_path(self, values, lines, tmp_path, capsys):
+        report = str(tmp_path / "absent" / "report.json")
+        argv = ["gap", "params", "--domain-size", "2", "--m", "1", "--values", values]
+        capsys.readouterr()
+        assert main(argv + ["--report", report]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines and all(line.startswith("error: ") for line in err)
+        assert report in err[-1]
+
+    def test_a_directory_is_refused_the_same_way(self, tmp_path, capsys):
+        capsys.readouterr()
+        argv = ["gap", "params", "--domain-size", "2", "--m", "1", "--values", "1,1"]
+        assert main(argv + ["--report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --report {tmp_path}: Is a directory\n"
 
 
 class TestUnreadableInput:
@@ -468,7 +666,7 @@ class TestBareArguments:
         padded = pk.Instance(["x", "y", "z", "~pad0"], [])
         w1 = pk.CloudLayout(t22, pk.build_auxiliary(padded, t22.strict, (4, 4)), ("~pad0",))
         jsonio.write_canonical(tmp_path / "w1-layout.json", w1.to_payload())
-        assert jsonio.digest(tmp_path / "w1-layout.json") == (
+        assert hashlib.sha256((tmp_path / "w1-layout.json").read_bytes()).hexdigest() == (
             "170274957d96f654f44253c750b73a3dff88dffd0f6687df1ef913f64baab7ec"
         )
         empty3 = pk.Instance(["x", "y", "z"], [])
@@ -488,11 +686,18 @@ class TestBareArguments:
             tmp_path / "index-true.json",
             {"assignment": jsonio.read_json(tmp_path / "zeros.json"), "index": True},
         )
+        # what json cannot decode: bytes that are not UTF-8, nesting past the
+        # parser's depth, and an integer past Python's digit limit
+        (tmp_path / "non-utf8.json").write_bytes(b'{"variables": ["\xff"], "constraints": []}')
+        (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+        (tmp_path / "long-integer.json").write_text('{"k": [' + "9" * 5000 + "]}")
+        jsonio.write_canonical(tmp_path / "number.json", 5)
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
+            "non-utf8.json", "nested.json", "long-integer.json", "number.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -607,6 +812,52 @@ class TestBareArguments:
                  "--target-template", "t22.json", "--dr-table", "xi-d7.json"],
                 "d: the identity table has width 1, got 7",
             ),
+            (
+                ["reduce", "pcsp", "--source", "non-utf8.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi.json"],
+                "non-utf8.json: 'utf-8' codec can't decode byte 0xff",
+            ),
+            (
+                ["decode", "--assignment", "path-lift.json", "--layout", "path-layout.json",
+                 "--dr-table", "xi.json", "--source", "path.json",
+                 "--source-template", "non-utf8.json"],
+                "non-utf8.json: 'utf-8' codec can't decode byte 0xff",
+            ),
+            (
+                ["reduce", "pcsp", "--source", "nested.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi.json"],
+                "nested.json: maximum recursion depth exceeded",
+            ),
+            (
+                ["decode", "--assignment", "path-lift.json", "--layout", "path-layout.json",
+                 "--dr-table", "xi.json", "--source", "path.json",
+                 "--source-template", "nested.json"],
+                "nested.json: maximum recursion depth exceeded",
+            ),
+            (
+                ["reduce", "pcsp", "--source", "long-integer.json", "--source-template", "t22.json",
+                 "--target-template", "t22.json", "--dr-table", "xi.json"],
+                "long-integer.json: Exceeds the limit (4300",
+            ),
+            (
+                ["decode", "--assignment", "path-lift.json", "--layout", "path-layout.json",
+                 "--dr-table", "xi.json", "--source", "path.json",
+                 "--source-template", "long-integer.json"],
+                "long-integer.json: Exceeds the limit (4300",
+            ),
+            (
+                ["gap", "params", "--domain-size", "2", "--m", "1", "--values", "1,2000"],
+                "arity k[0] has 2002 bits, over the limit",
+            ),
+            (
+                ["verify", "msolution", "--pas", "seq.json", "--assignment", "zeros.json",
+                 "--m", "-1"],
+                "m=-1",
+            ),
+            (
+                ["solve", "--instance", "edge3.json", "--template", "number.json"],
+                "payload: expected an object",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -619,17 +870,26 @@ class TestBareArguments:
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
             "decode-budget-on-the-layout", "decode-layout-without-aux",
             "reduce-pcsp-boolean-r", "msolution-boolean-index", "reduce-pcsp-identity-width-7",
+            "non-utf8-first", "non-utf8-later", "nested-first", "nested-later",
+            "long-integer-first", "long-integer-later", "gap-params-split-value-2000",
+            "msolution-negative-m", "solve-template-a-number",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):
         report = tmp_path / "report.json"
+        given = {more[a] for a in argv if a in more}
         argv = [more.get(a, a) for a in argv] + ["--report", str(report)]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert message in json.loads(report.read_text())["payload"]["error"]
+        written = json.loads(report.read_text())
+        assert message in written["payload"]["error"]
+        # every given file is digested, the faulty one and those after it too
+        assert written["inputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in given
+        }
 
     @pytest.mark.parametrize(
         "argv",

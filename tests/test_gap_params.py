@@ -71,6 +71,28 @@ class TestValidation:
         with pytest.raises(ResourceError):
             pk.gap_parameters(2, 1, (9, 9, 9))
 
+    def test_a_first_value_of_2000_computes(self):
+        # each record recurses on the one with the first value less by one;
+        # they are filled from the smallest up, so the depth does not grow
+        # with the values (domain size 3, which no other test computes)
+        p = pk.gap_parameters(3, 1, (2000, 1))
+        assert p.k == (2001, 2001)
+        assert pk.gap_parameters(3, 1, (1999, 1)).k == (2000, 2000)
+
+    def test_a_split_value_of_2000_hits_the_limit(self):
+        with pytest.raises(ResourceError, match=r"arity k\[0\] has 3172 bits"):
+            pk.gap_parameters(3, 1, (1, 2000))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [((2, 2), r"arity k\[0\] has 19702 bits"), ((2, 2, 2), r"arity k\[1\]")],
+        ids=["k0", "k1"],
+    )
+    def test_an_arity_over_the_limit_is_refused_before_it_is_traced(self, values, message):
+        # the trace wrote these arities out first, past Python's digit limit
+        with pytest.raises(ResourceError, match=message):
+            pk.gap_parameters(2, 1, values, mode="conservative")
+
     def test_trace_is_recorded(self):
         p = pk.gap_parameters(2, 1, (2, 1))
         assert any("k[0]" in line for line in p.trace)

@@ -84,6 +84,15 @@ class TestMSolution:
         with pytest.raises(InputError):
             pk.is_m_solution(pk.Assignment(f), system, 2)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, m):
+        # m = 0 used to be "verified" vacuously, and m = -1 reached
+        # itertools.combinations with a negative size
+        f = {"x": "0", "y": "0"}
+        system = pk.pas_from_assignment(f, f, ["0", "1"], 1)
+        with pytest.raises(InputError, match=f"m={m}"):
+            pk.is_m_solution(pk.Assignment(f), system, m)
+
 
 @st.composite
 def pas_sequences(draw):
