@@ -14,6 +14,12 @@ the partial solutions on every k_i-subset are found from the scopes inside
 it, and one restriction map between nested subsets serves both subset
 reductions.
 
+One backtracking search, `backtrack`, serves both polymorphism enumeration
+and the label cover chain search.  It sets items in an order fixed before it
+starts (`completion_order`), judges each check once its last item is set,
+counts nodes against a budget, and keeps its path on an explicit stack, so
+no instance is deep enough to reach the recursion limit.
+
 All types are immutable after construction and all operations are pure.
 """
 
@@ -557,6 +563,42 @@ def completion_order(items: Iterable, groups: Sequence, tiebreak=lambda item: 0)
         order.append(x)
         judged_at.append([g for g in member_of[x] if placed[g] == sizes[g]])
     return order, judged_at
+
+
+def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebreak=lambda i: 0):
+    """Each pick of one of `options[i]` per item i that passes every check,
+    as a tuple indexed by item, found depth first on an explicit stack.
+
+    A check is `(items, test)`: `test` gets the tuple of the options picked
+    at `items` once the last of them is set (so one over no items is never
+    judged).  Items are set in the `completion_order` of the checks' items,
+    each trying its options in order.  Each option tried is a node; past
+    `budget` nodes it raises ResourceError.  No items give one empty pick.
+    """
+    order, judged_at = completion_order(
+        range(len(options)), [tuple(dict.fromkeys(items)) for items, _ in checks], tiebreak
+    )
+    if not order:
+        yield ()
+        return
+    checks_at = [[checks[c] for c in completed] for completed in judged_at]
+    picked = [None] * len(options)
+    get = picked.__getitem__
+    stack, visited = [(0, v) for v in reversed(options[order[0]])], 0
+    while stack:
+        step, value = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise ResourceError(f"{what} visited over {budget} nodes")
+        picked[order[step]] = value
+        for items, test in checks_at[step]:  # each reads items set on the path here
+            if not test(tuple(map(get, items))):
+                break
+        else:
+            if step + 1 == len(order):
+                yield tuple(picked)
+            else:
+                stack.extend(zip(itertools.repeat(step + 1), reversed(options[order[step + 1]])))
 
 
 def _subset_checks(phi: Instance, side: RelationalStructure, subset: Sequence[int]) -> list:

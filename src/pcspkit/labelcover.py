@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -22,7 +23,7 @@ from .core import (
     _payload_field,
     _restriction_maps,
     _subset_checks,
-    completion_order,
+    backtrack,
     partial_solution_table,
 )
 from .errors import InputError, ResourceError, StructuralError
@@ -144,19 +145,13 @@ class DAssignment:
 
 
 def enumerate_chains(inst: LlcInstance) -> tuple:
-    """All cross-layer tuples with every pairwise constraint present."""
-    chains = []
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == len(inst.layers):
-            chains.append(tuple(prefix))
-            return
-        for x in inst.layers[i]:
-            if all((p, x) in inst.constraints for p in prefix):
-                extend(prefix + [x])
-
-    extend([])
+    """All cross-layer tuples with every pairwise constraint present, in
+    lexicographic layer order."""
+    chains = [()]
+    for layer in inst.layers:
+        chains = [
+            c + (x,) for c in chains for x in layer if all((p, x) in inst.constraints for p in c)
+        ]
     return tuple(chains)
 
 
@@ -263,83 +258,66 @@ def csp_value_oracle(
 
 def _width_options(size: int, d: int, budget: int) -> list:
     """The nonempty sets of at most d of a domain's `size` atoms, as bitmasks
-    over the atoms' indices."""
-    options = [
-        sum(1 << a for a in combo)
-        for n in range(1, min(d, size) + 1)
-        for combo in itertools.combinations(range(size), n)
-    ]
-    if len(options) > budget:
+    over the atoms' indices, counted against `budget` before any is built."""
+    widths = range(1, min(d, size) + 1)
+    if sum(comb(size, n) for n in widths) > budget:
         raise ResourceError(
             f"chain search at d={d} has a slot with over {budget} candidate entries"
         )
-    return options
+    return [
+        sum(1 << a for a in combo)
+        for n in widths
+        for combo in itertools.combinations(range(size), n)
+    ]
 
 
 def _chain_search(inst: LlcInstance, d: int, budget: int) -> Optional[dict]:
     """A d-assignment weakly satisfying every chain, or None.
 
-    Backtracks over the variables in the order of `_chain_order`, trying each
-    variable's options in order, and judges a chain as soon as its last
-    variable is set.  Options are bitmasks over domain indices; per
-    constraint, each source option maps to the bitmask of its image.
+    `core.backtrack` sets the variables, those with fewer options first among
+    ties, tries each variable's options in order, and judges a chain as soon
+    as its last variable is set.  Options are bitmasks over domain indices;
+    per constraint, each source option maps to the bitmask of its image.
     """
-    options = {x: _width_options(len(dom), d, budget) for x, dom in inst.domains.items()}
-    order, judged_at = _chain_order(inst, {x: len(opts) for x, opts in options.items()})
-    step = {x: n for n, x in enumerate(order)}
+    names = list(inst.domains)  # in layer order
+    item = {x: i for i, x in enumerate(names)}
+    widths = {n: _width_options(n, d, budget) for n in set(map(len, inst.domains.values()))}
+    options = [widths[len(inst.domains[x])] for x in names]  # shared by equal sizes
     images = {}
     for (x, y), psi in inst.constraints.items():
         bit = {b: 1 << i for i, b in enumerate(inst.domains[y])}
         to = [bit[psi[a]] for a in inst.domains[x]]
         images[x, y] = {
-            opt: sum({t for a, t in enumerate(to) if opt >> a & 1}) for opt in options[x]
+            opt: sum({t for a, t in enumerate(to) if opt >> a & 1}) for opt in options[item[x]]
         }
-    # Per step, the chains judged there, each as its pairs (i, image, j).
-    judged = [
-        [[(step[a], images[a, b], step[b]) for a, b in itertools.combinations(c, 2)] for c in chains]
-        for chains in judged_at
+    checks = [
+        (tuple(map(item.__getitem__, chain)), _weakly(chain, images))
+        for chain in enumerate_chains(inst)
     ]
-
-    picked = [0] * len(order)
-    visited = 0
-
-    def search(n) -> bool:
-        nonlocal visited
-        if n == len(order):
-            return True
-        for opt in options[order[n]]:
-            visited += 1
-            if visited > budget:
-                raise ResourceError(f"chain search visited over {budget} nodes")
-            picked[n] = opt
-            if all(
-                any(image[picked[i]] & picked[j] for i, image, j in pairs)
-                for pairs in judged[n]
-            ):
-                if search(n + 1):
-                    return True
-        return False
-
-    if not search(0):
+    picked = next(
+        backtrack(options, checks, budget, "chain search", lambda i: -len(options[i])), None
+    )
+    if picked is None:
         return None
     return {
-        x: {a for i, a in enumerate(inst.domains[x]) if picked[n] >> i & 1}
-        for n, x in enumerate(order)
+        x: {a for i, a in enumerate(inst.domains[x]) if opt >> i & 1}
+        for x, opt in zip(names, picked)
     }
 
 
-def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
-    """The search order, fixed before the search starts, and per step the
-    chains whose last variable is set there.
+def _weakly(chain: tuple, images: Mapping):
+    """The test of a chain on the options picked along it: does some
+    constraint along it carry its source option's image into its target's?"""
+    steps = itertools.combinations(enumerate(chain), 2)
+    pairs = [(i, images[a, b], j) for (i, a), (j, b) in steps]
 
-    Next comes the variable that completes the most chains among those already
-    placed; ties go to the one touching the most partly placed chains, then to
-    the fewest options (`sizes`), then to layer order.
-    """
-    names = [x for layer in inst.layers for x in layer]
-    chains = enumerate_chains(inst)
-    order, judged_at = completion_order(names, chains, lambda x: -sizes[x])
-    return order, [[chains[c] for c in completed] for completed in judged_at]
+    def test(picks) -> bool:
+        for i, image, j in pairs:
+            if image[picks[i]] & picks[j]:
+                return True
+        return False
+
+    return test
 
 
 def d_assignment_to_pas(

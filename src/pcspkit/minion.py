@@ -10,11 +10,11 @@ function equality is table equality and serialization is bit-exact.
 Inside, a function is its table and an argument is a table index: a minor is
 an index remapping of the table, and a polymorphism check looks up, for every
 matrix of strict-relation columns, the table indices of its rows.  Enumeration
-sets a table's entries one index at a time and checks each matrix once its
-rows are set.  The row indices depend only on the template and the arity, so
-they are built once per template value and arity and held, as int arrays, in
-a cache of at most 32 such entries (`_row_sets`); each entry holds at most
-_BLOCK matrices' row indices per strict relation.
+sets a table's entries one index at a time, in `core.backtrack`, and checks
+each matrix once its rows are set.  The row indices depend only on the
+template and the arity, so they are built once per template value and arity
+and held, as int arrays, in a cache of at most 32 such entries (`_row_sets`);
+each entry holds at most _BLOCK matrices' row indices per strict relation.
 
 The audits share one minor graph per call.  Each map between the declared
 arities gets its table index once, functions are interned by value (arity set,
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, completion_order
+from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, backtrack
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -264,13 +264,12 @@ def enumerate_polymorphisms(
 ) -> tuple:
     """The exact arity slice of the template's polymorphisms, canonically ordered.
 
-    A backtracking search sets the table's entries in the `completion_order`
-    of the matrices' row indices, trying values in the relaxed domain's
-    order, and checks each matrix as soon as the entry of its last row is
-    set.  Three counts are held to `budget`: the matrices' row entries,
-    counted before any is built; the values tried, each a search node; and
-    the entries of the tables found.  Past any of them it raises
-    ResourceError and returns nothing.
+    `core.backtrack` sets the table's entries, trying values in the relaxed
+    domain's order, and checks each matrix, a set lookup of its rows' values,
+    as soon as the entry of its last row is set.  Three counts are held to
+    `budget`: the matrices' row entries, counted before any is built; the
+    values tried, each a search node; and the entries of the tables found.
+    Past any of them it raises ResourceError and returns nothing.
     """
     arity_set = tuple(sorted(arity_set))
     n = len(arity_set)
@@ -283,38 +282,19 @@ def enumerate_polymorphisms(
             f"over the budget of {budget}"
         )
     checks = [
-        (rows, target)
+        (rows, target.__contains__)
         for _, target, head, tail in _row_index_sets(template, n)
         for block in _blocks(head, tail)
         for rows in zip(*block)
     ]
     a, b = template.strict.domain, template.relaxed.domain
     size = len(a) ** n
-    order, judged_at = completion_order(
-        range(size), [tuple(dict.fromkeys(rows)) for rows, _ in checks]
-    )
-    checks_at = [[checks[m] for m in completed] for completed in judged_at]
-
-    # Depth first: a step's checks read only entries set at it or before, which
-    # hold the values of the path to it.
-    table, found, visited = [None] * size, [], 0
-    get = table.__getitem__
-    stack = [(0, v) for v in reversed(b)]
-    while stack:
-        step, value = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise ResourceError(f"polymorphism search visited over {budget} nodes")
-        table[order[step]] = value
-        if not all(tuple(map(get, rows)) in target for rows, target in checks_at[step]):
-            continue
-        if step + 1 == size:
-            found.append(tuple(table))
-            if len(found) * size > budget:
-                raise ResourceError(f"the tables found hold over {budget} entries")
-        else:
-            stack.extend((step + 1, v) for v in reversed(b))
-    found.sort()
+    # one table past what the budget holds is enough to refuse
+    found = sorted(itertools.islice(
+        backtrack([b] * size, checks, budget, "polymorphism search"), budget // size + 1
+    ))
+    if len(found) * size > budget:
+        raise ResourceError(f"the tables found hold over {budget} entries")
     return tuple(FiniteFunction(arity_set, a, b, t) for t in found)
 
 

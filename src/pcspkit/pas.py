@@ -480,6 +480,24 @@ def gap_parameters(
     return _gap_parameters(domain_size, m, values, mode)
 
 
+def _priced(i: int, bits: int) -> None:
+    """Refuse arity k[i] from `bits`, a lower bound on its bit length, when
+    that is over 2**16; an arity priced below is built, so that its refusal
+    states its exact size."""
+    if bits > 1 << 16:
+        raise ResourceError(
+            f"arity k[{i}] has at least {bits} bits, over the limit {PARAMETER_LIMIT}"
+        )
+
+
+def _comb(n: int, c: int, i: int) -> int:
+    """C(n, c) for 0 <= c <= n, where arity k[i] is at least C(n, c): priced
+    first from (n / c)**c, which C(n, c) is at least."""
+    c = min(c, n - c)
+    _priced(i, c * ((n // c).bit_length() - 1) + 1 if c else 1)
+    return comb(n, c)
+
+
 @lru_cache(maxsize=None)
 def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapParameters:
     r = len(values) - 1
@@ -496,15 +514,16 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
     k = [0] * (r + 1)
     l = [0] * (r + 1)
     split = [None] * (r + 1)
+    # Each k[j] > p[j] >= 1 for j >= 1, so k[i] >= l[i] >= each term of l[i],
+    # and a split's k[i] >= C(kdd, kd).
     for i in range(r, 0, -1):
-        l[i] = p[i] + sum(comb(p[i], p[j]) * (k[j] - p[j]) for j in range(i + 1, r + 1))
+        if values[i] > 1:
+            kdd, kd = split[i] = gap_parameters(domain_size, m, (values[i], 1), mode).k
+        l[i] = p[i] + sum(_comb(p[i], p[j], i) * (k[j] - p[j]) for j in range(i + 1, r + 1))
         if values[i] == 1:
             k[i] = (l[i] + 1) * m
         else:
-            sub_i = gap_parameters(domain_size, m, (values[i], 1), mode)
-            kdd, kd = sub_i.k
-            split[i] = (kdd, kd)
-            k[i] = kdd + comb(kdd, kd) * l[i]
+            k[i] = kdd + _comb(kdd, kd, i) * l[i]
         if k[i] > PARAMETER_LIMIT:
             raise ResourceError(
                 f"arity k[{i}] has {k[i].bit_length()} bits, over the limit {PARAMETER_LIMIT}"
@@ -515,11 +534,12 @@ def _gap_parameters(domain_size: int, m: int, values: tuple, mode: str) -> GapPa
             else f"l[{i}]={l[i]} split[{i}]=({kdd},{kd}) k[{i}]={kdd}+C({kdd},{kd})*{l[i]}={k[i]}"
         )
 
-    l[0] = p[0] + sum(comb(p[0], p[j]) * (k[j] - p[j]) for j in range(1, r + 1))
+    # In conservative mode k[0] >= l[0] too.
+    comb0 = partial(_comb, i=0) if mode == "conservative" else comb
+    l[0] = p[0] + sum(comb0(p[0], p[j]) * (k[j] - p[j]) for j in range(1, r + 1))
     s = sum(split[i][1] if split[i] else 1 for i in range(1, r + 1))
-    raw = s + domain_size**s
-    if mode == "conservative":
-        raw = s + domain_size**s * l[0]
+    _priced(0, s * (domain_size.bit_length() - 1) + 1)  # k[0] >= domain_size**s
+    raw = s + domain_size**s * (l[0] if mode == "conservative" else 1)
     k[0] = max(raw, k[1])
     if k[0] > PARAMETER_LIMIT:
         raise ResourceError(

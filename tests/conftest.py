@@ -58,6 +58,12 @@ def cycle_instance(n: int) -> pk.Instance:
     )
 
 
+def path_instance(n: int) -> pk.Instance:
+    """The path v0 - v1 - ... - v(n-1)."""
+    variables = [f"v{i}" for i in range(n)]
+    return pk.Instance(variables, [((f"v{i}", f"v{i + 1}"), "neq") for i in range(n - 1)])
+
+
 def bipartite_instance(n: int) -> pk.Instance:
     """K_{n,n}: every a_i is joined to every b_j."""
     left, right = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]

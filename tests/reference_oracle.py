@@ -12,7 +12,8 @@ same first failing chain from pcspkit.check_consistent.
 `_chain_order` is the chain search's variable order as it was before it kept
 its counts up to date, unchanged: it scores every unplaced variable from its
 chains at every step.  Tests require the same order and the same judged
-chains from pcspkit.labelcover._chain_order."""
+chains from pcspkit.core.completion_order over the chains, as the chain
+search calls it."""
 
 import itertools
 from typing import Mapping, Sequence

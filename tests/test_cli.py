@@ -11,7 +11,7 @@ import pcspkit as pk
 from pcspkit import jsonio
 from pcspkit.cli import build_parser, main
 
-from conftest import bipartite_instance, cycle_instance, seeded_value1_sequence
+from conftest import bipartite_instance, cycle_instance, path_instance, seeded_value1_sequence
 
 
 @pytest.fixture()
@@ -216,6 +216,26 @@ class TestCommands:
             pk.Instance(["x", "y", "z", "w"], [(("x", "y"), "neq"), (("y", "z"), "neq"), (("x", "z"), "neq")]).to_payload(),
         )
         assert main(["gap", "oracle", "--instance", str(tri), "--template", files["k2.json"], "--k", "3,2", "--d", "1"]) == 1
+
+    def test_a_20_vertex_path_decides_in_both_commands(self, files, tmp_path, capsys):
+        # 1,330 subset variables at k=(3,2), more than Python's recursion limit
+        names = ("path20.json", "k32.json", "llc.json", "r.json")
+        path, k32, llc, report = (tmp_path / name for name in names)
+        jsonio.write_canonical(path, path_instance(20).to_payload())
+        jsonio.write_canonical(k32, [3, 2])
+        assert main([
+            "gap", "oracle", "--instance", str(path), "--template", files["k2.json"],
+            "--k", "3,2", "--d", "1", "--report", str(report),
+        ]) == 0
+        assert json.loads(report.read_text())["payload"]["value_at_most_d"] is True
+        assert main([
+            "reduce", "llc", "--instance", str(path), "--template", files["k2.json"],
+            "--params", str(k32), "--out", str(llc),
+        ]) == 0
+        assert main(["gap", "layered", "--llc", str(llc), "--d", "1", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["payload"]["value"] == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "value <= 1: yes" and out[-1] == "layered value: 1"
 
     def test_reduce_llc(self, files, tmp_path):
         out = tmp_path / "llc.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from pcspkit.core import partial_solution_table
+from pcspkit.core import backtrack, completion_order, partial_solution_table
 
 import reference_core
 from conftest import cycle_instance, triangle_instance
@@ -429,3 +429,58 @@ class TestAssignments:
         f.mapping["x"] = "1"
         f.to_payload()["values"]["x"] = "1"
         assert f["x"] == "0"
+
+
+@st.composite
+def backtrack_cases(draw):
+    """Up to four items, each with up to three options from 0-2, checks over
+    one to three of them (repeats allowed), each allowing a drawn set of
+    tuples, and a tiebreak per item."""
+    n = draw(st.integers(0, 4))
+    options = [draw(st.lists(st.integers(0, 2), unique=True, max_size=3)) for _ in range(n)]
+    checks = []
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        items = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+        value = st.integers(0, 2)
+        allowed = frozenset(draw(st.sets(st.tuples(*[value] * len(items)), max_size=12)))
+        checks.append((items, allowed.__contains__))
+    ties = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    return options, checks, ties.__getitem__
+
+
+def _brute_force_backtrack(options, checks, tiebreak):
+    """The picks passing every check, in product order over the items'
+    completion order, and the nodes a depth-first search tries: per prefix
+    of that order passing the checks inside it, the next item's options."""
+    groups = [tuple(dict.fromkeys(items)) for items, _ in checks]
+    order, _ = completion_order(range(len(options)), groups, tiebreak)
+
+    def passing(length):
+        for values in itertools.product(*(options[x] for x in order[:length])):
+            picked = dict(zip(order, values))
+            if all(test(tuple(map(picked.get, items))) for items, test in checks
+                   if set(items) <= picked.keys()):
+                yield tuple(map(picked.get, range(len(options))))
+
+    nodes = sum(
+        len(list(passing(length))) * len(options[order[length]]) for length in range(len(order))
+    )
+    return list(passing(len(order))), nodes
+
+
+class TestBacktrackAgainstBruteForce:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=backtrack_cases())
+    def test_same_picks_in_the_same_order_and_the_same_budgets(self, case):
+        options, checks, tiebreak = case
+        expected, nodes = _brute_force_backtrack(options, checks, tiebreak)
+        assert list(backtrack(options, checks, nodes, "search", tiebreak)) == expected
+        if nodes:
+            picks = []
+            with pytest.raises(ResourceError, match=f"^search visited over {nodes - 1} nodes$"):
+                for pick in backtrack(options, checks, nodes - 1, "search", tiebreak):
+                    picks.append(pick)
+            assert picks == expected[: len(picks)]
+
+    def test_the_empty_search_succeeds_once(self):
+        assert list(backtrack([], [], 0, "search")) == [()]

@@ -1,9 +1,26 @@
 """The arity/threshold recursion, against hand-traced values."""
 
+import math
+
 import pytest
 
 import pcspkit as pk
+from pcspkit import pas
 from pcspkit.errors import InputError, ResourceError
+
+
+class _SmallPowers(int):
+    """A domain size whose powers past 2**16 are refused, not built."""
+
+    def __pow__(self, exponent):
+        assert exponent <= 1 << 16, f"built a power to {exponent}"
+        return int(self) ** exponent
+
+
+def _small_comb(n, c):
+    """math.comb, refusing a binomial that may hold over 2**20 bits."""
+    assert min(c, n - c) * n.bit_length() <= 1 << 20, f"built C({n}, {c})"
+    return math.comb(n, c)
 
 
 class TestHandTraces:
@@ -92,6 +109,26 @@ class TestValidation:
         # the trace wrote these arities out first, past Python's digit limit
         with pytest.raises(ResourceError, match=message):
             pk.gap_parameters(2, 1, values, mode="conservative")
+
+    # Each arity is priced before it is built: 2**s would need about 9.8 GB
+    # at (1, 22), and each of these took seconds or failed before.
+    @pytest.mark.parametrize(
+        "domain_size, m, values, mode, message",
+        [
+            (2, 3, (1, 18), "compact", r"k\[0\] has at least 968551222 bits"),
+            (2, 3, (1, 22), "compact", r"k\[0\] has at least 78452649022 bits"),
+            (1, 1, (2, 3, 3), "conservative", r"k\[1\] has at least 1975249 bits"),
+        ],
+        ids=["k0-of-1,18", "k0-of-1,22", "k1-of-2,3,3"],
+    )
+    def test_an_arity_is_priced_before_it_is_built(
+        self, monkeypatch, domain_size, m, values, mode, message
+    ):
+        monkeypatch.setattr(pas, "comb", _small_comb)
+        # records are cached by value, so none built here may hold _SmallPowers
+        monkeypatch.setattr(pas, "_gap_parameters", pas._gap_parameters.__wrapped__)
+        with pytest.raises(ResourceError, match=f"^arity {message}, over the limit 10{{18}}$"):
+            pk.gap_parameters(_SmallPowers(domain_size), m, values, mode)
 
     def test_trace_is_recorded(self):
         p = pk.gap_parameters(2, 1, (2, 1))

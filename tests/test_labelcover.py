@@ -11,11 +11,11 @@ import pcspkit as pk
 from pcspkit import jsonio
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from pcspkit.core import DEFAULT_BUDGET, partial_solution_table
-from pcspkit.labelcover import _chain_order, _width_options
+from pcspkit.core import DEFAULT_BUDGET, completion_order, partial_solution_table
+from pcspkit.labelcover import _width_options
 
 import reference_oracle as oracle_module
-from conftest import ALLOWED_SETS, cycle_instance, triangle_instance, unary_instance
+from conftest import ALLOWED_SETS, cycle_instance, path_instance, triangle_instance, unary_instance
 from reference_oracle import csp_value_oracle as reference_oracle
 
 
@@ -347,7 +347,39 @@ class TestChainSearch:
             assert all(pk.weakly_satisfies(f, c, inst) for c in pk.enumerate_chains(inst))
 
 
-    # The counts kept up to date must pick the variables the rescoring picks.
+    # The 20-vertex path at k=(3,2) has 1,330 subset variables; a search that
+    # recursed once per variable passed Python's recursion limit on it.
+    def test_a_20_vertex_path_decides_at_width_one(self, k2):
+        phi = path_instance(20)
+        assert pk.csp_value_oracle(phi, k2, (3, 2), 1) is True
+        inst = pk.reduce_mcsp_to_llc(phi, k2, (3, 2))
+        assert sum(map(len, inst.layers)) == 1330
+        result = pk.combinatorial_layered_value(inst, 1)
+        assert result.value == 1
+        assert all(pk.weakly_satisfies(result.witness, c, inst) for c in pk.enumerate_chains(inst))
+
+    # C5 at k=(3,2) searches to the end at d=1 and finds a witness at d=2.
+    @pytest.mark.parametrize("d, nodes, expected", [(1, 38, False), (2, 49, True)])
+    def test_c5_takes_a_pinned_number_of_nodes(self, d, nodes, expected):
+        phi, side, k, _, _ = C5_AT_K32
+        assert pk.csp_value_oracle(phi, side, k, d, budget=nodes) is expected
+        with pytest.raises(ResourceError, match=f"^chain search visited over {nodes - 1} nodes$"):
+            pk.csp_value_oracle(phi, side, k, d, budget=nodes - 1)
+
+    # 22 atoms at d=11 have 2,449,867 candidate entries; they are counted,
+    # not built, before the refusal.
+    def test_a_slot_is_priced_before_its_entries_are_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidate entries were built")
+
+        monkeypatch.setattr(itertools, "combinations", refuse)
+        message = "^chain search at d=11 has a slot with over 1000 candidate entries$"
+        with pytest.raises(ResourceError, match=message):
+            _width_options(22, 11, 1000)
+
+    # The counts kept up to date must pick the variables the rescoring picks:
+    # `completion_order` over the chains, with fewer options first among ties,
+    # is the order the chain search hands to `core.backtrack`.
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
     @example(case=C5_AT_K32)
@@ -356,7 +388,11 @@ class TestChainSearch:
         inst = pk.reduce_mcsp_to_llc(phi, side, k)
         sizes = {x: len(_width_options(len(dom), d, DEFAULT_BUDGET))
                  for x, dom in inst.domains.items()}
-        assert _chain_order(inst, sizes) == oracle_module._chain_order(inst, sizes)
+        names = [x for layer in inst.layers for x in layer]
+        chains = pk.enumerate_chains(inst)
+        order, judged_at = completion_order(names, chains, lambda x: -sizes[x])
+        judged = [[chains[c] for c in completed] for completed in judged_at]
+        assert (order, judged) == oracle_module._chain_order(inst, sizes)
 
 
 @st.composite
