@@ -20,6 +20,14 @@ starts (`completion_order`), judges each check once its last item is set,
 counts nodes against a budget, and keeps its path on an explicit stack, so
 no instance is deep enough to reach the recursion limit.
 
+One chain walk, `chain_walk`, serves both PAS consistency and the (d, r)
+chain audit.  A chain is broken unless some earlier member's image, moved
+along the steps in between, meets a later member's.  The walk goes depth
+first, in the order the members are listed, on an explicit stack, carrying
+the earlier members' images moved onto the newest member (moves compose, so
+one step moves them all).  Once the newest image meets them, every chain
+through that prefix has such a pair, and the prefix is skipped.
+
 All types are immutable after construction and all operations are pure.
 """
 
@@ -599,6 +607,27 @@ def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebr
                 yield tuple(picked)
             else:
                 stack.extend(zip(itertools.repeat(step + 1), reversed(options[order[step + 1]])))
+
+
+def chain_walk(length: int, children, move) -> Optional[tuple]:
+    """The first broken chain of `length` members, as (members, steps) with
+    steps[i] leading from members[i] to members[i + 1], or None.
+    `children(path)` yields the members that may follow a path, the empty one
+    first, as (step, member, image set); `move(g, step)` moves g one step."""
+    stack = [(iter(children(())), (), (), frozenset())]
+    while stack:
+        nodes, path, steps, carried = stack[-1]
+        for step, member, image in nodes:
+            moved = {move(g, step) for g in carried}
+            if moved.isdisjoint(image):  # else every chain through here has a pair
+                path, steps = path + (member,), steps + (step,)
+                if len(path) == length:
+                    return path, steps[1:]
+                stack.append((iter(children(path)), path, steps, image.union(moved)))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 def _subset_checks(phi: Instance, side: RelationalStructure, subset: Sequence[int]) -> list:

@@ -19,10 +19,9 @@ each entry holds at most _BLOCK matrices' row indices per strict relation.
 The audits share one minor graph per call.  Each map between the declared
 arities gets its table index once, functions are interned by value (arity set,
 both domains and table), and a member's minor along a map is one lookup of
-that index.  The chain audit walks chains depth first in lexicographic order,
-carrying the earlier members' images minored along the maps taken since.  Once
-a pair agrees, the prefix's subtree is admitted and skipped, though its members
-are still imaged in walk order until all are, so the same error comes first.
+that index.  The chain audit images every member first, in slice order, and
+then walks chains in lexicographic order with `core.chain_walk`, moving images
+along the minor graph's maps.
 
 A minion is infinite; everything here works with finite slices, and every
 homomorphism check is a bounded verification over the arity sets it is given.
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, backtrack
+from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, backtrack, chain_walk
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -650,46 +649,21 @@ def check_dr_homomorphism(
             raise ResourceError(f"chain enumeration exceeds the budget of {budget}")
 
     graph = _MinorGraph(source, arities)
-    images, requested = {}, set()
+    # `table.image` raises InputError on a member it does not cover, so a
+    # table that misses one is refused before any chain is judged.
+    images = [frozenset(map(graph.intern, table.image(t))) for t in graph.functions[: graph.size]]
 
-    def image(i: int) -> frozenset:
-        # `table.image` raises InputError on an uncovered member, never stored.
-        if i not in images:
-            images[i] = frozenset(map(graph.intern, table.image(graph.functions[i])))
-        return images[i]
+    def children(path: tuple):
+        if not path:
+            return zip(itertools.repeat(None), range(graph.size), images)
+        return ((m, j, images[j]) for m, j in enumerate(graph.edges[path[-1]]) if j < graph.size)
 
-    def request(i: int, depth: int) -> None:
-        # Every chain below an admitted prefix passes, but a walk without the
-        # skip images its members first: request them in walk order, so the
-        # same uncovered member raises.  A subtree requested in full before
-        # holds no member without an image, and is passed over.
-        if depth and (i, depth) not in requested and len(images) < graph.size:
-            for j in graph.edges[i]:
-                if j < graph.size:
-                    image(j)
-                    request(j, depth - 1)
-            requested.add((i, depth))
-
-    def walk(path: tuple, maps: tuple, carried: frozenset) -> Optional[tuple]:
-        # `carried` holds every earlier member's images, minored along the
-        # maps taken since that member: minors compose, so a step moves them.
-        if len(maps) == r:
-            return path, maps
-        for m, j in enumerate(graph.edges[path[-1]]):
-            if j < graph.size:
-                found, moved = image(j), {graph.minor(g, m) for g in carried}
-                if not moved.isdisjoint(found):
-                    request(j, r - len(maps) - 1)
-                elif failed := walk(path + (j,), maps + (m,), found.union(moved)):
-                    return failed
-        return None
-
-    for t0 in range(graph.size):
-        if failed := walk((t0,), (), image(t0)):
-            chain = tuple(graph.functions[i] for i in failed[0])
-            maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, failed[1]))
-            return MinionCheck(False, (chain, maps))
-    return MinionCheck(True, None)
+    failed = chain_walk(r + 1, children, graph.minor)
+    if failed is None:
+        return MinionCheck(True, None)
+    chain = tuple(graph.functions[i] for i in failed[0])
+    maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, failed[1]))
+    return MinionCheck(False, (chain, maps))
 
 
 # -- lifted relations and their decoder ---------------------------------------

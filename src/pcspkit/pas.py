@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Assignment, _payload_field
+from .core import Assignment, _payload_field, chain_walk
 from .errors import (
     InputError,
     InvariantError,
@@ -168,10 +168,13 @@ def pas_value(system: Pas) -> int:
 
 def is_m_solution(f, system: Pas, m: int) -> bool:
     """True iff every m-subset restriction of f appears among the projections
-    of some entry of the system."""
+    of some entry of the system; an f that misses a variable is an InputError."""
     if not 1 <= m <= system.arity:
         raise InputError(f"m={m}: expected 1 <= m <= the system arity {system.arity}")
     fmap = dict(f)
+    missing = next((x for x in system.variables if x not in fmap), None)
+    if missing is not None:
+        raise InputError(f"assignment is not total: missing {missing!r}")
     for u in itertools.combinations(system.variables, m):
         if _first_superset(system, u, tuple(fmap[x] for x in u), (), extends=True) is None:
             return False
@@ -210,27 +213,18 @@ class ConsistencyResult:
 def check_consistent(seq: PasSequence) -> ConsistencyResult:
     """For every nested subset chain there must be a pair i < j whose entries
     meet under projection; on failure, the lexicographically first violating
-    chain.  The chains are walked depth first in that order, skipping those
-    below a prefix whose newest member meets the earlier members' entries."""
+    chain, found by `core.chain_walk` with projection as the move."""
     systems, arities = seq.systems, seq.arities
 
-    def walk(chain: tuple, carried: frozenset) -> Optional[tuple]:
-        # `carried` holds the earlier members' entries projected onto the
-        # newest subset: projections compose, so one step moves them all.
-        if len(chain) == len(systems):
-            return chain
+    def children(chain: tuple):
         u = chain[-1] if chain else systems[0].variables
         entries = systems[len(chain)].entries
         for where in itertools.combinations(range(len(u)), arities[len(chain)]):
             w = tuple(map(u.__getitem__, where))
-            moved = {tuple(map(g.__getitem__, where)) for g in carried}
-            if moved.isdisjoint(entries[w]):
-                if failed := walk(chain + (w,), entries[w].union(moved)):
-                    return failed
-        return None
+            yield where, w, entries[w]
 
-    failed = walk((), frozenset())
-    return ConsistencyResult(failed is None, failed)
+    failed = chain_walk(len(systems), children, lambda g, where: tuple(map(g.__getitem__, where)))
+    return ConsistencyResult(failed is None, failed and failed[0])
 
 
 class LocalProperty(enum.Enum):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -135,3 +136,12 @@ def seeded_value1_sequence(seed: int, arities=(3, 2)) -> pk.PasSequence:
         if pk.check_consistent(candidate):
             seq = candidate
     return seq
+
+
+def deep_inconsistent_sequence(n: int) -> pk.PasSequence:
+    """n arity-2 systems over {x, y}, each with one entry, a pair of atoms
+    that no other system holds: no two entries meet, so the one chain of n
+    members is broken."""
+    atoms = [f"a{i}" for i in range(math.isqrt(n - 1) + 1)]
+    pairs = itertools.islice(itertools.product(atoms, repeat=2), n)
+    return pk.PasSequence([pk.Pas("xy", atoms, 2, {("x", "y"): {pair}}) for pair in pairs])

@@ -5,6 +5,9 @@ name, as the core did before its scopes became integers.  The subset
 lattice below is built the same way: one induced instance per subset,
 brute-forced into assignments, with each nested pair's restriction map
 worked out again for each reduction.
+
+`first_broken_chain` is the oracle for `core.chain_walk`: it lists every
+chain in full and tests every pair of its members, with no pruning.
 """
 
 from __future__ import annotations
@@ -123,3 +126,32 @@ def auxiliary_constraints(phi, table, k) -> tuple:
         cmap = {n: index_of[tuple(g[p] for p in idx)] for n, g in enumerate(table[u])}
         constraints.append(PsiConstraint(",".join(u), ",".join(w), cmap))
     return tuple(constraints)
+
+
+def first_broken_chain(length, children, move):
+    """Every chain of `length` members in the order `children` lists them,
+    each pair i < j tested through the composed moves: the first chain where
+    no element of member i's image, moved along every step up to member j,
+    lies in member j's image, as (members, steps between them), or None."""
+
+    def chains(path, steps, images):
+        if len(path) == length:
+            yield path, steps, images
+            return
+        for step, member, image in children(path):
+            yield from chains(path + (member,), steps + (step,), images + (image,))
+
+    for path, steps, images in chains((), (), ()):
+        pairs = itertools.combinations(range(length), 2)
+        if not any(_meets(images[i], images[j], steps[i + 1 : j + 1], move) for i, j in pairs):
+            return path, steps[1:]
+    return None
+
+
+def _meets(first, later, steps, move) -> bool:
+    for g in first:
+        for step in steps:
+            g = move(g, step)
+        if g in later:
+            return True
+    return False

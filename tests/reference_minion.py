@@ -13,8 +13,9 @@ that the block size became a parameter.
 `check_minor_closure`, `check_minion_homomorphism` and `check_dr_homomorphism`
 are the audits as they were before they shared one minor graph, unchanged,
 with `_all_maps`, `_chains_from`, `_chain_admits_pair` and `compose_maps`;
-they call this module's `minor`.  Only the property tests in tests/test_minion.py use this
-module.
+they call this module's `minor`.  The one change: `check_dr_homomorphism`
+images every member before its first chain, so a table must cover the whole
+slice.  Only the property tests in tests/test_minion.py use this module.
 """
 
 from __future__ import annotations
@@ -219,6 +220,8 @@ def check_dr_homomorphism(
     # Membership of each function is checked once per call: `image` raises
     # InputError on an uncovered function, so nothing is cached for it.
     image = cache(table.image)
+    for t in source.all_functions():
+        image(t)
     for t0 in source.all_functions():
         for chain, maps in _chains_from(t0, source, r):
             if not _chain_admits_pair(image, chain, maps):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,13 @@ import pcspkit as pk
 from pcspkit import jsonio
 from pcspkit.cli import build_parser, main
 
-from conftest import bipartite_instance, cycle_instance, path_instance, seeded_value1_sequence
+from conftest import (
+    bipartite_instance,
+    cycle_instance,
+    deep_inconsistent_sequence,
+    path_instance,
+    seeded_value1_sequence,
+)
 
 
 @pytest.fixture()
@@ -366,6 +373,28 @@ class TestCommands:
         assert capsys.readouterr().out == "inconsistent on chain (('x',), ('x',))\n"
         assert json.loads(report.read_text())["verifications"] == {"consistent": False}
 
+    def test_verify_consistent_on_a_chain_past_the_recursion_limit(self, tmp_path, capsys):
+        seq, report = tmp_path / "deep.json", tmp_path / "report.json"
+        jsonio.write_canonical(
+            seq, deep_inconsistent_sequence(sys.getrecursionlimit() + 100).to_payload()
+        )
+        capsys.readouterr()
+        assert main(["verify", "consistent", "--pas", str(seq), "--report", str(report)]) == 1
+        assert capsys.readouterr().out.startswith("inconsistent on chain (('x', 'y'), ")
+        assert json.loads(report.read_text())["verifications"] == {"consistent": False}
+
+    def test_poly_check_on_chains_past_the_recursion_limit(self, files, tmp_path, t22, capsys):
+        sl, xi = tmp_path / "pol22.json", tmp_path / "xi-deep.json"
+        jsonio.write_canonical(sl, pk.polymorphism_slice(t22, [("a",)]).to_payload())
+        r = sys.getrecursionlimit() + 500
+        jsonio.write_canonical(xi, pk.IdentityDrTable(t22, r=r).to_payload())
+        capsys.readouterr()
+        assert main([
+            "poly", "check", "--template", files["t22.json"], "--slice", str(sl),
+            "--dr-table", str(xi),
+        ]) == 0
+        assert capsys.readouterr().out == "chain condition: holds\n"
+
     def test_verify_solution_negative(self, files, tmp_path):
         bad = tmp_path / "bad_assign.json"
         jsonio.write_canonical(bad, pk.Assignment({f"v{i}": "0" for i in range(5)}).to_payload())
@@ -712,12 +741,17 @@ class TestBareArguments:
         (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
         (tmp_path / "long-integer.json").write_text('{"k": [' + "9" * 5000 + "]}")
         jsonio.write_canonical(tmp_path / "number.json", 5)
+        xyz = {"x": "0", "y": "1", "z": "0"}
+        restrictions = [pk.pas_from_assignment(xyz, xyz, "01", k) for k in (2, 1)]
+        jsonio.write_canonical(tmp_path / "xyz.json", pk.PasSequence(restrictions).to_payload())
+        jsonio.write_canonical(tmp_path / "only-x.json", {"values": {"x": "0"}})
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
-            "non-utf8.json", "nested.json", "long-integer.json", "number.json",
+            "non-utf8.json", "nested.json", "long-integer.json", "number.json", "xyz.json",
+            "only-x.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -878,6 +912,10 @@ class TestBareArguments:
                 ["solve", "--instance", "edge3.json", "--template", "number.json"],
                 "payload: expected an object",
             ),
+            (
+                ["verify", "msolution", "--pas", "xyz.json", "--assignment", "only-x.json"],
+                "assignment is not total: missing 'y'",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -892,7 +930,7 @@ class TestBareArguments:
             "reduce-pcsp-boolean-r", "msolution-boolean-index", "reduce-pcsp-identity-width-7",
             "non-utf8-first", "non-utf8-later", "nested-first", "nested-later",
             "long-integer-first", "long-integer-later", "gap-params-split-value-2000",
-            "msolution-negative-m", "solve-template-a-number",
+            "msolution-negative-m", "solve-template-a-number", "msolution-partial-assignment",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from pcspkit.core import backtrack, completion_order, partial_solution_table
+from pcspkit.core import backtrack, chain_walk, completion_order, partial_solution_table
 
 import reference_core
 from conftest import cycle_instance, triangle_instance
@@ -484,3 +484,36 @@ class TestBacktrackAgainstBruteForce:
 
     def test_the_empty_search_succeeds_once(self):
         assert list(backtrack([], [], 0, "search")) == [()]
+
+
+@st.composite
+def chain_trees(draw):
+    """Chains of one to four members in a tree whose nodes have up to three
+    children, each with an image of at most two elements of 0-3 and, as the
+    step into it, a map of 0-3 into itself."""
+    length = draw(st.integers(1, 4))
+    element = st.integers(0, 3)
+    tree, frontier = {}, [()]
+    for _ in range(length):
+        deeper = []
+        for path in frontier:
+            tree[path] = []
+            for member in range(draw(st.integers(0, 3))):
+                step = tuple(draw(st.lists(element, min_size=4, max_size=4)))
+                tree[path].append((step, member, draw(st.frozensets(element, max_size=2))))
+                deeper.append(path + (member,))
+        frontier = deeper
+    return length, tree
+
+
+class TestChainWalkAgainstBruteForce:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=chain_trees())
+    def test_same_first_broken_chain(self, case):
+        length, tree = case
+
+        def move(g, step):
+            return step[g]
+
+        expected = reference_core.first_broken_chain(length, tree.__getitem__, move)
+        assert chain_walk(length, tree.__getitem__, move) == expected

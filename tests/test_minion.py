@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import types
 
 import pytest
@@ -283,6 +284,11 @@ class TestDrTables:
         assert len(indexed) == 56 and max(indexed.values()) == 1
         # the 644 (member, map) edges alone need 644 tables: none is built twice
         assert len(built) <= 644
+
+    def test_chains_past_the_recursion_limit_are_decided(self, t22):
+        sl = pk.polymorphism_slice(t22, [("a",)])
+        table = pk.IdentityDrTable(t22, r=sys.getrecursionlimit() + 500)
+        assert pk.check_dr_homomorphism(table, sl) == pk.minion.MinionCheck(True, None)
 
     def test_uncovered_chain_member_is_input_error(self, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y")])
@@ -830,11 +836,6 @@ class TestAuditsAgainstReference:
             # the table refuses an image off its function's arity when it is
             # built, even where the reference first meets a member xi misses
             assert got[0] is StructuralError
-        elif isinstance(got, pk.minion.MinionCheck):
-            # xi misses a member, but the chain audit images members in walk
-            # order and met a failing pair first
-            (t, s), (pi,) = got.counterexample
-            assert not got and pk.minor(xi[t], pi, target=s.arity_set) != xi[s]
         else:
             assert got[0] is expected[0] is InputError
 
@@ -876,12 +877,12 @@ class TestAuditsAgainstReference:
         assert expected == (InputError, "table does not cover a function of arity ('a', 'b')")
         assert _outcome(pk.check_dr_homomorphism, table, AUDITED["k2k2"]) == expected
 
-    def test_failing_chain_before_the_uncovered_member_is_returned(self):
-        # NEG is first met on the chains from NEG, after ID -> ON_A -> ON_A fails
+    def test_uncovered_member_is_refused_before_any_chain(self):
+        # the chain ID -> ON_A -> ON_A fails, but every member is imaged first
         table = self._r2_table(self.NEG, {self.ON_A: (self.ON_B,)})
-        expected = reference_minion.check_dr_homomorphism(table, AUDITED["k2k2"])
-        assert expected.counterexample[0] == (self.ID, self.ON_A, self.ON_A)
-        assert pk.check_dr_homomorphism(table, AUDITED["k2k2"]) == expected
+        expected = _outcome(reference_minion.check_dr_homomorphism, table, AUDITED["k2k2"])
+        assert expected == (InputError, "table does not cover a function of arity ('a',)")
+        assert _outcome(pk.check_dr_homomorphism, table, AUDITED["k2k2"]) == expected
 
     def test_images_over_another_out_domain_stay_apart(self, t23):
         # Pol(K2,K3) twins of Pol(K2,K2) members: the same tables, out-domain {0,1,2}

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from pcspkit.errors import InputError, ParameterError, StructuralError
 from pcspkit.pas import LocalProperty, _proj
 
 import reference_oracle
+from conftest import deep_inconsistent_sequence
 
 EXTEND = LocalProperty.EXTENSION
 AVOID = LocalProperty.AVOIDANCE
@@ -83,6 +85,11 @@ class TestMSolution:
         system = pk.pas_from_assignment(f, f, ["0", "1"], 1)
         with pytest.raises(InputError):
             pk.is_m_solution(pk.Assignment(f), system, 2)
+
+    def test_an_assignment_missing_a_variable_is_refused(self):
+        system = pk.pas_from_assignment({"x": "0", "y": "1", "z": "0"}, "xyz", "01", 2)
+        with pytest.raises(InputError, match="assignment is not total: missing 'y'"):
+            pk.is_m_solution(pk.Assignment({"x": "0"}), system, 1)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_m_below_one_rejected(self, m):
@@ -168,6 +175,11 @@ class TestConsistency:
                 down0 = {_proj(x, u0, u1) for x in i0.entries[u0]}
                 assert not (down0 & i1.entries[u1])
                 assert not (i1.entries[u1] & i2.entries[u1])
+
+    def test_a_chain_past_the_recursion_limit_is_decided(self):
+        seq = deep_inconsistent_sequence(sys.getrecursionlimit() + 100)
+        result = pk.check_consistent(seq)
+        assert not result and result.chain == (("x", "y"),) * len(seq)
 
     def test_increasing_arities_rejected(self):
         f = {"x": "0", "y": "0"}
