@@ -38,7 +38,7 @@ class LlcInstance:
     constraints: dict  # (x, y) -> dict mapping A_x -> A_y
     has_empty_domain: bool = False
 
-    def __init__(self, layers, domains, constraints, has_empty_domain=None):
+    def __init__(self, layers, domains, constraints):
         layers = tuple(tuple(layer) for layer in layers)
         seen = set()
         for layer in layers:
@@ -67,13 +67,10 @@ class LlcInstance:
             if not inside:
                 raise InputError(f"constraint {x}->{y} leaves the target domain")
             cmap[(x, y)] = psi
-        empty = any(not domains[x] for x in domains)
-        if has_empty_domain is not None and bool(has_empty_domain) != empty:
-            raise InputError("has_empty_domain flag disagrees with the domains")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "constraints", cmap)
-        object.__setattr__(self, "has_empty_domain", empty)
+        object.__setattr__(self, "has_empty_domain", any(not domains[x] for x in domains))
 
     def to_payload(self) -> dict:
         return {
@@ -105,8 +102,11 @@ class LlcInstance:
             if pair in constraints:
                 raise InputError(f"constraints[{i}]: repeats the pair {pair[0]}->{pair[1]}")
             constraints[pair] = at("map", Mapping, items=str)
-        empty = field("has_empty_domain", bool) if "has_empty_domain" in payload else None
-        return LlcInstance(layers, domains, constraints, empty)
+        stated = field("has_empty_domain", bool) if "has_empty_domain" in payload else None
+        inst = LlcInstance(layers, domains, constraints)
+        if stated not in (None, inst.has_empty_domain):
+            raise InputError("has_empty_domain flag disagrees with the domains")
+        return inst
 
 
 @dataclass(frozen=True)

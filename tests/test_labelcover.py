@@ -70,6 +70,8 @@ class TestLlcInstance:
             (lambda p: p["constraints"][0]["map"].update(x=["u"]),
              "constraints[0].map.x: expected a string"),
             (lambda p: p.update(has_empty_domain="no"), "has_empty_domain: expected a boolean"),
+            (lambda p: p.update(has_empty_domain=True),
+             "has_empty_domain flag disagrees with the domains"),
             (lambda p: p["domains"].pop("b0"), "variable 'b0' has no domain"),
             (lambda p: p["constraints"][0].update({"to": "q"}),
              "constraint a0->q names a variable outside the layers"),

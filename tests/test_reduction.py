@@ -546,6 +546,16 @@ class TestDecodeRefusesBrokenClouds:
         with pytest.raises(InputError, match="not on the variable's labels"):
             pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
 
+    def test_a_function_over_other_domains(self, k2, t22, ident22):
+        # no member of the target's polymorphisms; it used to escape the
+        # decoder as a StructuralError that named no variable
+        phi, layout, fns = _nested_path_functions(k2, t22)
+        arity = fns["x,y"].arity_set
+        fns["x,y"] = pk.dictator(arity, ("0", "1", "2"), arity[0])
+        message = "^the function at x,y is not a polymorphism of the target$"
+        with pytest.raises(InputError, match=message):
+            pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
+
     def test_a_non_polymorphism(self, k2, t22, ident22):
         phi, layout, fns = _nested_path_functions(k2, t22)
         fn = fns["x,y"]
@@ -588,8 +598,9 @@ class TestRelabelledMinorCondition:
 
 
 class TestMembershipCheckedOnce:
-    """One decode checks each distinct function for membership at most once,
-    and keeps no answer for the next decode."""
+    """One decode checks each distinct decoded function for membership once
+    and checks nothing else, the table's images included, and keeps no answer
+    for the next decode."""
 
     @staticmethod
     def _decode_twice(monkeypatch, fns, layout, table, phi, template):
@@ -602,7 +613,7 @@ class TestMembershipCheckedOnce:
 
         monkeypatch.setattr(pk.minion, "is_polymorphism", counting)
         pk.decode_relaxed_solution(fns, layout, table, phi, template)
-        assert checked and max(checked.values()) == 1
+        assert checked == collections.Counter(set(fns.values()))
         pk.decode_relaxed_solution(fns, layout, table, phi, template)
         assert set(checked.values()) == {2}
 
@@ -621,6 +632,15 @@ class TestMembershipCheckedOnce:
         lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
         fns = pk.read_cloud_functions(lift.mapping, layout, k2.domain)
         self._decode_twice(monkeypatch, fns, layout, ident22, phi, t22)
+
+    def test_k55_at_r2(self, monkeypatch, k2, t22, k55_r2):
+        # 211 clouds decode to three distinct functions
+        (result, table), phi = k55_r2, bipartite_instance(5)
+        h = {x: "0" if x.startswith("a") else "1" for x in phi.variables}
+        lift = pk.lift_strict_solution(h, result.layout)
+        fns = pk.read_cloud_functions(lift.mapping, result.layout, k2.domain)
+        assert len(fns) == 211 and len(set(fns.values())) == 3
+        self._decode_twice(monkeypatch, fns, result.layout, table, phi, t22)
 
 
 class PostCompositionTable:
