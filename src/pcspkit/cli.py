@@ -47,6 +47,7 @@ from .labelcover import (
 )
 from .minion import (
     FiniteFunction,
+    LazyPolymorphismSlice,
     MinionSlice,
     check_dr_homomorphism,
     dr_table_from_payload,
@@ -159,6 +160,13 @@ def _cmd_poly_check(args, inputs: dict, report: _Report) -> int:
     if args.dr_table:
         table = dr_table_from_payload(inputs[args.dr_table])
         slice_ = MinionSlice.from_payload(inputs[args.slice])
+        # the payload's own order, so the error names the member as written
+        member = LazyPolymorphismSlice(template).contains
+        for i, item in enumerate(inputs[args.slice]["functions"]):
+            if not member(FiniteFunction.from_payload(item)):
+                raise InputError(
+                    f"{args.slice}: functions[{i}] is not a polymorphism of the template"
+                )
         result = check_dr_homomorphism(table, slice_, budget=args.budget)
         report.verified("dr_homomorphism", bool(result))
         print(f"chain condition: {'holds' if result else 'violated'}")

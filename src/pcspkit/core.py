@@ -17,6 +17,7 @@ reductions.
 One backtracking search, `backtrack`, serves both polymorphism enumeration
 and the label cover chain search.  It sets items in an order fixed before it
 starts (`completion_order`), judges each check once its last item is set,
+reading its picks with a getter built once per check before the search,
 counts nodes against a budget, and keeps its path on an explicit stack, so
 no instance is deep enough to reach the recursion limit.
 
@@ -27,6 +28,11 @@ first, in the order the members are listed, on an explicit stack, carrying
 the earlier members' images moved onto the newest member (moves compose, so
 one step moves them all).  Once the newest image meets them, every chain
 through that prefix has such a pair, and the prefix is skipped.
+
+The public constructors and every `from_payload` validate and sort what
+they are given; `Instance._of` and `Assignment._of` take parts already
+checked and sorted, as induced instances, the long-code instance and the
+lift have them.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -350,6 +356,15 @@ class Assignment:
         object.__setattr__(self, "_mapping", dict(sorted(mapping.items())))
         object.__setattr__(self, "side", side)
 
+    @classmethod
+    def _of(cls, mapping: dict, side: Optional[str] = None) -> "Assignment":
+        """An assignment that owns `mapping`, a dict already in name order,
+        without sorting it again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "_mapping", mapping)
+        object.__setattr__(f, "side", side)
+        return f
+
     @property
     def values(self) -> tuple:
         return tuple(self._mapping.items())
@@ -579,8 +594,9 @@ def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebr
 
     A check is `(items, test)`: `test` gets the tuple of the options picked
     at `items` once the last of them is set (so one over no items is never
-    judged).  Items are set in the `completion_order` of the checks' items,
-    each trying its options in order.  Each option tried is a node; past
+    judged), read by a getter built once per check before the search.  Items
+    are set in the `completion_order` of the checks' items, each trying its
+    options in order.  Each option tried is a node; past
     `budget` nodes it raises ResourceError.  No items give one empty pick.
     """
     order, judged_at = completion_order(
@@ -589,9 +605,10 @@ def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebr
     if not order:
         yield ()
         return
-    checks_at = [[checks[c] for c in completed] for completed in judged_at]
+    checks_at = [
+        [(_reader(checks[c][0]), checks[c][1]) for c in completed] for completed in judged_at
+    ]
     picked = [None] * len(options)
-    get = picked.__getitem__
     stack, visited = [(0, v) for v in reversed(options[order[0]])], 0
     while stack:
         step, value = stack.pop()
@@ -599,14 +616,21 @@ def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebr
         if visited > budget:
             raise ResourceError(f"{what} visited over {budget} nodes")
         picked[order[step]] = value
-        for items, test in checks_at[step]:  # each reads items set on the path here
-            if not test(tuple(map(get, items))):
+        for read, test in checks_at[step]:  # each reads items set on the path here
+            if not test(read(picked)):
                 break
         else:
             if step + 1 == len(order):
                 yield tuple(picked)
             else:
                 stack.extend(zip(itertools.repeat(step + 1), reversed(options[order[step + 1]])))
+
+
+def _reader(items: tuple):
+    """The tuple of a list's entries at `items`, one item included."""
+    if len(items) == 1:
+        return lambda values, i=items[0]: (values[i],)
+    return itemgetter(*items)
 
 
 def chain_walk(length: int, children, move) -> Optional[tuple]:

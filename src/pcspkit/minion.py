@@ -26,6 +26,13 @@ table's image is t -> {t}, untested: t -> {t} meets the chain condition on any
 slice, and a decoder checks membership itself; an explicit table refuses a
 function it does not cover.
 
+A function from outside is validated: the public `FiniteFunction`
+constructor, every `from_payload` and `reduction.read_cloud_functions` sort
+its arity set and domains and check its table.  The builders whose output is
+canonical by construction (`enumerate_polymorphisms`, `minor` after its own
+checks of the map and target, `dictator`, `restriction_to` and the minor
+graph) trust their parts and build through `FiniteFunction._of`.
+
 A minion is infinite; everything here works with finite slices, and every
 homomorphism check is a bounded verification over the arity sets it is given.
 """
@@ -57,14 +64,10 @@ class FiniteFunction:
     table: tuple
 
     def __init__(self, arity_set, in_domain, out_domain, table):
-        arity_set = tuple(sorted(arity_set))
+        arity_set = _arity_tuple(arity_set)
         in_domain = tuple(sorted(set(in_domain)))
         out_domain = tuple(sorted(set(out_domain)))
         table = tuple(table)
-        if not arity_set:
-            raise InputError("arity set must be nonempty")
-        if len(arity_set) != len(set(arity_set)):
-            raise InputError("arity set has repeated labels")
         if len(table) != len(in_domain) ** len(arity_set):
             raise InputError(
                 f"table has {len(table)} entries, expected "
@@ -78,10 +81,21 @@ class FiniteFunction:
             for value in table:
                 if value not in out_domain:
                     raise InputError(f"table value {value!r} outside the output domain")
-        object.__setattr__(self, "arity_set", arity_set)
-        object.__setattr__(self, "in_domain", in_domain)
-        object.__setattr__(self, "out_domain", out_domain)
-        object.__setattr__(self, "table", table)
+        vars(self).update(
+            arity_set=arity_set, in_domain=in_domain, out_domain=out_domain, table=table
+        )
+
+    @classmethod
+    def _of(cls, arity_set: tuple, in_domain: tuple, out_domain: tuple, table: tuple):
+        """A function from parts already checked: a sorted arity set of distinct
+        labels, sorted domains, and a tuple of |in_domain|^|arity_set| values
+        in out_domain.  Only builders whose output is canonical by
+        construction call it; values read from outside go through __init__."""
+        fn = object.__new__(cls)
+        vars(fn).update(
+            arity_set=arity_set, in_domain=in_domain, out_domain=out_domain, table=table
+        )
+        return fn
 
     def index_of(self, args: Sequence[str]) -> int:
         base = len(self.in_domain)
@@ -119,6 +133,16 @@ class FiniteFunction:
         )
 
 
+def _arity_tuple(labels) -> tuple:
+    """The sorted arity set, refused when empty or when a label repeats."""
+    arity_set = tuple(sorted(labels))
+    if not arity_set:
+        raise InputError("arity set must be nonempty")
+    if len(arity_set) != len(set(arity_set)):
+        raise InputError("arity set has repeated labels")
+    return arity_set
+
+
 @lru_cache(maxsize=256)
 def _digits(domain: tuple) -> dict:
     """Atom -> digit in a sorted domain, computed once per domain and shared
@@ -137,7 +161,7 @@ def dictator(arity_set, domain, coordinate: str) -> FiniteFunction:
     if coordinate not in arity_set:
         raise InputError(f"{coordinate!r} is not in the arity set")
     domain = tuple(sorted(set(domain)))
-    identity = FiniteFunction((coordinate,), domain, domain, domain)
+    identity = FiniteFunction._of((coordinate,), domain, domain, domain)
     return minor(identity, {coordinate: coordinate}, target=arity_set)
 
 
@@ -161,9 +185,10 @@ def minor(
             raise InputError("minor map leaves the declared codomain")
     if tuple(map(pi.__getitem__, t.arity_set)) == target:
         # pi relabels the sorted arity set onto the sorted target in order
-        return FiniteFunction(target, t.in_domain, t.out_domain, t.table)
+        return FiniteFunction._of(target, t.in_domain, t.out_domain, t.table)
     idx = _minor_index(len(t.in_domain), t.arity_set, pi, target)
-    return FiniteFunction(target, t.in_domain, t.out_domain, map(t.table.__getitem__, idx))
+    table = tuple(map(t.table.__getitem__, idx))
+    return FiniteFunction._of(target, t.in_domain, t.out_domain, table)
 
 
 def _minor_index(base: int, arity_set: Sequence, pi: Mapping, target: Sequence) -> list:
@@ -273,7 +298,7 @@ def enumerate_polymorphisms(
     values tried, each a search node; and the entries of the tables found.
     Past any of them it raises ResourceError and returns nothing.
     """
-    arity_set = tuple(sorted(arity_set))
+    arity_set = _arity_tuple(arity_set)
     n = len(arity_set)
     relations = template.strict.relations.values()
     matrices = sum(len(rel.tuples) ** n for rel in relations)
@@ -297,7 +322,7 @@ def enumerate_polymorphisms(
     ))
     if len(found) * size > budget:
         raise ResourceError(f"the tables found hold over {budget} entries")
-    return tuple(FiniteFunction(arity_set, a, b, t) for t in found)
+    return tuple(FiniteFunction._of(arity_set, a, b, t) for t in found)
 
 
 @dataclass(frozen=True)
@@ -314,7 +339,7 @@ class MinionSlice:
         grouped = {}
         for arity_set in sorted(functions, key=lambda x: (len(x), x)):
             fns = tuple(functions[arity_set])
-            key = tuple(sorted(arity_set))
+            key = _arity_tuple(arity_set)
             for fn in fns:
                 if fn.arity_set != key:
                     raise StructuralError(f"function filed under wrong arity {key}")
@@ -460,7 +485,7 @@ class _MinorGraph:
     def _intern(self, key: tuple, fn: Optional[FiniteFunction] = None) -> int:
         i = self._ids.setdefault(key, len(self.functions))
         if i == len(self.functions):
-            self.functions.append(fn or FiniteFunction(*key))
+            self.functions.append(fn or FiniteFunction._of(*key))
         return i
 
     def minor(self, f: int, m: int) -> int:
@@ -691,7 +716,7 @@ def free_relation(labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozen
 def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[FiniteFunction]:
     """The unique function on a label subset whose extension minor is fn, if fn
     depends only on those coordinates; None otherwise."""
-    sub = tuple(sorted(sub_labels))
+    sub = _arity_tuple(sub_labels)
     if not set(sub) <= set(fn.arity_set):
         raise InputError("restriction labels must lie inside the arity set")
     positions = [fn.arity_set.index(x) for x in sub]
@@ -700,8 +725,8 @@ def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[Fi
         key = tuple(args[p] for p in positions)
         if seen.setdefault(key, value) != value:
             return None
-    table = [seen[args] for args in itertools.product(fn.in_domain, repeat=len(sub))]
-    return FiniteFunction(sub, fn.in_domain, fn.out_domain, table)
+    table = tuple(seen[args] for args in itertools.product(fn.in_domain, repeat=len(sub)))
+    return FiniteFunction._of(sub, fn.in_domain, fn.out_domain, table)
 
 
 def decode_partial_map_constraint(

@@ -539,7 +539,9 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
         for number, value in zip(layout.classes[start:end], evaluation.table):
             if values.setdefault(names[number], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
-    return Assignment(values, side="strict")
+    # Classes are numbered by their least positions, met here in that order,
+    # and their names sort as those positions do: `values` is in name order.
+    return Assignment._of(values, side="strict")
 
 
 def decode_relaxed_solution(

@@ -395,6 +395,34 @@ class TestCommands:
         ]) == 0
         assert capsys.readouterr().out == "chain condition: holds\n"
 
+    @pytest.mark.parametrize(
+        "domain, tables, named",
+        [
+            # a member, then the constant: named by the payload's order,
+            # not the slice's, which sorts the constant first
+            ("01", ["01", "00"], 1),
+            ("01", ["00"], 0),
+            ("012", ["012"], 0),  # the dictator over other domains
+        ],
+        ids=["constant-second", "constant", "other-domains"],
+    )
+    def test_poly_check_refuses_a_slice_outside_the_template(
+        self, domain, tables, named, files, tmp_path, capsys
+    ):
+        sides = {"in_domain": list(domain), "out_domain": list(domain)}
+        functions = [dict(sides, arity_set=["a"], table=list(t)) for t in tables]
+        sl, report = tmp_path / "nonpol.json", tmp_path / "report.json"
+        jsonio.write_canonical(sl, dict(sides, functions=functions))
+        capsys.readouterr()
+        code = main([
+            "poly", "check", "--template", files["t22.json"], "--slice", str(sl),
+            "--dr-table", files["xi.json"], "--report", str(report),
+        ])
+        message = f"{sl}: functions[{named}] is not a polymorphism of the template"
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert json.loads(report.read_text())["payload"]["error"] == message
+
     def test_verify_solution_negative(self, files, tmp_path):
         bad = tmp_path / "bad_assign.json"
         jsonio.write_canonical(bad, pk.Assignment({f"v{i}": "0" for i in range(5)}).to_payload())
@@ -673,6 +701,19 @@ class TestDecodeAgainstTheLayout:
         assert code == 1
         assert err == "error: kind: missing\n"
         assert "kind: missing" in json.loads(report.read_text())["payload"]["error"]
+
+
+    def test_a_value_outside_the_relaxed_domain_is_named(self, files, tmp_path, k2, capsys):
+        phi = _path_and_empty()[0]
+        layout_path, assign_path = self._reduce(phi, files, tmp_path, k2)
+        payload = json.loads(assign_path.read_text())
+        payload["values"][min(payload["values"])] = "2"
+        jsonio.write_canonical(assign_path, payload)
+        code, err, report = self._decode(layout_path, assign_path, phi, files, tmp_path, capsys)
+        message = "table value '2' outside the output domain"
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert json.loads(report.read_text())["payload"]["error"] == message
 
 
 class TestBareArguments:

@@ -733,6 +733,65 @@ class TestTableValidation:
             fn(("x", "y"), table)
 
 
+class TestTrustedBuilds:
+    """The builders that skip validation, because they assemble a function
+    from parts already checked, build what the validating constructor builds:
+    an equal function with the same hash and tuple fields."""
+
+    @staticmethod
+    def _as_validated(f):
+        again = pk.FiniteFunction(f.arity_set, f.in_domain, f.out_domain, f.table)
+        assert f == again and hash(f) == hash(again)
+        assert all(type(v) is tuple for v in (f.arity_set, f.in_domain, f.out_domain, f.table))
+
+    @pytest.mark.parametrize("labels, message", [
+        ((), "arity set must be nonempty"), (("a", "a"), "arity set has repeated labels"),
+    ])
+    def test_a_builder_refuses_an_arity_set_it_cannot_trust(self, t22, labels, message):
+        negation = fn(("a",), ("1", "0"))
+        for build in (
+            lambda: pk.enumerate_polymorphisms(t22, labels),
+            lambda: restriction_to(negation, labels),
+            lambda: pk.MinionSlice("01", "01", {labels: []}),
+        ):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                build()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(TEMPLATES)), data=st.data())
+    def test_every_trusted_builder(self, name, data):
+        template = TEMPLATES[name]
+        a, b = template.strict.domain, template.relaxed.domain
+
+        def labels(most=3):
+            """1 to `most` distinct labels, unsorted."""
+            return data.draw(st.permutations(LABELS))[: data.draw(st.integers(1, most))]
+
+        def function_on(x):
+            size = len(a) ** len(x)
+            table = data.draw(st.lists(st.sampled_from(b), min_size=size, max_size=size))
+            return pk.FiniteFunction(x, a, b, table)
+
+        built = list(pk.enumerate_polymorphisms(template, labels(3 if len(a) == 2 else 2)))
+        t = function_on(labels())
+        pi = {x: data.draw(st.sampled_from(LABELS)) for x in t.arity_set}
+        image = data.draw(st.permutations(sorted(set(pi.values()))))
+        for target in (None, data.draw(st.permutations(image + labels()))):
+            s = pk.minor(t, pi, target=target)
+            built += [s, restriction_to(s, image)]
+        x = labels()
+        built.append(dictator(x, data.draw(st.permutations(a)), data.draw(st.sampled_from(x))))
+        # members that need not be closed under minors, so minors off the
+        # slice are interned too
+        members = {}
+        for _ in range(2):
+            x = tuple(sorted(labels()))
+            members[x] = [function_on(x) for _ in range(data.draw(st.integers(0, 2)))]
+        built += pk.minion._MinorGraph(pk.MinionSlice(a, b, members), list(members)).functions
+        for f in built:
+            self._as_validated(f)
+
+
 # Pol(K2,K2) at arities 1-3 and Pol(K2,K3) at arities 1-2.
 AUDITED = {
     "k2k2": pk.polymorphism_slice(TEMPLATES["k2k2"], [LABELS[:n] for n in (1, 2, 3)]),

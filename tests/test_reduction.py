@@ -643,6 +643,49 @@ class TestMembershipCheckedOnce:
         self._decode_twice(monkeypatch, fns, result.layout, table, phi, t22)
 
 
+class TestLiftInNameOrder:
+    """The lift's values arrive in name order and are kept without a second
+    sort: its keys come out sorted, and it equals and hashes as the
+    assignment the sorting constructor builds from them."""
+
+    @staticmethod
+    def _assert_sorted(lift):
+        keys = list(lift.keys())
+        assert keys == sorted(keys)
+        again = pk.Assignment(lift.mapping, side="strict")
+        assert lift == again and hash(lift) == hash(again)
+
+    def test_pipeline_case_at_k44(self, k2, t22, ident22):
+        phi = path_instance()
+        result = pk.pipeline_reduce(phi, t22, t22, ident22)
+        assert result.params.k == (4, 4)
+        padded, _ = _pad_instance(phi, result.params.k[0])
+        h = pk.brute_force_solve(padded, k2)
+        self._assert_sorted(pk.lift_strict_solution(h, result.layout))
+
+    def test_nested_path_at_k32(self, k2, t22):
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        self._assert_sorted(pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout))
+
+    def test_k55_at_r2(self, k55_r2):
+        (result, _), phi = k55_r2, bipartite_instance(5)
+        h = {x: "0" if x.startswith("a") else "1" for x in phi.variables}
+        self._assert_sorted(pk.lift_strict_solution(h, result.layout))
+
+
+class TestCloudReadValidates:
+    def test_a_value_outside_the_relaxed_domain(self, k2, t22):
+        # an assignment comes from outside: the functions read from it are
+        # built by the validating constructor
+        phi = path_instance()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        values = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout).mapping
+        values[layout.names[-1]] = "2"
+        with pytest.raises(InputError, match="^table value '2' outside the output domain$"):
+            pk.read_cloud_functions(values, layout, k2.domain)
+
+
 class PostCompositionTable:
     """t maps to {h o t} for a fixed homomorphism h between the relaxed sides;
     composing with a fixed unary map commutes with minors, so this is a valid
