@@ -9,8 +9,8 @@ string encoder, a list of strings is joined in one step, and every other
 scalar is `json.dumps`'s own compact text.  Tuples are arrays, and dict keys
 that are not strings are written as `json` writes them.
 
-A list of records (dicts that all have one set of string keys, such as an
-instance's constraints) has its keys sorted once.  Its records share the text
+A list of records (plain dicts that all have one set of string keys, such as
+an instance's constraints) has its keys sorted once.  Its records share the text
 between their values, so each field is laid out for all records at once (a
 column of strings, or of string arrays of one length, in one C-level step)
 and the records are joined from those columns in one step.  Any other list
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -75,23 +76,28 @@ _ESCAPED = re.compile(r'["\\\x00-\x1f]').search
 
 
 def _records(value, newline: str):
-    """A nonempty list of dicts that all have one set of string keys, laid
-    out at `newline` with the keys sorted once; None for any other list.
+    """A nonempty list of plain dicts that all have one set of string keys,
+    laid out at `newline` with the keys sorted once; None for any other list.
 
     Every record has the same text between its values, so the values are
     laid out a field at a time and the records joined in one step."""
-    keys = value[0].keys() if isinstance(value[0], dict) else ()
-    if not keys or not all(isinstance(key, str) for key in keys):
+    first = value[0]
+    if type(first) is not dict or not first or not all(isinstance(key, str) for key in first):
         return None
+    # Plain dicts of one size that all hold every key have one key set.  A
+    # dict subclass may read its items otherwise, so it takes the general path.
+    plain = all(map(operator.is_, map(type, value), itertools.repeat(dict)))
+    if not plain or not all(map(len(first).__eq__, map(len, value))):
+        return None
+    keys = sorted(first)
     try:
-        if not all(map(keys.__eq__, map(dict.keys, value))):
-            return None
-    except TypeError:  # an entry that is not a dict
+        fields = [list(map(operator.itemgetter(key), value)) for key in keys]
+    except KeyError:  # a record with other keys
         return None
     inner = newline + "  "
     pieces, columns = [], []
-    for key in sorted(keys):
-        piece, texts = _field([item[key] for item in value], inner)
+    for key, values in zip(keys, fields):
+        piece, texts = _field(values, inner)
         pieces.append(encode_basestring(key) + ": " + piece)
         columns += texts
     # Each record's text starts with the comma that parts it from the one

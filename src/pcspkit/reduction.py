@@ -272,28 +272,40 @@ class CloudLayout:
     @cached_property
     def names(self) -> tuple:
         """One name per class, its least position's: an instance or an
-        assignment names only these.  Formatted once per layout."""
+        assignment names only these.  Made once per layout.  A cloud whose
+        every position is the least of its class (the first top cloud, and
+        every top cloud the join leaves alone) is named from numeral blocks
+        (`_numerals`).  Any other cloud formats each kept name on its own: a
+        lower cloud keeps none of its positions (on the r=2 layouts, none of
+        65,536) and a joined top cloud only part, so the whole cloud's
+        numerals would be made mostly for nothing."""
         names = []
-        for fmt, start, _, kept in self._positions():
-            names += map(fmt.__mod__, map(operator.sub, kept, itertools.repeat(start)))
+        for prefix, width, start, end, kept in self._positions():
+            if len(kept) == end - start:
+                names += _numerals(prefix, width, end - start)
+            else:
+                fmt = f"{prefix}%0{width}d"
+                names += map(fmt.__mod__, map(operator.sub, kept, itertools.repeat(start)))
         return tuple(names)
 
     @property
     def reps(self) -> Mapping:
         """Position name -> its class's least position, identity entries omitted."""
         names, classes, reps = self.names, self.classes, {}
-        for fmt, start, end, kept in self._positions():
+        for prefix, width, start, end, kept in self._positions():
             if len(kept) < end - start:  # else every position is the least of its class
+                fmt = f"{prefix}%0{width}d"
                 for x in itertools.filterfalse(set(kept).__contains__, range(start, end)):
                     reps[fmt % (x - start)] = names[classes[x]]
         return MappingProxyType(reps)
 
     def _positions(self):
-        """Per cloud, its name format, first and end positions and least positions of classes."""
+        """Per cloud, its name prefix and index width, first and end positions
+        and least positions of classes."""
         least = self._numbering[1]
         for cloud, start, end in zip(self.clouds, self.offsets, self.offsets[1:]):
             kept = least[bisect_left(least, start) : bisect_left(least, end)]
-            yield f"{cloud.id}p%0{len(str(end - start - 1))}d", start, end, kept
+            yield f"{cloud.id}p", len(str(end - start - 1)), start, end, kept
 
     def to_payload(self) -> dict:
         payload = {
@@ -343,6 +355,23 @@ class CloudLayout:
         return layout
 
 
+@cache
+def _tails(width: int) -> tuple:
+    """Every numeral of `width` digits, zero-padded, in order; at most 1,000."""
+    return tuple("%0*d" % (width, i) for i in range(10**width))
+
+
+def _numerals(prefix: str, width: int, count: int) -> itertools.islice:
+    """`f"{prefix}%0{width}d" % i` for i in range(count), at most 10**width:
+    a head per thousand, formatted once, joined in C with each tail of up
+    to three digits from `_tails`."""
+    if width <= 3:
+        heads = [prefix]
+    else:
+        heads = ["%s%0*d" % (prefix, width - 3, q) for q in range(-(-count // 1000))]
+    return itertools.islice(map("".join, itertools.product(heads, _tails(min(width, 3)))), count)
+
+
 def _price_clouds(layout: CloudLayout, budget: int) -> None:
     """Refuse a layout whose clouds hold more positions, or more matrices of
     strict relation tuples, than the budget admits."""
@@ -379,13 +408,20 @@ def longcode_reduce(
 
     # Scopes index the classes.  Integer positions sort as their names do:
     # cloud ids share one width and follow the offsets, and indices are
-    # zero-padded within a cloud, so the class names are sorted.
-    scopes = {rel_name: set() for rel_name in target.strict.relations}
+    # zero-padded within a cloud, so the class names are sorted.  Each
+    # relation's scopes are kept in the order `_blocks` makes them, the
+    # matrices' mixed-radix order, so the sort below meets long sorted runs
+    # (over (K2,K2) a cloud whose positions are all kept is sorted
+    # throughout).  Repeats are dropped as they come: a cloud read off
+    # another one repeats most of its scopes (K_{5,5} at r=2 makes 656,164
+    # scopes for 4 distinct ones).  They go into the dict as keys paired with
+    # None, with no second dict per block.
+    scopes, none = {rel_name: {} for rel_name in target.strict.relations}, itertools.repeat(None)
     for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
         position = layout.classes[start:end].tolist().__getitem__  # scopes share its ints
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
-                scopes[rel_name].update(zip(*[map(position, r) for r in rows]))
+                scopes[rel_name].update(zip(zip(*[map(position, r) for r in rows]), none))
 
     relation_names, sorted_scopes = [], []
     for rel_name in sorted(scopes):

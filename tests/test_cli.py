@@ -205,6 +205,24 @@ class TestCommands:
         jsonio.write_canonical(path, fn.to_payload())
         assert main(["poly", "check", "--template", files["t22.json"], "--function", str(path)]) == 0
 
+    def test_poly_check_names_a_function_over_other_domains(self, files, tmp_path, capsys):
+        neg, f012 = tmp_path / "neg.json", tmp_path / "f012.json"
+        jsonio.write_canonical(neg, pk.FiniteFunction(("x",), "01", "01", "10").to_payload())
+        jsonio.write_canonical(f012, pk.dictator(("x",), ("0", "1", "2"), "x").to_payload())
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main([
+            "poly", "check", "--template", files["t22.json"], "--function", str(neg),
+            "--function", str(f012), "--report", str(report),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == (
+            f"{neg}: polymorphism\n{f012}: NOT a polymorphism\n", ""
+        )
+        assert json.loads(report.read_text())["verifications"] == {
+            f"polymorphism:{neg}": True, f"polymorphism:{f012}": False,
+        }
+
     def test_gap_extract_verifies(self, files, tmp_path):
         out = tmp_path / "sol.json"
         report = tmp_path / "report.json"

@@ -105,6 +105,34 @@ class TestCanonicalDumps:
     def test_tuples_and_keys_that_are_not_strings(self, payload):
         assert jsonio.canonical_dumps(payload) == reference(payload)
 
+    class Upper(dict):
+        """A dict subclass whose lookups differ from its items."""
+
+        def __getitem__(self, key):
+            return str(super().__getitem__(key)).upper()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # one size, other keys: in the first record, and after it
+            [{"a": "x", "b": "y"}, {"a": "x", "c": "y"}],
+            [{"a": "x", "b": "y"}, {"a": "x", "b": "y"}, {"b": "y", "c": "x"}],
+            [{"a": "x"}, {"b": "x"}, {"a": "y"}],
+            # dict subclasses, alone, first and after plain dicts
+            [Upper(a="x", b="y")],
+            [Upper(a="x"), {"a": "y"}],
+            [{"a": "x"}, Upper(a="y")],
+            [{"a": "x"}, Upper(a="y", b="z")],
+            # dicts mixed with lists
+            [{"a": "x"}, ["a"]],
+            [["a"], {"a": "x"}],
+            [{"a": ["x", "y"]}, ["x", "y"], {"a": ["z", "w"]}],
+        ],
+    )
+    def test_records_that_break_the_pattern(self, payload):
+        assert jsonio.canonical_dumps(payload) == reference(payload)
+        assert jsonio.canonical_dumps({"records": payload}) == reference({"records": payload})
+
     @pytest.mark.parametrize(
         "payload",
         [{1: "a", "b": "c"}, {(1, 2): "t"}, [object()], {"a": {1, 2}}, [{"a": "x"}, {"a": {1, 2}}]],

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import pcspkit as pk
 from pcspkit import jsonio
 from pcspkit.errors import InputError, InvariantError, ParameterError, PromiseViolationError
-from pcspkit.reduction import _pad_instance
+from pcspkit.reduction import _numerals, _pad_instance
 
 import reference_longcode
 from conftest import bipartite_instance, cycle_instance, triangle_instance
@@ -836,6 +837,15 @@ class TestEmittedBytes:
             "5ffbaa5b44a8e58a2b1665c9afee73dc52c6a1d0141da37b515378a72cff610e"
         )
 
+    def test_the_six_cycle_pin_covers_both_name_paths(self, k2, t22):
+        # a cloud whose every position is kept is named from numeral blocks,
+        # one that keeps some of its positions name by name
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(cycle_instance(6), k2, (3, 2)), t22)
+        named = collections.Counter(name.partition("p")[0] for name in layout.names)
+        sizes = {cloud.id: cloud.size(2) for cloud in layout.clouds}
+        assert any(named[c] == size for c, size in sizes.items())
+        assert any(0 < named[c] < size for c, size in sizes.items())
+
     def test_the_65536_position_cloud(self, t22, ident22):
         # the empty 3-variable source at k=(4,4): one cloud of 2^16 positions,
         # whose 65,536 scopes are sorted as integer positions
@@ -847,6 +857,27 @@ class TestEmittedBytes:
             "170274957d96f654f44253c750b73a3dff88dffd0f6687df1ef913f64baab7ec",
             "a78df0460e18ea51565098d5cde151b4bf46d9dcdcc4c4194148c2caab5af0d1",
         ]
+
+
+class TestNamesAndScopes:
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_block_numerals_are_the_formatted_ones(self, width):
+        for count in (1, 9, 10, 11, 999, 1000, 1001, 65536):
+            if count <= 10**width:
+                expected = [f"u7p%0{width}d" % i for i in range(count)]
+                assert list(_numerals("u7p", width, count)) == expected
+
+    def test_emission_drops_repeated_scopes_as_they_come(self, t22, k55_r2):
+        # 656,164 scopes made for 4 kept: a list of them all peaks near 48 MB
+        aux = k55_r2[0].layout.aux
+        pk.longcode_reduce(aux, t22)  # the row index sets are built and cached
+        tracemalloc.start()
+        try:
+            pk.longcode_reduce(aux, t22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestGadgetSearch:
