@@ -312,20 +312,24 @@ def _cmd_verify(args, inputs: dict, report: _Report) -> int:
     return 0 if not violated else 1
 
 
-def _add_common(parser, handler, *files, optional=(), repeated=()) -> None:
-    """The options every subcommand takes, its handler, and the options that
-    name its input files, each named once here: `files` are required,
-    `optional` ones may be left out, and a `repeated` one may be given any
-    number of times.  `main` reads the files before the handler runs."""
+def _add_common(
+    parser, handler, *files, optional=(), repeated=(), out=True, budget=True
+) -> None:
+    """The handler, `--report`, `--out` and `--budget` where the handler reads
+    them, and the options naming its input files, each named once here: `files`
+    are required, `optional` ones may be left out, and a `repeated` one may be
+    given any number of times.  `main` reads the files before the handler runs."""
     for option in files:
         parser.add_argument(option, required=True)
     for option in optional:
         parser.add_argument(option, default=None)
     for option in repeated:
         parser.add_argument(option, action="append", default=[])
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    if budget:
+        parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--report", default=None)
-    parser.add_argument("--out", default=None)
+    if out:
+        parser.add_argument("--out", default=None)
     names = [option[2:].replace("-", "_") for option in (*files, *optional, *repeated)]
     parser.set_defaults(func=handler, files=names)
 
@@ -347,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     _add_common(p, _cmd_poly_enum, "--template")
     p = poly.add_parser("check")
-    optional, repeated = ("--dr-table", "--slice"), ("--function",)
-    _add_common(p, _cmd_poly_check, "--template", optional=optional, repeated=repeated)
+    tables, functions = ("--dr-table", "--slice"), ("--function",)
+    _add_common(p, _cmd_poly_check, "--template", optional=tables, repeated=functions, out=False)
 
     gap = sub.add_parser("gap", help="partial assignment system operations").add_subparsers(
         dest="subcommand", required=True
@@ -358,15 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--mode", choices=("compact", "conservative"), default="compact")
-    _add_common(p, _cmd_gap_params)
+    _add_common(p, _cmd_gap_params, budget=False)
     p = gap.add_parser("extract")
     p.add_argument("--m", type=int, required=True)
-    _add_common(p, _cmd_gap_extract, "--pas", "--params")
+    _add_common(p, _cmd_gap_extract, "--pas", "--params", budget=False)
     p = gap.add_parser("oracle")
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--k", required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p, _cmd_gap_oracle, "--instance", "--template")
+    _add_common(p, _cmd_gap_oracle, "--instance", "--template", out=False)
     p = gap.add_parser("layered")
     p.add_argument("--d", type=int, required=True)
     _add_common(p, _cmd_gap_layered, "--llc")
@@ -393,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--index", type=int, default=0)
-    files = dict.fromkeys(name for needs in _VERIFY_NEEDS.values() for name in needs)
-    _add_common(p, _cmd_verify, optional=[f"--{name}" for name in files])
+    files = dict.fromkeys(f"--{name}" for needs in _VERIFY_NEEDS.values() for name in needs)
+    _add_common(p, _cmd_verify, optional=files, out=False, budget=False)
 
     return parser
 
@@ -405,14 +409,11 @@ def main(argv=None) -> int:
     command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
     files = args.files
     # what an invocation lacks that the parser cannot require by itself, and
-    # the files it reads: those given, but a slice only with a table, and
-    # for `verify` only what its kind needs
+    # the files it reads: those given, but for `verify` only what its kind needs
     if command == "poly enum" and args.arity is None and args.labels is None:
         parser.error("poly enum needs --arity or --labels")
-    if command == "poly check" and args.dr_table and args.slice is None:
-        parser.error("poly check --dr-table needs --slice")
-    if command == "poly check" and not args.dr_table:
-        args.dr_table = args.slice = None
+    if command == "poly check" and (args.dr_table is None) != (args.slice is None):
+        parser.error("poly check takes --dr-table and --slice together")
     if command == "verify":
         files = _VERIFY_NEEDS[args.kind]
         missing = [f"--{name}" for name in files if getattr(args, name) is None]

@@ -14,12 +14,12 @@ the partial solutions on every k_i-subset are found from the scopes inside
 it, and one restriction map between nested subsets serves both subset
 reductions.
 
-One backtracking search, `backtrack`, serves both polymorphism enumeration
-and the label cover chain search.  It sets items in an order fixed before it
-starts (`completion_order`), judges each check once its last item is set,
-reading its picks with a getter built once per check before the search,
-counts nodes against a budget, and keeps its path on an explicit stack, so
-no instance is deep enough to reach the recursion limit.
+One backtracking search, `backtrack`, serves polymorphism enumeration, the
+label cover chain search and the template's homomorphism check.  It sets items
+in an order fixed before it starts (`completion_order`), judges each check
+once its last item is set, reading its picks with a getter built once per
+check before the search, counts nodes against a budget, and keeps its path on
+an explicit stack, so no instance is deep enough to reach the recursion limit.
 
 One chain walk, `chain_walk`, serves both PAS consistency and the (d, r)
 chain audit.  A chain is broken unless some earlier member's image, moved
@@ -438,29 +438,24 @@ def check_homomorphism(
             raise InputError(f"map is not total: missing {atom!r}")
         if h[atom] not in dst.domain:
             raise InputError(f"map sends {atom!r} outside the target domain")
-    return _preserves_tuples(h, src, dst)
-
-
-def _preserves_tuples(
-    h: Mapping[str, str], src: RelationalStructure, dst: RelationalStructure
-) -> bool:
-    """Does the total map h send each tuple of src into dst's relation of its name?"""
-    for name, rel in src.relations.items():
-        target = dst.relations[name].tuples
-        for t in rel.tuples:
-            if tuple(h[a] for a in t) not in target:
-                return False
-    return True
+    return all(
+        tuple(h[a] for a in t) in dst.relations[name].tuples
+        for name, rel in src.relations.items()
+        for t in rel.tuples
+    )
 
 
 def _has_homomorphism(src: RelationalStructure, dst: RelationalStructure) -> bool:
-    """Is some map between similar structures src -> dst, tried in
-    lexicographic order, a homomorphism?  Each candidate is total and lands
-    in dst's domain by construction, so only its tuples are checked."""
-    return any(
-        _preserves_tuples(dict(zip(src.domain, images)), src, dst)
-        for images in itertools.product(dst.domain, repeat=len(src.domain))
-    )
+    """Is some map between similar structures src -> dst a homomorphism?  One
+    `backtrack` search, an item per atom of src trying dst's atoms and a check
+    per tuple of src, which raises ResourceError past DEFAULT_BUDGET nodes."""
+    checks = [
+        (tuple(map(src.domain.index, t)), dst.relations[name].tuples.__contains__)
+        for name, rel in src.relations.items()
+        for t in rel.tuples
+    ]
+    maps = backtrack([dst.domain] * len(src.domain), checks, DEFAULT_BUDGET, "homomorphism search")
+    return next(maps, None) is not None
 
 
 def evaluate(instance: Instance, side: RelationalStructure, f: Mapping[str, str]) -> list:

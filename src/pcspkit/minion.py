@@ -700,17 +700,10 @@ def free_relation(labels: Sequence[str], slice_, rel_tuples: Iterable) -> frozen
     rel = sorted(tuple(t) for t in rel_tuples)
     if not rel:
         raise InputError("relations must be nonempty")
-    m = len(rel[0])
     arity_labels = tuple(tuple_label(t) for t in rel)
-    label_to_tuple = dict(zip(arity_labels, rel))
-    out = set()
-    for t in slice_.members(arity_labels):
-        projected = []
-        for i in range(m):
-            pi = {lab: label_to_tuple[lab][i] for lab in arity_labels}
-            projected.append(minor(t, pi, target=labels))
-        out.add(tuple(projected))
-    return frozenset(out)
+    projections = [dict(zip(arity_labels, column)) for column in zip(*rel)]
+    members = slice_.members(arity_labels)
+    return frozenset(tuple(minor(t, pi, target=labels) for pi in projections) for t in members)
 
 
 def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[FiniteFunction]:

@@ -404,10 +404,7 @@ class GapParameters:
 
     @property
     def k_prime(self) -> tuple:
-        out = [None]
-        for i in range(1, len(self.values)):
-            out.append(self.split[i][1] if self.split[i] else 1)
-        return tuple(out)
+        return (None,) + tuple(split[1] if split else 1 for split in self.split[1:])
 
     def to_payload(self) -> dict:
         return {

@@ -50,7 +50,6 @@ from .core import (
 from .errors import (
     InputError,
     InvariantError,
-    ParameterError,
     PromiseViolationError,
     ResourceError,
     StructuralError,
@@ -346,6 +345,7 @@ class CloudLayout:
             k = aux_field("k", list)
             if not k or not all(type(x) is int and x > 0 for x in k):
                 raise InputError("aux.k: expected a nonempty list of positive integers")
+            _price_lattice(phi, strict, k, budget)
             try:
                 aux = build_auxiliary(phi, strict, k, budget=budget)
             except (PromiseViolationError, StructuralError) as exc:
@@ -458,10 +458,11 @@ def find_unsolvable_gadget(
     exists among instances with at most two variables and three constraints."""
     for nvars in (1, 2):
         variables = [f"z{i}" for i in range(nvars)]
-        pool = []
-        for name, rel in sorted(target.strict.relations.items()):
-            for scope in itertools.product(variables, repeat=rel.arity):
-                pool.append((scope, name))
+        pool = [
+            (scope, name)
+            for name, rel in sorted(target.strict.relations.items())
+            for scope in itertools.product(variables, repeat=rel.arity)
+        ]
         for count in (1, 2, 3):
             for combo in itertools.combinations(pool, count):
                 inst = Instance(variables, combo)
@@ -470,17 +471,33 @@ def find_unsolvable_gadget(
     return None
 
 
-def _pipeline_params(source: PcspTemplate, dr_table, params: Optional[GapParameters]):
+def _pipeline_params(source: PcspTemplate, dr_table, phi: Instance) -> GapParameters:
     """The record both stages use, for the relaxed source domain, m the largest
-    source arity and the table's (d, r); a differing one is a ParameterError."""
+    source arity and the table's (d, r): compact when phi has at most its k[0]
+    variables, the only sources compact arities are shown to decode, else
+    conservative, whose extension search always has room (`gap_parameters`)."""
     m = max(rel.arity for rel in source.strict.relations.values())
-    expected = (len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1))
-    if params is None:
-        return gap_parameters(*expected)
-    got = (params.domain_size, params.m, params.values)
-    if expected != got:
-        raise ParameterError(f"parameter record {got} does not match the pipeline {expected}")
-    return params
+    record = (len(source.relaxed.domain), m, (dr_table.d,) * (dr_table.r + 1))
+    params = gap_parameters(*record)
+    return params if len(phi.variables) <= params.k[0] else gap_parameters(*record, "conservative")
+
+
+def _price_lattice(phi: Instance, strict: RelationalStructure, k: Sequence, budget: int) -> None:
+    """Refuse the k_i-subsets of phi padded to k[0] when the candidates that
+    `partial_solution_table` tries, |A|^s on each of C(n, s) subsets per arity
+    s, exceed the budget; a count stops once past it, so any k prices at once."""
+    n, total = max(len(phi.variables), k[0]), 0
+    for s in dict.fromkeys(k):
+        count = len(strict.domain) ** min(s, budget.bit_length())  # |A|**s, or a power past it
+        for j in range(min(s, n - s)):  # times C(n, s), a factor at a time
+            if count > budget:
+                break
+            count = count * (n - j) // (j + 1)
+        total += count
+    if total > budget:
+        raise ResourceError(
+            f"the subset lattice of {n} variables at k={list(k)} exceeds the budget of {budget}"
+        )
 
 
 def pipeline_reduce(
@@ -488,22 +505,23 @@ def pipeline_reduce(
     source: PcspTemplate,
     target: PcspTemplate,
     dr_table,
-    params: Optional[GapParameters] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> PipelineResult:
     """Reduce an instance of the source promise CSP to one of the target.
 
     The arity sequence comes from the extraction parameters for the relaxed
-    source domain at the table's (d, r); instances smaller than the top arity
-    are padded with unconstrained variables.  A detected promise violation
-    (the strict side has no partial solutions at some subset) certifies the
-    input as a no-instance, which is mapped to a fixed relaxed-unsolvable
-    gadget of the target.  Any other source with more variables than a compact
-    parameter record's top arity is refused with a ParameterError.  A table
-    that does not fit the templates is refused by its `fits`, an InputError.
+    source domain at the table's (d, r), in the mode phi's size picks
+    (`_pipeline_params`), which the layout's `aux.k` records.  Instances
+    smaller than the top arity are padded with unconstrained variables, and
+    the subset lattice is priced before it is built.  A detected promise
+    violation (the strict side has no partial solutions at some subset)
+    certifies the input as a no-instance, which is mapped to a fixed
+    relaxed-unsolvable gadget of the target.  A table that does not fit the
+    templates is refused by its `fits`, an InputError.
     """
     dr_table.fits(source, target)
-    params = _pipeline_params(source, dr_table, params)
+    params = _pipeline_params(source, dr_table, phi)
+    _price_lattice(phi, source.strict, params.k, budget)
     padded, pads = _pad_instance(phi, params.k[0])
     try:
         aux = build_auxiliary(padded, source.strict, params.k, budget=budget)
@@ -516,16 +534,6 @@ def pipeline_reduce(
             ) from exc
         layout = CloudLayout(target, None, pads, gadget=True, gadget_reason=str(exc))
         return PipelineResult(gadget, layout, params)
-
-    # Compact arities are only shown to decode sources that fit in one
-    # top-arity subset.  On a larger one (the 5-cycle at k=(4,4)) the extension
-    # search at position zero needs an arity above k[0], and recovery would
-    # fail only after the whole long-code step had run.
-    if params.mode == "compact" and len(padded.variables) > params.k[0]:
-        raise ParameterError(
-            f"compact parameters cover sources of at most k[0]={params.k[0]} variables, "
-            f"this one has {len(padded.variables)}"
-        )
     instance, layout = longcode_reduce(aux, target, budget=budget, padding=pads)
     return PipelineResult(instance, layout, params)
 
@@ -668,15 +676,19 @@ def recover_source_solution(
     dr_table,
     phi: Instance,
     source: PcspTemplate,
-    params: Optional[GapParameters] = None,
 ) -> Assignment:
     """Full completeness path: read the clouds of a relaxed solution of the
     long-code instance, decode them to a sequence of systems, extract an
-    assignment, and verify it solves the relaxed source.  A table that does
-    not fit the templates, or a parameter record that does not match the
-    pipeline, is refused before any cloud is read, as in `pipeline_reduce`."""
+    assignment, and verify it solves the relaxed source.  The parameter
+    record is `pipeline_reduce`'s, picked by phi's size.  A table that does
+    not fit the templates, or a layout whose `aux.k` is not that record's k
+    (a table of another r, say), is refused before any cloud is read."""
     dr_table.fits(source, layout.target)
-    params = _pipeline_params(source, dr_table, params)
+    params = _pipeline_params(source, dr_table, phi)
+    if layout.aux is not None and layout.aux.k != params.k:
+        raise InputError(
+            f"layout k={list(layout.aux.k)} is not the pipeline's k={list(params.k)} for this table"
+        )
     s = read_cloud_functions(assignment, layout, layout.target.relaxed.domain)
     seq = decode_relaxed_solution(s, layout, dr_table, phi, source)
     extraction = extract_solution(seq, params, params.m)

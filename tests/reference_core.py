@@ -8,6 +8,9 @@ worked out again for each reduction.
 
 `first_broken_chain` is the oracle for `core.chain_walk`: it lists every
 chain in full and tests every pair of its members, with no pruning.
+
+`has_homomorphism` is the oracle for `core._has_homomorphism`, the template
+check: every map tried in product order, with no pruning and no budget.
 """
 
 from __future__ import annotations
@@ -153,5 +156,19 @@ def _meets(first, later, steps, move) -> bool:
         for step in steps:
             g = move(g, step)
         if g in later:
+            return True
+    return False
+
+
+def has_homomorphism(src, dst) -> bool:
+    """Is some map src -> dst, in lexicographic product order over dst's
+    domain, a homomorphism?  Each map is tested on every tuple of src."""
+    for images in itertools.product(dst.domain, repeat=len(src.domain)):
+        h = dict(zip(src.domain, images))
+        if all(
+            tuple(h[a] for a in t) in dst.relations[name].tuples
+            for name, rel in src.relations.items()
+            for t in rel.tuples
+        ):
             return True
     return False

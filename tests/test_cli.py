@@ -73,12 +73,11 @@ def _surface(parser, name="") -> dict:
     return out
 
 
-_COMMON = {
-    "-h/--help": "help",
-    "--budget": "store default=10000000 type=int",
-    "--report": "store",
-    "--out": "store",
-}
+# every subcommand has --report; --out and --budget only where its handler reads them
+_REPORT = {"-h/--help": "help", "--report": "store"}
+_OUT = {"--out": "store"}
+_BUDGET = {"--budget": "store default=10000000 type=int"}
+_COMMON = {**_REPORT, **_OUT, **_BUDGET}
 _SIDE = "store default='strict' choices=('strict', 'relaxed')"
 
 
@@ -103,7 +102,7 @@ class TestParserSurface:
                 "--labels": "store", "help": None,
             },
             "poly check": {
-                **_COMMON, "--template": "store required", "--function": "append default=[]",
+                **_REPORT, **_BUDGET, "--template": "store required", "--function": "append default=[]",
                 "--dr-table": "store", "--slice": "store", "help": None,
             },
             "gap": {
@@ -111,17 +110,17 @@ class TestParserSurface:
                 "help": "partial assignment system operations",
             },
             "gap params": {
-                **_COMMON, "--domain-size": "store required type=int",
+                **_REPORT, **_OUT, "--domain-size": "store required type=int",
                 "--m": "store required type=int", "--values": "store required",
                 "--mode": "store default='compact' choices=('compact', 'conservative')",
                 "help": None,
             },
             "gap extract": {
-                **_COMMON, "--pas": "store required", "--params": "store required",
+                **_REPORT, **_OUT, "--pas": "store required", "--params": "store required",
                 "--m": "store required type=int", "help": None,
             },
             "gap oracle": {
-                **_COMMON, "--instance": "store required", "--template": "store required",
+                **_REPORT, **_BUDGET, "--instance": "store required", "--template": "store required",
                 "--side": _SIDE, "--k": "store required", "--d": "store required type=int",
                 "help": None,
             },
@@ -149,7 +148,7 @@ class TestParserSurface:
                 "help": "decode a relaxed solution of a reduced instance",
             },
             "verify": {
-                **_COMMON,
+                **_REPORT,
                 "kind": "store required choices=('consistent', 'msolution', 'solution')",
                 "--pas": "store", "--assignment": "store", "--instance": "store",
                 "--template": "store", "--side": _SIDE, "--m": "store default=1 type=int",
@@ -1022,3 +1021,147 @@ class TestBareArguments:
         with pytest.raises(SystemExit) as err:
             main([more.get(a, a) for a in argv])
         assert err.value.code == 2
+
+
+class TestOptionsEachHandlerReads:
+    """`--out` and `--budget` exist only where the handler reads them, and a
+    slice goes only with a table: anything else is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "check", "--template", "t22.json", "--out", "x.json"],
+            ["gap", "oracle", "--instance", "c5.json", "--template", "t22.json", "--k", "3,2",
+             "--d", "1", "--out", "x.json"],
+            ["verify", "consistent", "--pas", "seq.json", "--out", "x.json"],
+            ["gap", "params", "--domain-size", "2", "--m", "1", "--values", "1,1",
+             "--budget", "5"],
+            ["gap", "extract", "--pas", "seq.json", "--params", "p11.json", "--m", "1",
+             "--budget", "5"],
+            ["verify", "consistent", "--pas", "seq.json", "--budget", "5"],
+            ["poly", "check", "--template", "t22.json", "--slice", "seq.json"],
+            ["poly", "enum", "--template", "t22.json"],
+        ],
+        ids=[
+            "poly-check-out", "gap-oracle-out", "verify-out", "gap-params-budget",
+            "gap-extract-budget", "verify-budget", "slice-without-table", "enum-without-arity",
+        ],
+    )
+    def test_is_a_usage_error(self, files, argv, capsys):
+        argv = [files.get(arg, arg) for arg in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestPathsEachCommandTakes:
+    def test_solve_all_lists_every_solution(self, files, tmp_path, capsys):
+        out, report = tmp_path / "all.json", tmp_path / "report.json"
+        argv = ["solve", "--instance", files["edge3.json"], "--template", files["t22.json"], "--all"]
+        assert main(argv + ["--out", str(out), "--report", str(report)]) == 0
+        solutions = json.loads(out.read_text())["solutions"]
+        assert len(solutions) == 8 and json.loads(report.read_text())["payload"]["count"] == 8
+        assert all(s["values"]["x"] != s["values"]["y"] for s in solutions)
+        assert capsys.readouterr().out == "8 solution(s)\n"
+        assert main(["solve", "--instance", files["c5.json"], "--template", files["k2.json"], "--all"]) == 1
+
+    def test_solve_the_relaxed_side_of_a_template(self, files, tmp_path, t23):
+        # the 5-cycle is not 2-colourable, but it is 3-colourable
+        jsonio.write_canonical(tmp_path / "t23.json", t23.to_payload())
+        argv = ["solve", "--instance", files["c5.json"], "--template", str(tmp_path / "t23.json")]
+        assert main(argv) == 1
+        out = tmp_path / "out.json"
+        assert main(argv + ["--side", "relaxed", "--out", str(out)]) == 0
+        solution = pk.Assignment.from_payload(json.loads(out.read_text()))
+        assert solution.side == "relaxed"
+        assert pk.evaluate(cycle_instance(5), t23.relaxed, solution) == []
+
+    def test_verify_msolution_reads_the_index_an_extraction_carries(self, files, tmp_path):
+        # the artifact's index is read over --index, here one past the sequence
+        sol = tmp_path / "sol.json"
+        main(["gap", "extract", "--pas", files["seq.json"], "--params", files["p11.json"],
+              "--m", "1", "--out", str(sol)])
+        assert "index" in json.loads(sol.read_text())
+        report = tmp_path / "report.json"
+        seq = pk.PasSequence.from_payload(jsonio.read_json(files["seq.json"]))
+        assert main([
+            "verify", "msolution", "--pas", files["seq.json"], "--assignment", str(sol),
+            "--m", "1", "--index", str(len(seq)), "--report", str(report),
+        ]) == 0
+        assert json.loads(report.read_text())["verifications"] == {"is_m_solution": True}
+
+
+class TestSourcesPastTheTopArity:
+    """`reduce pcsp` and `decode` take a source past compact k[0] with no
+    flag: the source's size picks the record, and the layout's aux.k holds it."""
+
+    def test_six_unary_variables_reduce_solve_and_decode(self, tmp_path, unary_side, capsys):
+        template = pk.PcspTemplate(unary_side, unary_side)
+        values = {f"x{i}": "01"[i % 2] for i in range(6)}
+        phi = pk.Instance(list(values), [((x,), f"only{v}") for x, v in values.items()])
+        for name, payload in (
+            ("phi.json", phi.to_payload()),
+            ("t.json", template.to_payload()),
+            ("xi.json", pk.IdentityDrTable(template, r=1).to_payload()),
+        ):
+            jsonio.write_canonical(tmp_path / name, payload)
+        path = {name: str(tmp_path / name) for name in
+                ("phi.json", "t.json", "xi.json", "out.json", "layout.json", "report.json",
+                 "lift.json", "recovered.json")}
+        assert main([
+            "reduce", "pcsp", "--source", path["phi.json"], "--source-template", path["t.json"],
+            "--target-template", path["t.json"], "--dr-table", path["xi.json"],
+            "--out", path["out.json"], "--layout", path["layout.json"],
+            "--report", path["report.json"],
+        ]) == 0
+        report = json.loads(Path(path["report.json"]).read_text())["payload"]
+        assert report["k"] == [5, 2] and report["gadget"] is False
+        assert len(report["cloud_sizes"]) == 6 + 15
+        assert main([
+            "solve", "--instance", path["out.json"], "--template", path["t.json"],
+            "--out", path["lift.json"],
+        ]) == 0
+        assert main([
+            "decode", "--assignment", path["lift.json"], "--layout", path["layout.json"],
+            "--dr-table", path["xi.json"], "--source", path["phi.json"],
+            "--source-template", path["t.json"], "--out", path["recovered.json"],
+        ]) == 0
+        assert json.loads(Path(path["recovered.json"]).read_text())["values"] == values
+
+    def test_the_five_cycle_reduces_to_the_gadget(self, files, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main([
+            "reduce", "pcsp", "--source", files["c5.json"], "--source-template", files["t22.json"],
+            "--target-template", files["t22.json"], "--dr-table", files["xi.json"],
+            "--report", str(report),
+        ]) == 0
+        payload = json.loads(report.read_text())["payload"]
+        assert payload["gadget"] is True and payload["k"] == [9, 4]
+        assert capsys.readouterr().out.endswith("(gadget: promise violation detected)\n")
+
+    def test_decode_prices_a_layout_lattice_before_building_it(
+        self, files, tmp_path, t22, monkeypatch, capsys
+    ):
+        # the 30-vertex path at k=[9, 4]: 14,307,150 nine-subsets
+        xi = pk.IdentityDrTable(t22, r=1)
+        payload = pk.pipeline_reduce(path_instance(3), t22, t22, xi).layout.to_payload()
+        payload["aux"].update(source=path_instance(30).to_payload(), k=[9, 4])
+        jsonio.write_canonical(tmp_path / "path30-layout.json", payload)
+        jsonio.write_canonical(tmp_path / "path30.json", path_instance(30).to_payload())
+        jsonio.write_canonical(tmp_path / "a.json", pk.Assignment({"x": "0"}).to_payload())
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the subset lattice was built")
+
+        monkeypatch.setattr(pk.reduction, "partial_solution_table", unbuilt)
+        code = main([
+            "decode", "--assignment", str(tmp_path / "a.json"),
+            "--layout", str(tmp_path / "path30-layout.json"), "--dr-table", files["xi.json"],
+            "--source", str(tmp_path / "path30.json"), "--source-template", files["t22.json"],
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the subset lattice of 30 variables at k=[9, 4] exceeds the budget of 10000000\n"
+        )

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 import pcspkit as pk
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
-from pcspkit.core import backtrack, chain_walk, completion_order, partial_solution_table
+from pcspkit.core import (
+    _has_homomorphism,
+    backtrack,
+    chain_walk,
+    completion_order,
+    partial_solution_table,
+)
 
 import reference_core
 from conftest import cycle_instance, triangle_instance
@@ -92,6 +98,42 @@ class TestStructures:
     def test_an_assignment_without_values_is_refused(self):
         with pytest.raises(InputError, match="^values: missing$"):
             pk.Assignment.from_payload({})
+
+
+@st.composite
+def similar_structures(draw):
+    """Two similar structures on 1-4 atoms, with one to three relations of
+    arity 1-3, each holding one to six tuples."""
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sides = []
+    for _ in range(2):
+        domain = "0123"[: draw(st.integers(1, 4))]
+        atoms = st.sampled_from(domain)
+        sides.append(pk.structure(domain, **{
+            f"r{i}": (arity, draw(st.sets(st.tuples(*[atoms] * arity), min_size=1, max_size=6)))
+            for i, arity in enumerate(arities)
+        }))
+    return sides
+
+
+class TestHomomorphismSearch:
+    """The template check is one `backtrack` search under a node budget."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(sides=similar_structures())
+    def test_same_verdict_as_the_product_search(self, sides):
+        assert _has_homomorphism(*sides) == reference_core.has_homomorphism(*sides)
+
+    def test_k8_to_k7_is_decided(self):
+        # the product search tries all 7**8 = 5,764,801 maps
+        assert not _has_homomorphism(pk.complete_graph(8), pk.complete_graph(7))
+        assert _has_homomorphism(pk.complete_graph(7), pk.complete_graph(8))
+
+    def test_past_the_budget_is_a_resource_error(self, monkeypatch):
+        # (K12,K11) reaches the default budget of 10**7 nodes in about 16 s
+        monkeypatch.setattr(pk.core, "DEFAULT_BUDGET", 100)
+        with pytest.raises(ResourceError, match="^homomorphism search visited over 100 nodes$"):
+            pk.PcspTemplate(pk.complete_graph(5), pk.complete_graph(4))
 
 
 class TestCheckHomomorphism:

@@ -528,6 +528,23 @@ class TestRoundTrip:
         extraction = pk.extract_solution(seq, pk.gap_parameters(2, 1, (1, 1)), 1)
         assert pk.evaluate(phi, unary_side, extraction.assignment) == []
 
+    def _restriction_choice(self, unary_side):
+        phi = unary_instance(["x0", "x1", "x2", "x3"], [frozenset({"1"})] * 4)
+        inst = pk.reduce_mcsp_to_llc(phi, unary_side, (3, 2))
+        return phi, {name: set(inst.domains[name]) for layer in inst.layers for name in layer}
+
+    def test_a_missing_variable_is_named(self, unary_side):
+        phi, choice = self._restriction_choice(unary_side)
+        del choice["L1|x0,x2"]
+        with pytest.raises(InputError, match=r"^assignment is missing variable 'L1\|x0,x2'$"):
+            pk.d_assignment_to_pas(pk.DAssignment(choice), phi, unary_side, (3, 2))
+
+    def test_an_entry_short_of_its_subset_is_not_total(self, unary_side):
+        phi, choice = self._restriction_choice(unary_side)
+        choice["L0|x0,x1,x3"] = {"1,1"}
+        with pytest.raises(InputError, match="^assignment is not total: missing 'x3'$"):
+            pk.d_assignment_to_pas(pk.DAssignment(choice), phi, unary_side, (3, 2))
+
     def test_non_satisfying_assignment_rejected(self, unary_side):
         phi = unary_instance(["x0", "x1", "x2", "x3"], [frozenset({"1"})] * 4)
         inst = pk.reduce_mcsp_to_llc(phi, unary_side, (3, 2))

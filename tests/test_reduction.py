@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import math
 import itertools
 import json
 import re
@@ -13,11 +14,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import pcspkit as pk
 from pcspkit import jsonio
-from pcspkit.errors import InputError, InvariantError, ParameterError, PromiseViolationError
+from pcspkit.errors import InputError, InvariantError, PromiseViolationError, ResourceError
 from pcspkit.reduction import _numerals, _pad_instance
 
 import reference_longcode
-from conftest import bipartite_instance, cycle_instance, triangle_instance
+from conftest import (
+    ALLOWED_SETS,
+    bipartite_instance,
+    cycle_instance,
+    triangle_instance,
+    unary_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -265,11 +272,13 @@ class TestPipeline:
         assert result.layout.gadget
         assert pk.brute_force_solve(result.instance, k2) is None
 
-    def test_compact_parameters_refuse_a_source_past_the_top_arity(self, t22, ident22):
-        # every 4-subset of the 5-cycle is 2-colourable, so no promise
-        # violation shows, yet k=(4,4) cannot decode a 5-variable source
-        with pytest.raises(ParameterError):
-            pk.pipeline_reduce(cycle_instance(5), t22, t22, ident22)
+    def test_compact_parameters_refuse_a_source_past_the_top_arity(self, k2, t22, ident22):
+        # every 4-subset of the 5-cycle is 2-colourable, but k=(4,4) cannot
+        # decode a 5-variable source: the conservative k=(9,4) pads it to 9,
+        # and its one top subset, the whole cycle, has no partial solution
+        result = pk.pipeline_reduce(cycle_instance(5), t22, t22, ident22)
+        assert result.params.k == (9, 4) and result.layout.gadget
+        assert pk.brute_force_solve(result.instance, k2) is None
 
     def test_gadget_layout_refuses_decoding(self, t22, ident22):
         result = pk.pipeline_reduce(triangle_instance(), t22, t22, ident22)
@@ -282,10 +291,108 @@ class TestPipeline:
         assert result.layout.padding == ("~pad0", "~pad1")
         assert [var.labels() for var in result.layout.aux.variables] == [tuple(range(8))]
 
-    def test_params_mismatch_rejected(self, t22, ident22):
-        wrong = pk.gap_parameters(2, 1, (1, 1))
-        with pytest.raises(ParameterError):
-            pk.pipeline_reduce(edge_instance(), t22, t22, ident22, params=wrong)
+
+@pytest.fixture(scope="module")
+def unary_template(unary_side):
+    return pk.PcspTemplate(unary_side, unary_side)
+
+
+@st.composite
+def unary_sources(draw):
+    """A source of 1-7 variables over the unary template: each variable
+    fixed to 0 or 1, or to both (a no-instance), and at most two left free,
+    so that a top cloud, padding included, has at most 2**8 positions."""
+    n = draw(st.integers(1, 7))
+    allowed = draw(st.lists(st.sampled_from(ALLOWED_SETS[:3]), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        allowed[i] = ALLOWED_SETS[3]
+    return unary_instance([f"x{i}" for i in range(n)], allowed)
+
+
+def _fixed_unary_source(n: int, free: int = 0) -> pk.Instance:
+    allowed = [ALLOWED_SETS[3]] * free + [ALLOWED_SETS[1 + i % 2] for i in range(free, n)]
+    return unary_instance([f"x{i}" for i in range(n)], allowed)
+
+
+class TestSourcesPastTheTopArity:
+    """A source with more variables than compact k[0] runs at the
+    conservative record, which the layout's `aux.k` records."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(phi=unary_sources())
+    @example(phi=_fixed_unary_source(7, free=2))
+    def test_unary_sources_reduce_and_recover(self, unary_side, unary_template, phi):
+        # compact k=(3,2) up to 3 variables, conservative k=(5,2) past them;
+        # the gadget exactly for the no-instances, and otherwise the lift of
+        # a strict solution recovers to a relaxed one
+        table = pk.IdentityDrTable(unary_template, r=1)
+        result = pk.pipeline_reduce(phi, unary_template, unary_template, table)
+        assert result.params.k == ((3, 2) if len(phi.variables) <= 3 else (5, 2))
+        h = pk.brute_force_solve(phi, unary_side)
+        assert result.layout.gadget == (h is None)
+        if h is not None:
+            assert result.layout.aux.k == result.params.k
+            pads = dict.fromkeys(result.layout.padding, "0")
+            lift = pk.lift_strict_solution({**h.mapping, **pads}, result.layout)
+            solution = pk.recover_source_solution(
+                lift.mapping, result.layout, table, phi, unary_template
+            )
+            assert set(solution.mapping) == set(phi.variables)
+            assert pk.evaluate(phi, unary_side, solution) == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_classes_are_the_union_find_of_the_emission(self, unary_template, n):
+        # from 6 variables on there are several top subsets (6 and 21), and
+        # the 2-subsets they share join their positions
+        table = pk.IdentityDrTable(unary_template, r=1)
+        phi = _fixed_unary_source(n, free=2)
+        result = pk.pipeline_reduce(phi, unary_template, unary_template, table)
+        assert result.params.k == (5, 2) and result.params.mode == "conservative"
+        layout = result.layout
+        tops = math.comb(max(n, 5), 5)
+        assert [len(var.subset) for var in layout.aux.variables].count(5) == tops
+        if n >= 6:
+            assert len(layout.names) < layout.offsets[tops]
+            assert dict(layout.reps) == reference_longcode.merge_reps(layout.aux, unary_template)
+
+
+def _refuse_the_lattice(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the subset lattice was built")
+
+    monkeypatch.setattr(pk.reduction, "partial_solution_table", unbuilt)
+
+
+def path30_layout_payload(t22, ident22) -> dict:
+    """A layout payload holding the 30-vertex path at k=[9, 4]: 14,307,150
+    nine-subsets, so 7.3 billion candidate partial solutions."""
+    payload = pk.pipeline_reduce(path_instance(), t22, t22, ident22).layout.to_payload()
+    payload["aux"].update(source=_path(30).to_payload(), k=[9, 4])
+    return payload
+
+
+class TestLatticePricedBeforeItIsBuilt:
+    LATTICE = r"^the subset lattice of 30 variables at k=\[9, 4\] exceeds the budget of 10000000$"
+
+    def test_through_the_pipeline(self, monkeypatch, t22, ident22):
+        _refuse_the_lattice(monkeypatch)
+        with pytest.raises(ResourceError, match=self.LATTICE):
+            pk.pipeline_reduce(_path(30), t22, t22, ident22)
+
+    def test_through_a_layout_payload(self, monkeypatch, t22, ident22):
+        payload = path30_layout_payload(t22, ident22)
+        _refuse_the_lattice(monkeypatch)
+        with pytest.raises(ResourceError, match=self.LATTICE):
+            pk.CloudLayout.from_payload(payload)
+
+    def test_the_count_is_exact(self, monkeypatch, t22, ident22):
+        # the 9-vertex path at k=(9,4): 2**9 + C(9,4) * 2**4 = 2,528
+        # candidates; at that budget the lattice is built and its clouds refused
+        with pytest.raises(ResourceError, match="^cloud enumeration needs"):
+            pk.pipeline_reduce(_path(9), t22, t22, ident22, budget=2528)
+        _refuse_the_lattice(monkeypatch)
+        with pytest.raises(ResourceError, match="exceeds the budget of 2527$"):
+            pk.pipeline_reduce(_path(9), t22, t22, ident22, budget=2527)
 
 
 class TestDecode:
@@ -517,10 +624,10 @@ class TestDecode:
             raise AssertionError("a cloud was read")
 
         monkeypatch.setattr(pk.reduction, "read_cloud_functions", unread)
-        with pytest.raises(ParameterError, match=r"\(2, 2, \(2, 1\)\) does not match the pipeline"):
-            pk.recover_source_solution(
-                lift, result.layout, ident22, phi, t22, params=pk.gap_parameters(2, 2, (2, 1))
-            )
+        # at r=2 the pipeline's record for the path is k=(10,10,4), not (4,4)
+        message = r"layout k=\[4, 4\] is not the pipeline's k=\[10, 10, 4\]"
+        with pytest.raises(InputError, match=message):
+            pk.recover_source_solution(lift, result.layout, pk.IdentityDrTable(t22, r=2), phi, t22)
 
 
 def _nested_path_functions(k2, t22):
