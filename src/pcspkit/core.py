@@ -51,6 +51,13 @@ from .errors import InputError, ResourceError, StructuralError
 
 DEFAULT_BUDGET = 10_000_000
 
+
+def _count_text(count: int) -> str:
+    """A count as a budget message gives it: exact when it fits in 64 bits, else
+    by its bit length, since Python formats no integer past 4,300 digits."""
+    return str(count) if count.bit_length() <= 64 else f"a {count.bit_length()}-bit number of"
+
+
 # Variables and atoms are embedded into composite labels elsewhere, so a few
 # separator characters are reserved.
 _FORBIDDEN_CHARS = (",", "|", "#", ">")
@@ -497,7 +504,8 @@ def _satisfying(checks: list, domain: tuple, n: int, budget: int):
     total = len(domain) ** n
     if total > budget:
         raise ResourceError(
-            f"brute force would enumerate {total} candidates, over the budget of {budget}"
+            f"brute force would enumerate {_count_text(total)} candidates, "
+            f"over the budget of {budget}"
         )
     for values in itertools.product(domain, repeat=n):
         value = values.__getitem__

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import DEFAULT_BUDGET, PcspTemplate, _is_kind, _payload_field, backtrack, chain_walk
+from .core import DEFAULT_BUDGET, PcspTemplate, _count_text, _is_kind, _payload_field
+from .core import backtrack, chain_walk
 from .errors import InputError, ResourceError, StructuralError
 
 
@@ -305,7 +306,7 @@ def enumerate_polymorphisms(
     entries = sum(len(rel.tuples) ** n * rel.arity for rel in relations)
     if entries > budget:
         raise ResourceError(
-            f"checking {matrices} matrices takes {entries} row entries, "
+            f"checking {_count_text(matrices)} matrices takes {_count_text(entries)} row entries, "
             f"over the budget of {budget}"
         )
     checks = [

@@ -18,9 +18,9 @@ The subset instance is fixed by the padded source, the strict side and k, so
 a layout records those and its reader rebuilds the instance with
 `build_auxiliary`; decoding refuses a source or strict side that differs.
 The identification classes are fixed by the subset instance and the target,
-so the layout derives them once, filled from the top-layer clouds, numbers
-them and names each once (`CloudLayout.classes` and `names`), for emission,
-lifting and reading alike.
+so the layout derives them once from the top-layer clouds and names each
+once (`CloudLayout.names`); emission reads the top clouds alone, and lifting
+and reading fill a lower cloud's classes (`CloudLayout.classes`) on demand.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     Instance,
     PcspTemplate,
     RelationalStructure,
+    _count_text,
     _payload_field,
     _restriction_maps,
     _subset_checks,
@@ -190,10 +191,10 @@ class CloudLayout:
 
     Every subset lies in a top-layer (k[0]) subset, restriction maps compose
     and the top clouds come first, so every class holds a top position, its
-    least.  Each lower cloud reads its classes off its first top parent
-    (`_minor_index`), top positions are joined only where a lower subset lies
-    in two top subsets (never when the source has k[0] variables), and
-    constraints between two lower clouds identify nothing more.
+    least.  Top positions are joined only where a lower subset lies in two
+    top subsets (never when the source has k[0] variables), a lower cloud
+    reads its classes off its first top parent (`_minor_index`) when read,
+    and constraints between two lower clouds identify nothing more.
     """
 
     target: PcspTemplate
@@ -222,7 +223,8 @@ class CloudLayout:
 
     @cached_property
     def _numbering(self) -> tuple:
-        """The classes and the least position of each, filled from the top layer."""
+        """The top positions' classes and the least position of each, then per
+        lower cloud its first top parent's positions and the index map's thunk."""
         aux, base = self.aux, len(self.target.strict.domain)
         variables = aux.variables if aux is not None else ()
         tops = {var.name for var in variables if len(var.subset) == aux.k[0]}
@@ -240,9 +242,8 @@ class CloudLayout:
                 parent[x] = x = parent.get(parent[x], parent[x])
             return x
 
-        firsts = {w: index() for w, ((_, index), *others) in reads.items() if others}
-        for w, first in firsts.items():  # a lower subset in several top subsets joins them
-            (u, _), *others = reads[w]
+        for (u, index), *others in reads.values():  # a lower subset in several tops joins them
+            first = index() if others else ()
             for v, other in others:
                 for a, b in zip(map(u.__getitem__, first), map(v.__getitem__, other())):
                     a, b = find(a), find(b)
@@ -256,17 +257,19 @@ class CloudLayout:
                 classes[x] = number
             for x in sorted(parent):
                 classes[x] = classes[parent[x]]
-        for ref in list(at)[len(tops) :]:
-            (u, index), *_ = reads[ref]
-            classes.extend(map(classes[u.start : u.stop].__getitem__, firsts.get(ref) or index()))
-        return classes, least
+        return classes, least, [reads[ref][0] for ref in list(at)[len(tops) :]]
 
-    @property
+    @cached_property
     def classes(self) -> array:
         """Per integer position, the number of its identification class, numbered
         in the order of the classes' least positions.  A constraint u -> w with
-        map pi identifies position g of w with g o pi of u, the index `minor` reads."""
-        return self._numbering[0]
+        map pi identifies position g of w with g o pi of u, the index `minor` reads.
+        Lower clouds are filled here, on the first read, never by the reduction."""
+        top, _, lower = self._numbering
+        classes = array(top.typecode, top) if lower else top  # no lower cloud, no copy
+        for u, index in lower:
+            classes.extend(map(top[u.start : u.stop].__getitem__, index()))
+        return classes
 
     @cached_property
     def names(self) -> tuple:
@@ -381,8 +384,8 @@ def _price_clouds(layout: CloudLayout, budget: int) -> None:
     )
     if layout.offsets[-1] > budget or total_matrices > budget:
         raise ResourceError(
-            f"cloud enumeration needs {layout.offsets[-1]} positions and "
-            f"{total_matrices} matrices, over the budget of {budget}"
+            f"cloud enumeration needs {_count_text(layout.offsets[-1])} positions and "
+            f"{_count_text(total_matrices)} matrices, over the budget of {budget}"
         )
 
 
@@ -406,19 +409,21 @@ def longcode_reduce(
     layout = CloudLayout(target=target, aux=aux, padding=tuple(padding))
     _price_clouds(layout, budget)
 
+    # Only the top clouds, which come first, emit: the scope of a matrix M in
+    # a lower cloud w is that of M o pi in w's first top parent u, whose rows
+    # are M's minored along pi, in the same classes, and u emits M o pi too.
     # Scopes index the classes.  Integer positions sort as their names do:
     # cloud ids share one width and follow the offsets, and indices are
     # zero-padded within a cloud, so the class names are sorted.  Each
     # relation's scopes are kept in the order `_blocks` makes them, the
-    # matrices' mixed-radix order, so the sort below meets long sorted runs
-    # (over (K2,K2) a cloud whose positions are all kept is sorted
-    # throughout).  Repeats are dropped as they come: a cloud read off
-    # another one repeats most of its scopes (K_{5,5} at r=2 makes 656,164
-    # scopes for 4 distinct ones).  They go into the dict as keys paired with
-    # None, with no second dict per block.
+    # matrices' mixed-radix order, so the sort below meets long sorted runs.
+    # Repeats, which joined top positions make, are dropped as they come: as
+    # dict keys paired with None, with no second dict per block.
+    classes = layout._numbering[0]  # the top clouds' classes, lower ones unfilled
+    tops = bisect_left(layout.offsets, len(classes))
     scopes, none = {rel_name: {} for rel_name in target.strict.relations}, itertools.repeat(None)
-    for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
-        position = layout.classes[start:end].tolist().__getitem__  # scopes share its ints
+    for cloud, start, end in zip(layout.clouds[:tops], layout.offsets, layout.offsets[1:]):
+        position = classes[start:end].tolist().__getitem__  # scopes share its ints
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):
                 scopes[rel_name].update(zip(zip(*[map(position, r) for r in rows]), none))

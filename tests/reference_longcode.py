@@ -7,7 +7,12 @@ renaming of variables.
 
 `merge_reps` is the integer union-find that longcode_reduce ran before the
 layout derived its merge classes itself; tests compare the derived classes
-with it, position name by position name."""
+with it, position name by position name.
+
+`emit_every_cloud` is the emission loop longcode_reduce ran before it emitted
+from the top clouds alone: it walks every cloud's matrices, lower clouds
+included, and drops the repeated scopes.  Tests require the same instance
+text from both, byte for byte."""
 
 import itertools
 from dataclasses import dataclass
@@ -15,8 +20,8 @@ from typing import Optional, Sequence
 
 from pcspkit.core import DEFAULT_BUDGET, Constraint, Instance, PcspTemplate
 from pcspkit.errors import ResourceError
-from pcspkit.minion import _minor_index
-from pcspkit.reduction import AuxiliaryInstance
+from pcspkit.minion import _blocks, _minor_index, _row_index_sets
+from pcspkit.reduction import AuxiliaryInstance, CloudLayout as DerivedLayout
 
 
 @dataclass(frozen=True)
@@ -230,3 +235,21 @@ def merge_reps(aux: AuxiliaryInstance, target: PcspTemplate) -> dict:
 
     roots = [find(x) for x in range(len(names))]
     return {names[x]: names[r] for x, r in enumerate(roots) if x != r}
+
+
+def emit_every_cloud(aux: AuxiliaryInstance, target: PcspTemplate) -> Instance:
+    """The long-code instance from every cloud's matrices: per cloud and per
+    target relation, the scope of each matrix of relation tuples is its rows'
+    class numbers (`pcspkit.CloudLayout.classes`, every cloud filled), kept once."""
+    layout = DerivedLayout(target=target, aux=aux, padding=())
+    scopes, none = {rel_name: {} for rel_name in target.strict.relations}, itertools.repeat(None)
+    for cloud, start, end in zip(layout.clouds, layout.offsets, layout.offsets[1:]):
+        position = layout.classes[start:end].tolist().__getitem__
+        for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
+            for rows in _blocks(head, tail):
+                scopes[rel_name].update(zip(zip(*[map(position, r) for r in rows]), none))
+    relation_names, sorted_scopes = [], []
+    for rel_name in sorted(scopes):
+        relation_names += [rel_name] * len(scopes[rel_name])
+        sorted_scopes += sorted(scopes[rel_name])
+    return Instance._of(layout.names, tuple(relation_names), tuple(sorted_scopes))

@@ -1023,6 +1023,56 @@ class TestBareArguments:
         assert err.value.code == 2
 
 
+class TestCountsPastTheDigitLimit:
+    """A budget refusal whose count has more than Python's 4,300 digits gives
+    it by its bit length: one error line, exit 1 and a report holding it."""
+
+    @pytest.fixture()
+    def huge(self, files, tmp_path, t22):
+        one = {"variables": ["x"], "constraints": []}
+        # a k=[1] layout over one variable with 15,000 strict atoms: one cloud
+        # of 2^15000 positions, refused as the layout is read
+        layout = pk.pipeline_reduce(path_instance(2), t22, t22, pk.IdentityDrTable(t22)).layout
+        strict = {"domain": [f"a{i}" for i in range(15000)], "relations": {}}
+        wide = {**layout.to_payload(), "aux": {"source": one, "strict": strict, "k": [1]}}
+        written = {
+            "free.json": pk.Instance([f"x{i}" for i in range(15000)], []).to_payload(),
+            "one.json": one,
+            "wide-layout.json": wide,
+            "no-values.json": {"values": {}},
+        }
+        for name, payload in written.items():
+            jsonio.write_canonical(tmp_path / name, payload)
+        return {**files, **{name: str(tmp_path / name) for name in written}}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["solve", "--instance", "free.json", "--template", "t22.json"],
+                "brute force would enumerate a 15001-bit number of candidates, over the budget",
+            ),
+            (
+                ["poly", "enum", "--template", "t22.json", "--arity", "15000"],
+                "checking a 15001-bit number of matrices takes a 15002-bit number of row entries",
+            ),
+            (
+                ["decode", "--assignment", "no-values.json", "--layout", "wide-layout.json",
+                 "--dr-table", "xi.json", "--source", "one.json", "--source-template", "t22.json"],
+                "cloud enumeration needs a 15001-bit number of positions",
+            ),
+        ],
+        ids=["solve-15000-free-variables", "poly-enum-arity-15000", "decode-15000-atom-layout"],
+    )
+    def test_is_one_error_line_and_a_report(self, argv, message, huge, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main([huge.get(a, a) for a in argv] + ["--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert message in json.loads(report.read_text())["payload"]["error"]
+
+
 class TestOptionsEachHandlerReads:
     """`--out` and `--budget` exist only where the handler reads them, and a
     slice goes only with a table: anything else is a usage error (exit 2)."""

@@ -189,6 +189,15 @@ class TestBruteForce:
         with pytest.raises(ResourceError, match="4"):
             pk.brute_force_solve(inst, k2, budget=4)
 
+    @pytest.mark.parametrize(
+        "n, count", [(63, str(2**63)), (64, "a 65-bit number of"), (15000, "a 15001-bit number of")]
+    )
+    def test_budget_error_gives_a_count_past_64_bits_by_its_length(self, k2, n, count):
+        # Python formats no integer past 4,300 digits, and 2^15000 has 4,516
+        inst = pk.Instance([f"v{i}" for i in range(n)], [])
+        with pytest.raises(ResourceError, match=f"enumerate {count} candidates,"):
+            pk.brute_force_solve(inst, k2, budget=4)
+
     def test_all_solutions_of_an_edge(self, k2):
         inst = pk.Instance(["x", "y"], [(("x", "y"), "neq")])
         sols = {s.mapping["x"] + s.mapping["y"] for s in pk.all_solutions(inst, k2)}

@@ -975,7 +975,8 @@ class TestNamesAndScopes:
                 assert list(_numerals("u7p", width, count)) == expected
 
     def test_emission_drops_repeated_scopes_as_they_come(self, t22, k55_r2):
-        # 656,164 scopes made for 4 kept: a list of them all peaks near 48 MB
+        # the one top cloud makes the 4 scopes kept and no lower cloud is
+        # filled; a list of the 656,164 scopes every cloud made peaked near 48 MB
         aux = k55_r2[0].layout.aux
         pk.longcode_reduce(aux, t22)  # the row index sets are built and cached
         tracemalloc.start()
@@ -1128,6 +1129,75 @@ def test_derived_classes_are_the_union_find_of_the_emission(k2, t22, aux):
     assert pk.read_cloud_functions(assignment, loaded, k2.domain) == pk.read_cloud_functions(
         assignment, layout, k2.domain
     )
+
+
+def _over_k2(phi, k):
+    """The subset instance of phi, padded to k[0] as the pipeline pads, over K2."""
+    k2 = pk.complete_graph(2)
+    return pk.build_auxiliary(_pad_instance(phi, k[0])[0], k2, k), pk.PcspTemplate(k2, k2)
+
+
+@st.composite
+def emission_cases(draw):
+    """A subset instance and a target: a graph on 2-7 vertices over K2 at
+    k=(3,2), several top subsets from 4 vertices on, or at the pipeline's
+    r=2 shape (3,3,2); or a unary source past compact k[0], through the
+    pipeline at k=(5,2)."""
+    if draw(st.booleans()):
+        n, k = draw(st.integers(2, 7)), draw(st.sampled_from([(3, 2), (3, 3, 2)]))
+        pairs = list(itertools.combinations([f"x{i}" for i in range(n)], 2))
+        scopes = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+        phi = pk.Instance([f"x{i}" for i in range(n)], [(s, "neq") for s in scopes])
+        try:
+            return _over_k2(phi, k)
+        except PromiseViolationError:
+            assume(False)
+    unary = pk.structure(["0", "1"], only0=(1, {("0",)}), only1=(1, {("1",)}))
+    template = pk.PcspTemplate(unary, unary)
+    phi = draw(unary_sources().filter(lambda phi: len(phi.variables) > 3))
+    layout = pk.pipeline_reduce(phi, template, template, pk.IdentityDrTable(template)).layout
+    assume(not layout.gadget)
+    return layout.aux, template
+
+
+class TestEmissionFromTheTopClouds:
+    """`longcode_reduce` emits from the top clouds alone and leaves the lower
+    clouds' classes unfilled; the instance is the one every cloud's matrices
+    give (`reference_longcode.emit_every_cloud`)."""
+
+    @staticmethod
+    def assert_same_text(aux, target):
+        instance, _ = pk.longcode_reduce(aux, target)
+        expected = reference_longcode.emit_every_cloud(aux, target)
+        assert jsonio.canonical_dumps(instance.to_payload()) == jsonio.canonical_dumps(
+            expected.to_payload()
+        )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=emission_cases())
+    @example(case=_over_k2(_path(7), (3, 2)))
+    @example(case=_over_k2(cycle_instance(6), (3, 3, 2)))
+    def test_same_instance_text_as_every_cloud(self, case):
+        self.assert_same_text(*case)
+
+    def test_same_instance_text_on_k55_at_r2(self, t22, k55_r2):
+        self.assert_same_text(k55_r2[0].layout.aux, t22)
+
+    def test_the_reduction_builds_no_lower_index_map(self, monkeypatch, t22):
+        # K_{5,5} at r=2 has one top subset, so nothing is joined: the 210
+        # lower clouds' index maps are built only when `classes` is read
+        built = []
+        real_index = pk.reduction._minor_index
+
+        def counting_index(base, arity_set, pi, target):
+            built.append(tuple(target))
+            return real_index(base, arity_set, pi, target)
+
+        monkeypatch.setattr(pk.reduction, "_minor_index", counting_index)
+        table = pk.IdentityDrTable(t22, r=2)
+        result = pk.pipeline_reduce(bipartite_instance(5), t22, t22, table)
+        assert built == []
+        assert len(result.layout.classes) == 656164 and len(built) == 210
 
 
 class TestMinorConditionAgainstReference:
