@@ -6,12 +6,16 @@ newline terminated) so identical inputs give byte-identical outputs, and an
 optional machine-readable report collects input digests, timings, and the
 outcome of each replayed verification.
 
-Each subcommand names its input-file options once, in `_add_common`.  `main`
-reads each file the invocation uses once, records the SHA-256 of every
-file's bytes, and only then decodes those same bytes (`jsonio.loads`) and
-hands the payloads to the handler.  A file that is missing, or that `json`
-cannot decode, is an error like any other; so is a report that cannot be
-written.
+The parser states what each subcommand takes, its input files named once in
+`_add_common`: `verify consistent` takes `--pas`, `verify msolution` `--pas`,
+`--assignment`, `--m` and `--index`, `verify solution` `--instance`,
+`--template`, `--assignment` and `--side`, and `poly enum` exactly one of
+`--arity` and `--labels`.  `main` adds that `poly check` takes `--dr-table`
+and `--slice` together, and one of them or a `--function`.  It reads each
+file given once, records the SHA-256 of its bytes, and only then decodes
+those bytes (`jsonio.loads`) for the handler.  A file that is missing, or
+that `json` cannot decode, is an error like any other; so is a report that
+cannot be written.
 
 Exit codes: 0 success (or "solvable"), 1 domain-level negative or error,
 2 usage error.  An error prints `error:` lines on stderr, never a
@@ -138,7 +142,9 @@ def _cmd_solve(args, inputs: dict, report: _Report) -> int:
 
 def _cmd_poly_enum(args, inputs: dict, report: _Report) -> int:
     template = PcspTemplate.from_payload(inputs[args.template])
-    labels = args.labels.split(",") if args.labels else [f"x{i}" for i in range(args.arity)]
+    labels = (  # the parser takes exactly one of --labels and --arity
+        args.labels.split(",") if args.labels is not None else [f"x{i}" for i in range(args.arity)]
+    )
     found = enumerate_polymorphisms(template, labels, budget=args.budget)
     report.payload["count"] = len(found)
     _emit(args.out, {"functions": [fn.to_payload() for fn in found]}, report)
@@ -272,37 +278,31 @@ def _cmd_decode(args, inputs: dict, report: _Report) -> int:
     return 0 if report.all_passed else 1
 
 
-# The files each kind of `verify` reads, and so its file options.
-_VERIFY_NEEDS = {
-    "consistent": ("pas",),
-    "msolution": ("pas", "assignment"),
-    "solution": ("instance", "template", "assignment"),
-}
+def _cmd_verify_consistent(args, inputs: dict, report: _Report) -> int:
+    result = check_consistent(PasSequence.from_payload(inputs[args.pas]))
+    report.verified("consistent", bool(result))
+    print("consistent" if result else f"inconsistent on chain {result.chain}")
+    return 0 if result else 1
 
 
-def _cmd_verify(args, inputs: dict, report: _Report) -> int:
-    if args.kind == "consistent":
-        seq = PasSequence.from_payload(inputs[args.pas])
-        result = check_consistent(seq)
-        report.verified("consistent", bool(result))
-        print("consistent" if result else f"inconsistent on chain {result.chain}")
-        return 0 if result else 1
-    if args.kind == "msolution":
-        seq = PasSequence.from_payload(inputs[args.pas])
-        payload = inputs[args.assignment]
-        index = args.index
-        if isinstance(payload, dict) and "assignment" in payload:
-            # an extraction artifact carries its index
-            if "index" in payload:
-                index = _payload_field(payload, "", "index", int)
-            payload = payload["assignment"]
-        f = Assignment.from_payload(payload)
-        if not 0 <= index < len(seq):
-            raise InputError(f"index {index}: expected 0 <= index < {len(seq)}")
-        ok = is_m_solution(f, seq[index], args.m)
-        report.verified("is_m_solution", ok)
-        print("verified" if ok else "NOT an m-solution")
-        return 0 if ok else 1
+def _cmd_verify_msolution(args, inputs: dict, report: _Report) -> int:
+    seq = PasSequence.from_payload(inputs[args.pas])
+    payload, index = inputs[args.assignment], args.index
+    if isinstance(payload, dict) and "assignment" in payload:
+        # an extraction artifact carries its index
+        if "index" in payload:
+            index = _payload_field(payload, "", "index", int)
+        payload = payload["assignment"]
+    f = Assignment.from_payload(payload)
+    if not 0 <= index < len(seq):
+        raise InputError(f"index {index}: expected 0 <= index < {len(seq)}")
+    ok = is_m_solution(f, seq[index], args.m)
+    report.verified("is_m_solution", ok)
+    print("verified" if ok else "NOT an m-solution")
+    return 0 if ok else 1
+
+
+def _cmd_verify_solution(args, inputs: dict, report: _Report) -> int:
     instance = Instance.from_payload(inputs[args.instance])
     side = _load_side(inputs[args.template], args.side)
     f = Assignment.from_payload(inputs[args.assignment])
@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = poly.add_parser("enum")
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--labels", default=None)
+    arity = p.add_mutually_exclusive_group(required=True)
+    arity.add_argument("--arity", type=int)
+    arity.add_argument("--labels")
     _add_common(p, _cmd_poly_enum, "--template")
     p = poly.add_parser("check")
     tables, functions = ("--dr-table", "--slice"), ("--function",)
@@ -393,12 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="replay stored post-conditions on artifacts")
-    p.add_argument("kind", choices=tuple(_VERIFY_NEEDS))
-    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    verify = p.add_subparsers(dest="subcommand", required=True)
+    p = verify.add_parser("consistent")
+    _add_common(p, _cmd_verify_consistent, "--pas", out=False, budget=False)
+    p = verify.add_parser("msolution")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--index", type=int, default=0)
-    files = dict.fromkeys(f"--{name}" for needs in _VERIFY_NEEDS.values() for name in needs)
-    _add_common(p, _cmd_verify, optional=files, out=False, budget=False)
+    _add_common(p, _cmd_verify_msolution, "--pas", "--assignment", out=False, budget=False)
+    p = verify.add_parser("solution")
+    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    files = ("--instance", "--template", "--assignment")
+    _add_common(p, _cmd_verify_solution, *files, out=False, budget=False)
 
     return parser
 
@@ -407,19 +413,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    files = args.files
-    # what an invocation lacks that the parser cannot require by itself, and
-    # the files it reads: those given, but for `verify` only what its kind needs
-    if command == "poly enum" and args.arity is None and args.labels is None:
-        parser.error("poly enum needs --arity or --labels")
-    if command == "poly check" and (args.dr_table is None) != (args.slice is None):
-        parser.error("poly check takes --dr-table and --slice together")
-    if command == "verify":
-        files = _VERIFY_NEEDS[args.kind]
-        missing = [f"--{name}" for name in files if getattr(args, name) is None]
-        if missing:
-            parser.error(f"verify {args.kind} needs {' and '.join(missing)}")
-    given = [getattr(args, name) for name in files]
+    if command == "poly check":  # what its parser cannot state
+        if (args.dr_table is None) != (args.slice is None):
+            parser.error("poly check takes --dr-table and --slice together")
+        if args.dr_table is None and not args.function:
+            parser.error("poly check needs --function or --dr-table")
+    given = [getattr(args, name) for name in args.files]
     paths = [p for value in given for p in (value if isinstance(value, list) else [value])]
     report = _Report(command)
     try:

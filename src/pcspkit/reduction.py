@@ -376,11 +376,17 @@ def _numerals(prefix: str, width: int, count: int) -> itertools.islice:
 
 
 def _price_clouds(layout: CloudLayout, budget: int) -> None:
-    """Refuse a layout whose clouds hold more positions, or more matrices of
-    strict relation tuples, than the budget admits."""
-    relations = layout.target.strict.relations.values()
+    """Refuse a layout whose clouds hold more positions, or whose top clouds
+    more matrices of strict relation tuples, than the budget admits: `classes`
+    fills every cloud, and `longcode_reduce` builds the top clouds' matrices
+    alone.  The top clouds come first, and are counted off the subset
+    variables, so nothing is numbered before the layout is priced."""
+    aux, relations = layout.aux, layout.target.strict.relations.values()
+    tops = sum(len(var.subset) == aux.k[0] for var in aux.variables) if aux is not None else 0
     total_matrices = sum(
-        len(rel.tuples) ** len(cloud.index_labels) for cloud in layout.clouds for rel in relations
+        len(rel.tuples) ** len(cloud.index_labels)
+        for cloud in layout.clouds[:tops]
+        for rel in relations
     )
     if layout.offsets[-1] > budget or total_matrices > budget:
         raise ResourceError(

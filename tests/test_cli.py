@@ -49,7 +49,8 @@ def files(tmp_path, k2, t22):
 
 def _surface(parser, name="") -> dict:
     """Every option of every (sub)command: its kind, its dest when that is
-    not the one argparse derives, required, default, choices, type and help."""
+    not the one argparse derives, required, default, choices, type and help;
+    and every group of options that exclude one another, and if one is required."""
     out = {name: {}}
     for action in parser._actions:
         kind = type(action).__name__.strip("_").removesuffix("Action").lower()
@@ -70,6 +71,9 @@ def _surface(parser, name="") -> dict:
                 full = f"{name} {sub}".strip()
                 out.update(_surface(subparser, full))
                 out[full]["help"] = helps.get(sub)
+    for group in parser._mutually_exclusive_groups:
+        key = "|".join(action.option_strings[-1] for action in group._group_actions)
+        out[name][key] = "oneof" + (" required" if group.required else "")
     return out
 
 
@@ -99,7 +103,7 @@ class TestParserSurface:
             },
             "poly enum": {
                 **_COMMON, "--template": "store required", "--arity": "store type=int",
-                "--labels": "store", "help": None,
+                "--labels": "store", "--arity|--labels": "oneof required", "help": None,
             },
             "poly check": {
                 **_REPORT, **_BUDGET, "--template": "store required", "--function": "append default=[]",
@@ -148,12 +152,18 @@ class TestParserSurface:
                 "help": "decode a relaxed solution of a reduced instance",
             },
             "verify": {
-                **_REPORT,
-                "kind": "store required choices=('consistent', 'msolution', 'solution')",
-                "--pas": "store", "--assignment": "store", "--instance": "store",
-                "--template": "store", "--side": _SIDE, "--m": "store default=1 type=int",
-                "--index": "store default=0 type=int",
+                "-h/--help": "help", "subcommand": "subparsers required",
                 "help": "replay stored post-conditions on artifacts",
+            },
+            "verify consistent": {**_REPORT, "--pas": "store required", "help": None},
+            "verify msolution": {
+                **_REPORT, "--pas": "store required", "--assignment": "store required",
+                "--m": "store default=1 type=int", "--index": "store default=0 type=int",
+                "help": None,
+            },
+            "verify solution": {
+                **_REPORT, "--instance": "store required", "--template": "store required",
+                "--assignment": "store required", "--side": _SIDE, "help": None,
             },
         }
 
@@ -197,6 +207,11 @@ class TestCommands:
     def test_poly_enum_count(self, files, capsys):
         assert main(["poly", "enum", "--template", files["t22.json"], "--arity", "2"]) == 0
         assert "4 polymorphism" in capsys.readouterr().out
+
+    def test_poly_enum_takes_an_empty_label_list_as_one_label(self, files, capsys):
+        # `--labels ""` splits into the one label "", as `--labels a` gives "a"
+        assert main(["poly", "enum", "--template", files["t22.json"], "--labels", ""]) == 0
+        assert capsys.readouterr().out == "2 polymorphism(s) of arity 1\n"
 
     def test_poly_check_function(self, files, tmp_path):
         fn = pk.FiniteFunction(("x",), ("0", "1"), ("0", "1"), ("1", "0"))
@@ -803,13 +818,51 @@ class TestBareArguments:
         restrictions = [pk.pas_from_assignment(xyz, xyz, "01", k) for k in (2, 1)]
         jsonio.write_canonical(tmp_path / "xyz.json", pk.PasSequence(restrictions).to_payload())
         jsonio.write_canonical(tmp_path / "only-x.json", {"values": {"x": "0"}})
+        # what the JSON boundary's constructors refuse: structures, systems,
+        # a layered instance, a function, a chain table and a slice
+        arity0 = {"domain": ["0"], "relations": {"r": {"arity": 0, "tuples": [[]]}}}
+        jsonio.write_canonical(tmp_path / "arity0.json", arity0)
+        short = {"domain": ["0", "1"], "relations": {"neq": {"arity": 2, "tuples": [["0"]]}}}
+        jsonio.write_canonical(tmp_path / "short-tuple.json", short)
+        nothing = {"domain": [], "relations": {}}
+        jsonio.write_canonical(tmp_path / "no-domain.json", {"strict": nothing, "relaxed": nothing})
+        x0 = pk.pas_from_assignment({"x": "0"}, "x", "01", 1).to_payload()
+        for name, change in [
+            ("pas-arity3.json", {"arity": 3}),
+            ("pas-key.json", {"entries": [{"set": ["q"], "assignments": [{"q": "0"}]}]}),
+            ("pas-value.json", {"entries": [{"set": ["x"], "assignments": [{"x": "5"}]}]}),
+        ]:
+            jsonio.write_canonical(tmp_path / name, {"systems": [{**x0, **change}]})
+        jsonio.write_canonical(tmp_path / "no-systems.json", {"systems": []})
+        y0 = pk.pas_from_assignment({"y": "0"}, "y", "01", 1).to_payload()
+        jsonio.write_canonical(tmp_path / "x-then-y.json", {"systems": [x0, y0]})
+        jsonio.write_canonical(
+            tmp_path / "two-layers.json",
+            {**pk.LlcInstance([("a",)], {"a": ("0",)}, {}).to_payload(), "layers": [["a"], ["a"]]},
+        )
+        neg = pk.FiniteFunction(("u", "w"), "01", "01", "0110").to_payload()
+        jsonio.write_canonical(tmp_path / "table3.json", {**neg, "table": ["0", "1", "1"]})
+        pol22 = pk.polymorphism_slice(t22, [("a",)])
+        jsonio.write_canonical(tmp_path / "pol22.json", pol22.to_payload())
+        identity = pk.FiniteFunction(("a",), "01", "01", "01")
+        jsonio.write_canonical(
+            tmp_path / "no-images.json",
+            {**pk.ExplicitDrTable(1, 1, {identity: (identity,)}).to_payload(), "images": [[]]},
+        )
+        wide = pk.FiniteFunction(("a",), "012", "01", "010").to_payload()
+        jsonio.write_canonical(
+            tmp_path / "other-in-domain.json", {**pol22.to_payload(), "functions": [wide]}
+        )
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
             "non-utf8.json", "nested.json", "long-integer.json", "number.json", "xyz.json",
-            "only-x.json",
+            "only-x.json", "arity0.json", "short-tuple.json", "no-domain.json",
+            "pas-arity3.json", "pas-key.json", "pas-value.json", "no-systems.json",
+            "x-then-y.json", "two-layers.json", "table3.json", "pol22.json", "no-images.json",
+            "other-in-domain.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -974,6 +1027,48 @@ class TestBareArguments:
                 ["verify", "msolution", "--pas", "xyz.json", "--assignment", "only-x.json"],
                 "assignment is not total: missing 'y'",
             ),
+            (
+                ["solve", "--instance", "edge3.json", "--template", "arity0.json"],
+                "relation arity must be positive",
+            ),
+            (
+                ["gap", "oracle", "--instance", "edge3.json", "--template", "short-tuple.json",
+                 "--k", "3,2", "--d", "1"],
+                "does not match arity",
+            ),
+            (
+                ["poly", "enum", "--template", "no-domain.json", "--arity", "1"],
+                "domain must be nonempty",
+            ),
+            (["verify", "consistent", "--pas", "pas-arity3.json"], "out of range for"),
+            (
+                ["verify", "consistent", "--pas", "pas-key.json"],
+                "is not an arity-1 variable subset",
+            ),
+            (["verify", "consistent", "--pas", "pas-value.json"], "is malformed"),
+            (
+                ["verify", "consistent", "--pas", "no-systems.json"],
+                "a sequence needs at least one system",
+            ),
+            (
+                ["verify", "consistent", "--pas", "x-then-y.json"],
+                "systems disagree on variables or domain",
+            ),
+            (["gap", "layered", "--llc", "two-layers.json", "--d", "1"], "appears in two layers"),
+            (
+                ["poly", "check", "--template", "t22.json", "--function", "table3.json"],
+                "table has 3 entries, expected 4",
+            ),
+            (
+                ["poly", "check", "--template", "t22.json", "--dr-table", "no-images.json",
+                 "--slice", "pol22.json"],
+                "image sets must be nonempty",
+            ),
+            (
+                ["poly", "check", "--template", "t22.json", "--dr-table", "xi.json",
+                 "--slice", "other-in-domain.json"],
+                "function domains disagree with the slice",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -989,6 +1084,11 @@ class TestBareArguments:
             "non-utf8-first", "non-utf8-later", "nested-first", "nested-later",
             "long-integer-first", "long-integer-later", "gap-params-split-value-2000",
             "msolution-negative-m", "solve-template-a-number", "msolution-partial-assignment",
+            "template-arity-0", "template-short-tuple", "template-empty-domain",
+            "pas-arity-past-the-variables", "pas-key-outside-the-variables",
+            "pas-value-outside-the-domain", "pas-no-systems", "pas-systems-on-other-variables",
+            "llc-variable-in-two-layers", "function-3-entries-at-arity-2",
+            "explicit-table-empty-images", "slice-function-on-another-domain",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):
@@ -1074,8 +1174,10 @@ class TestCountsPastTheDigitLimit:
 
 
 class TestOptionsEachHandlerReads:
-    """`--out` and `--budget` exist only where the handler reads them, and a
-    slice goes only with a table: anything else is a usage error (exit 2)."""
+    """`--out` and `--budget` exist only where the handler reads them, each
+    `verify` kind takes only its own options and files, `poly enum` takes one
+    of `--arity` and `--labels`, and `poly check` a slice only with a table,
+    and something to check: anything else is a usage error (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1091,10 +1193,25 @@ class TestOptionsEachHandlerReads:
             ["verify", "consistent", "--pas", "seq.json", "--budget", "5"],
             ["poly", "check", "--template", "t22.json", "--slice", "seq.json"],
             ["poly", "enum", "--template", "t22.json"],
+            ["verify", "consistent", "--pas", "seq.json", "--m", "9"],
+            ["verify", "consistent", "--pas", "seq.json", "--index", "1"],
+            ["verify", "consistent", "--pas", "seq.json", "--side", "relaxed"],
+            ["verify", "msolution", "--pas", "seq.json", "--assignment", "seq.json",
+             "--side", "relaxed"],
+            ["verify", "solution", "--instance", "c5.json", "--template", "k2.json",
+             "--assignment", "seq.json", "--m", "2"],
+            ["verify", "consistent", "--pas", "seq.json", "--assignment", "seq.json"],
+            ["verify", "solution", "--instance", "c5.json", "--template", "k2.json",
+             "--assignment", "seq.json", "--pas", "seq.json"],
+            ["poly", "enum", "--template", "t22.json", "--arity", "2", "--labels", "a,b,c"],
+            ["poly", "check", "--template", "t22.json"],
         ],
         ids=[
             "poly-check-out", "gap-oracle-out", "verify-out", "gap-params-budget",
             "gap-extract-budget", "verify-budget", "slice-without-table", "enum-without-arity",
+            "verify-consistent-m", "verify-consistent-index", "verify-consistent-side",
+            "verify-msolution-side", "verify-solution-m", "verify-consistent-assignment",
+            "verify-solution-pas", "enum-arity-and-labels", "poly-check-nothing",
         ],
     )
     def test_is_a_usage_error(self, files, argv, capsys):

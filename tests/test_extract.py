@@ -6,7 +6,7 @@ import pytest
 
 import pcspkit as pk
 from pcspkit.errors import ParameterError, StructuralError
-from pcspkit.pas import _first_superset, _proj
+from pcspkit.pas import _first_superset, _proj, _subset_selector
 
 from conftest import seeded_value1_sequence
 from test_pas import two_global_pas
@@ -74,6 +74,30 @@ class TestSplitBranch:
         seq = pk.PasSequence([head, tail])
         result = pk.extract_solution(seq, params, 1)
         assert pk.is_m_solution(result.assignment, seq[result.index], 1)
+
+
+class TestExtensionStage:
+    def test_a_blocked_position_reaches_the_extension_search(self):
+        # compact mode at m=2 and values (1, 1) gives k=(4, 4).  Over x0..x4,
+        # the entry without xj sets x0 = j mod 2 and every other variable to 0,
+        # so the sequence is consistent and position one is blocked at x0.
+        # The extension search on {x0} then needs arity 2**1 * 4 + 1 = 9, the
+        # conservative k[0] the pipeline picks past k[0] variables.
+        params = pk.gap_parameters(2, 2, (1, 1))
+        assert (params.mode, params.k) == ("compact", (4, 4))
+        variables = [f"x{i}" for i in range(5)]
+        entries = {}
+        for j in range(5):
+            key = tuple(x for x in variables if x != f"x{j}")
+            entries[key] = {tuple(str(j % 2) if x == "x0" else "0" for x in key)}
+        system = pk.Pas(variables, ["0", "1"], 4, entries)
+        seq = pk.PasSequence([system, system])
+        assert pk.check_consistent(seq)
+        assert _subset_selector(system, params.l[1], 1) == ({}, ("x0",))
+        with pytest.raises(
+            ParameterError, match=r"^extension search needs arity >= 9, system has 4$"
+        ):
+            pk.extract_solution(seq, params, 2)
 
 
 class TestRefinementHelpers:
