@@ -142,9 +142,10 @@ def _cmd_solve(args, inputs: dict, report: _Report) -> int:
 
 def _cmd_poly_enum(args, inputs: dict, report: _Report) -> int:
     template = PcspTemplate.from_payload(inputs[args.template])
-    labels = (  # the parser takes exactly one of --labels and --arity
-        args.labels.split(",") if args.labels is not None else [f"x{i}" for i in range(args.arity)]
-    )
+    # the parser takes exactly one of --labels and --arity
+    labels = [f"x{i}" for i in range(args.arity)] if args.labels is None else args.labels.split(",")
+    if "" in labels:  # as in `--labels ""` or `--labels a,`
+        raise InputError(f"--labels: expected comma-separated nonempty labels, got {args.labels!r}")
     found = enumerate_polymorphisms(template, labels, budget=args.budget)
     report.payload["count"] = len(found)
     _emit(args.out, {"functions": [fn.to_payload() for fn in found]}, report)
@@ -157,12 +158,11 @@ def _cmd_poly_check(args, inputs: dict, report: _Report) -> int:
     # a function over other domains than the template's is no member
     member = LazyPolymorphismSlice(template).contains
     ok = True
-    if args.function:
-        for path in args.function:
-            good = member(FiniteFunction.from_payload(inputs[path]))
-            report.verified(f"polymorphism:{path}", good)
-            print(f"{path}: {'polymorphism' if good else 'NOT a polymorphism'}")
-            ok = ok and good
+    for path in args.function:
+        good = member(FiniteFunction.from_payload(inputs[path]))
+        report.verified(f"polymorphism:{path}", good)
+        print(f"{path}: {'polymorphism' if good else 'NOT a polymorphism'}")
+        ok = ok and good
     if args.dr_table:
         table = dr_table_from_payload(inputs[args.dr_table])
         slice_ = MinionSlice.from_payload(inputs[args.slice])

@@ -184,10 +184,11 @@ class CloudLayout:
 
     The payload records only what the subset instance is built from (the
     padded source, the strict side and k); `from_payload` rebuilds it with
-    `build_auxiliary` under the caller's budget, and prices its clouds
-    against that budget as `longcode_reduce` does.  The clouds, their
-    integer positions (`offsets`), the classes the minor conditions identify
-    (`classes`) and one name per class (`names`) are derived.
+    `build_auxiliary` under the caller's budget, and prices every cloud's
+    positions and matrices against that budget, since a decode checks every
+    cloud's function for membership.  The clouds, their integer positions
+    (`offsets`), the classes the minor conditions identify (`classes`) and
+    one name per class (`names`) are derived.
 
     Every subset lies in a top-layer (k[0]) subset, restriction maps compose
     and the top clouds come first, so every class holds a top position, its
@@ -222,13 +223,20 @@ class CloudLayout:
         return tuple(itertools.accumulate((c.size(base) for c in self.clouds), initial=0))
 
     @cached_property
+    def top_count(self) -> int:
+        """How many top-layer (k[0]) clouds there are; they come first.  Read
+        off the subset variables, so nothing is numbered to know it."""
+        aux = self.aux
+        return sum(len(var.subset) == aux.k[0] for var in aux.variables) if aux is not None else 0
+
+    @cached_property
     def _numbering(self) -> tuple:
         """The top positions' classes and the least position of each, then per
         lower cloud its first top parent's positions and the index map's thunk."""
         aux, base = self.aux, len(self.target.strict.domain)
         variables = aux.variables if aux is not None else ()
-        tops = {var.name for var in variables if len(var.subset) == aux.k[0]}
-        top = self.offsets[len(tops)]
+        tops = {var.name for var in variables[: self.top_count]}
+        top = self.offsets[self.top_count]
         at = dict(zip((c.ref for c in self.clouds), map(range, self.offsets, self.offsets[1:])))
         reads = {}  # a lower variable -> per top subset holding it, its cloud and index map
         for con in aux.constraints if variables else ():
@@ -257,7 +265,7 @@ class CloudLayout:
                 classes[x] = number
             for x in sorted(parent):
                 classes[x] = classes[parent[x]]
-        return classes, least, [reads[ref][0] for ref in list(at)[len(tops) :]]
+        return classes, least, [reads[ref][0] for ref in list(at)[self.top_count :]]
 
     @cached_property
     def classes(self) -> array:
@@ -354,7 +362,7 @@ class CloudLayout:
             except (PromiseViolationError, StructuralError) as exc:
                 raise InputError(f"aux does not build a subset instance: {exc}") from exc
         layout = CloudLayout(target, aux, tuple(padding), gadget, gadget_reason)
-        _price_clouds(layout, budget)
+        _price_clouds(layout, budget, walked=len(layout.clouds))  # a decode checks every cloud
         return layout
 
 
@@ -375,17 +383,16 @@ def _numerals(prefix: str, width: int, count: int) -> itertools.islice:
     return itertools.islice(map("".join, itertools.product(heads, _tails(min(width, 3)))), count)
 
 
-def _price_clouds(layout: CloudLayout, budget: int) -> None:
-    """Refuse a layout whose clouds hold more positions, or whose top clouds
-    more matrices of strict relation tuples, than the budget admits: `classes`
-    fills every cloud, and `longcode_reduce` builds the top clouds' matrices
-    alone.  The top clouds come first, and are counted off the subset
-    variables, so nothing is numbered before the layout is priced."""
-    aux, relations = layout.aux, layout.target.strict.relations.values()
-    tops = sum(len(var.subset) == aux.k[0] for var in aux.variables) if aux is not None else 0
+def _price_clouds(layout: CloudLayout, budget: int, walked: int) -> None:
+    """Refuse a layout whose clouds hold more positions, or whose first
+    `walked` clouds more matrices of strict relation tuples, than the budget
+    admits.  `classes` fills every cloud.  `longcode_reduce` builds the top
+    clouds' matrices alone, but a decode checks every cloud's function for
+    membership, and `is_polymorphism` walks all of that cloud's matrices."""
+    relations = layout.target.strict.relations.values()
     total_matrices = sum(
         len(rel.tuples) ** len(cloud.index_labels)
-        for cloud in layout.clouds[:tops]
+        for cloud in layout.clouds[:walked]
         for rel in relations
     )
     if layout.offsets[-1] > budget or total_matrices > budget:
@@ -413,7 +420,7 @@ def longcode_reduce(
     one variable per identification class, named after its least position.
     """
     layout = CloudLayout(target=target, aux=aux, padding=tuple(padding))
-    _price_clouds(layout, budget)
+    _price_clouds(layout, budget, walked=layout.top_count)
 
     # Only the top clouds, which come first, emit: the scope of a matrix M in
     # a lower cloud w is that of M o pi in w's first top parent u, whose rows
@@ -426,9 +433,9 @@ def longcode_reduce(
     # Repeats, which joined top positions make, are dropped as they come: as
     # dict keys paired with None, with no second dict per block.
     classes = layout._numbering[0]  # the top clouds' classes, lower ones unfilled
-    tops = bisect_left(layout.offsets, len(classes))
     scopes, none = {rel_name: {} for rel_name in target.strict.relations}, itertools.repeat(None)
-    for cloud, start, end in zip(layout.clouds[:tops], layout.offsets, layout.offsets[1:]):
+    tops = layout.clouds[: layout.top_count]
+    for cloud, start, end in zip(tops, layout.offsets, layout.offsets[1:]):
         position = classes[start:end].tolist().__getitem__  # scopes share its ints
         for rel_name, _, head, tail in _row_index_sets(target, len(cloud.index_labels)):
             for rows in _blocks(head, tail):

@@ -208,11 +208,6 @@ class TestCommands:
         assert main(["poly", "enum", "--template", files["t22.json"], "--arity", "2"]) == 0
         assert "4 polymorphism" in capsys.readouterr().out
 
-    def test_poly_enum_takes_an_empty_label_list_as_one_label(self, files, capsys):
-        # `--labels ""` splits into the one label "", as `--labels a` gives "a"
-        assert main(["poly", "enum", "--template", files["t22.json"], "--labels", ""]) == 0
-        assert capsys.readouterr().out == "2 polymorphism(s) of arity 1\n"
-
     def test_poly_check_function(self, files, tmp_path):
         fn = pk.FiniteFunction(("x",), ("0", "1"), ("0", "1"), ("1", "0"))
         path = tmp_path / "neg.json"
@@ -788,6 +783,9 @@ class TestBareArguments:
         padded = pk.Instance(["x", "y", "z", "~pad0"], [])
         w1 = pk.CloudLayout(t22, pk.build_auxiliary(padded, t22.strict, (4, 4)), ("~pad0",))
         jsonio.write_canonical(tmp_path / "w1-layout.json", w1.to_payload())
+        # the path into (K3,K3) at k=(3,2): 36 matrices in its top cloud, 1,404 in all
+        k32 = pk.CloudLayout(xi33.template, pk.build_auxiliary(path, t22.strict, (3, 2)), ())
+        jsonio.write_canonical(tmp_path / "k32-layout.json", k32.to_payload())
         assert hashlib.sha256((tmp_path / "w1-layout.json").read_bytes()).hexdigest() == (
             "170274957d96f654f44253c750b73a3dff88dffd0f6687df1ef913f64baab7ec"
         )
@@ -856,7 +854,7 @@ class TestBareArguments:
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
-            "w1-layout.json", "empty3.json", "k-negative.json", "k-none.json",
+            "w1-layout.json", "k32-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
             "non-utf8.json", "nested.json", "long-integer.json", "number.json", "xyz.json",
             "only-x.json", "arity0.json", "short-tuple.json", "no-domain.json",
@@ -956,6 +954,12 @@ class TestBareArguments:
                  "--dr-table", "xi.json", "--source", "empty3.json",
                  "--source-template", "t22.json", "--budget", "1000"],
                 "cloud enumeration needs 65536 positions",
+            ),
+            (
+                ["decode", "--assignment", "zeros.json", "--layout", "k32-layout.json",
+                 "--dr-table", "xi33.json", "--source", "path.json",
+                 "--source-template", "t22.json", "--budget", "200"],
+                "cloud enumeration needs 108 positions and 1404 matrices, over the budget of 200",
             ),
             (
                 ["decode", "--assignment", "path-lift.json", "--layout", "no-aux-layout.json",
@@ -1060,6 +1064,14 @@ class TestBareArguments:
                 "table has 3 entries, expected 4",
             ),
             (
+                ["poly", "enum", "--template", "t22.json", "--labels", ""],
+                "--labels: expected comma-separated nonempty labels, got ''",
+            ),
+            (
+                ["poly", "enum", "--template", "t22.json", "--labels", "a,"],
+                "--labels: expected comma-separated nonempty labels, got 'a,'",
+            ),
+            (
                 ["poly", "check", "--template", "t22.json", "--dr-table", "no-images.json",
                  "--slice", "pol22.json"],
                 "image sets must be nonempty",
@@ -1079,7 +1091,8 @@ class TestBareArguments:
             "gap-layered-repeated-pair", "reduce-pcsp-table-off-the-target",
             "reduce-pcsp-identity-table-off-the-source",
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",
-            "decode-budget-on-the-layout", "decode-layout-without-aux",
+            "decode-budget-on-the-layout", "decode-budget-on-the-lower-clouds",
+            "decode-layout-without-aux",
             "reduce-pcsp-boolean-r", "msolution-boolean-index", "reduce-pcsp-identity-width-7",
             "non-utf8-first", "non-utf8-later", "nested-first", "nested-later",
             "long-integer-first", "long-integer-later", "gap-params-split-value-2000",
@@ -1088,6 +1101,7 @@ class TestBareArguments:
             "pas-arity-past-the-variables", "pas-key-outside-the-variables",
             "pas-value-outside-the-domain", "pas-no-systems", "pas-systems-on-other-variables",
             "llc-variable-in-two-layers", "function-3-entries-at-arity-2",
+            "poly-enum-no-labels", "poly-enum-a-trailing-comma",
             "explicit-table-empty-images", "slice-function-on-another-domain",
         ],
     )

@@ -396,24 +396,26 @@ class TestLatticePricedBeforeItIsBuilt:
 
 
 class TestMatricesPricedWhereBuilt:
-    """Positions are counted over every cloud, since `classes` fills them all,
-    and matrices over the top clouds alone, the only ones `longcode_reduce`
-    builds."""
+    """Positions are counted over every cloud, since `classes` fills them all.
+    Matrices are counted over the top clouds alone when reducing, the only
+    ones `longcode_reduce` builds, and over every cloud when a layout is read
+    for a decode, which checks every cloud's function for membership."""
 
     def test_the_path_into_k3k3_at_k32(self, k2):
         # one top cloud with 2 labels: 9 positions and 6**2 = 36 matrices; the
-        # lower clouds add 9 + 81 + 9 positions, and 1,368 matrices never built
+        # lower clouds add 9 + 81 + 9 positions and 36 + 1,296 + 36 matrices
         k3 = pk.complete_graph(3)
         t33 = pk.PcspTemplate(k3, k3)
         aux = pk.build_auxiliary(path_instance(), k2, (3, 2))
         instance, layout = pk.longcode_reduce(aux, t33, budget=200)
         assert (len(instance.variables), len(instance.scopes)) == (9, 36)
-        assert len(pk.CloudLayout.from_payload(layout.to_payload(), budget=200).classes) == 108
-        refusal = "^cloud enumeration needs 108 positions and 36 matrices, over the budget of 107$"
-        with pytest.raises(ResourceError, match=refusal):
+        with pytest.raises(ResourceError, match="^cloud enumeration needs 108 positions and 36 "):
             pk.longcode_reduce(aux, t33, budget=107)
+        payload = layout.to_payload()
+        assert len(pk.CloudLayout.from_payload(payload, budget=1404).classes) == 108
+        refusal = "^cloud enumeration needs 108 positions and 1404 matrices, over the budget of 1403$"
         with pytest.raises(ResourceError, match=refusal):
-            pk.CloudLayout.from_payload(layout.to_payload(), budget=107)
+            pk.CloudLayout.from_payload(payload, budget=1403)
 
 
 class TestDecode:
