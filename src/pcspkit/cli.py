@@ -11,7 +11,10 @@ The parser states what each subcommand takes, its input files named once in
 `--assignment`, `--m` and `--index`, `verify solution` `--instance`,
 `--template`, `--assignment` and `--side`, and `poly enum` exactly one of
 `--arity` and `--labels`.  `main` adds that `poly check` takes `--dr-table`
-and `--slice` together, and one of them or a `--function`.  It reads each
+and `--slice` together, and one of them or a `--function`; `poly check`
+prices every membership walk under `--budget` before it runs any; and
+`--side` picks a side of a template, so a `--template` file holding one
+structure takes none.  It reads each
 file given once, records the SHA-256 of its bytes, and only then decodes
 those bytes (`jsonio.loads`) for the handler.  A file that is missing, or
 that `json` cannot decode, is an error like any other; so is a report that
@@ -29,6 +32,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import jsonio
 from .core import (
@@ -53,6 +57,7 @@ from .minion import (
     FiniteFunction,
     LazyPolymorphismSlice,
     MinionSlice,
+    _price_matrices,
     check_dr_homomorphism,
     dr_table_from_payload,
     enumerate_polymorphisms,
@@ -101,9 +106,13 @@ class _Report:
         return all(self.verifications.values())
 
 
-def _load_side(payload, side: str) -> RelationalStructure:
+def _load_side(payload, side: Optional[str]) -> RelationalStructure:
+    """The `--side` of a template file, its strict side when none is given;
+    a file holding one structure is that structure, and takes no `--side`."""
     if isinstance(payload, dict) and "strict" in payload and "relaxed" in payload:
-        return PcspTemplate.from_payload(payload).side(side)
+        return PcspTemplate.from_payload(payload).side(side or "strict")
+    if side is not None:
+        raise InputError(f"--side {side}: --template holds one structure, not a template")
     return RelationalStructure.from_payload(payload)
 
 
@@ -123,14 +132,14 @@ def _emit(path, payload, report: _Report) -> None:
 
 def _cmd_solve(args, inputs: dict, report: _Report) -> int:
     instance = Instance.from_payload(inputs[args.instance])
-    side = _load_side(inputs[args.template], args.side)
+    side, tag = _load_side(inputs[args.template], args.side), args.side or "strict"
     if args.all:
-        solutions = all_solutions(instance, side, budget=args.budget, tag=args.side)
+        solutions = all_solutions(instance, side, budget=args.budget, tag=tag)
         report.payload["count"] = len(solutions)
         _emit(args.out, {"solutions": [s.to_payload() for s in solutions]}, report)
         print(f"{len(solutions)} solution(s)")
         return 0 if solutions else 1
-    found = brute_force_solve(instance, side, budget=args.budget, tag=args.side)
+    found = brute_force_solve(instance, side, budget=args.budget, tag=tag)
     if found is None:
         print("unsatisfiable")
         return 1
@@ -155,20 +164,26 @@ def _cmd_poly_enum(args, inputs: dict, report: _Report) -> int:
 
 def _cmd_poly_check(args, inputs: dict, report: _Report) -> int:
     template = PcspTemplate.from_payload(inputs[args.template])
-    # a function over other domains than the template's is no member
-    member = LazyPolymorphismSlice(template).contains
-    ok = True
-    for path in args.function:
-        good = member(FiniteFunction.from_payload(inputs[path]))
-        report.verified(f"polymorphism:{path}", good)
-        print(f"{path}: {'polymorphism' if good else 'NOT a polymorphism'}")
-        ok = ok and good
+    functions = [FiniteFunction.from_payload(inputs[path]) for path in args.function]
+    members = []
     if args.dr_table:
         table = dr_table_from_payload(inputs[args.dr_table])
         slice_ = MinionSlice.from_payload(inputs[args.slice])
         # the payload's own order, so the error names the member as written
-        for i, item in enumerate(inputs[args.slice]["functions"]):
-            if not member(FiniteFunction.from_payload(item)):
+        members = [FiniteFunction.from_payload(item) for item in inputs[args.slice]["functions"]]
+    for fn in functions + members:  # every walk is priced before any runs
+        _price_matrices(template, len(fn.arity_set), args.budget)
+    # a function over other domains than the template's is no member
+    member = LazyPolymorphismSlice(template).contains
+    ok = True
+    for path, fn in zip(args.function, functions):
+        good = member(fn)
+        report.verified(f"polymorphism:{path}", good)
+        print(f"{path}: {'polymorphism' if good else 'NOT a polymorphism'}")
+        ok = ok and good
+    if args.dr_table:
+        for i, fn in enumerate(members):
+            if not member(fn):
                 raise InputError(
                     f"{args.slice}: functions[{i}] is not a polymorphism of the template"
                 )
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="brute-force solve an instance over a structure")
-    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--side", choices=("strict", "relaxed"))
     p.add_argument("--all", action="store_true")
     _add_common(p, _cmd_solve, "--instance", "--template")
 
@@ -368,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     _add_common(p, _cmd_gap_extract, "--pas", "--params", budget=False)
     p = gap.add_parser("oracle")
-    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--side", choices=("strict", "relaxed"))
     p.add_argument("--k", required=True)
     p.add_argument("--d", type=int, required=True)
     _add_common(p, _cmd_gap_oracle, "--instance", "--template", out=False)
@@ -380,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = reduce_.add_parser("llc")
-    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--side", choices=("strict", "relaxed"))
     _add_common(p, _cmd_reduce_llc, "--instance", "--template", "--params")
     p = reduce_.add_parser("pcsp")
     p.add_argument("--layout", default=None)  # written, not read
@@ -402,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     _add_common(p, _cmd_verify_msolution, "--pas", "--assignment", out=False, budget=False)
     p = verify.add_parser("solution")
-    p.add_argument("--side", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--side", choices=("strict", "relaxed"))
     files = ("--instance", "--template", "--assignment")
     _add_common(p, _cmd_verify_solution, *files, out=False, budget=False)
 

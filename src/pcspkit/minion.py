@@ -287,6 +287,19 @@ def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:
     return _preserves(t.table, _row_index_sets(template, len(t.arity_set)))
 
 
+def _price_matrices(template: PcspTemplate, n: int, budget: int) -> None:
+    """Refuse the matrices of n strict-relation columns, the ones a membership
+    check or a search at arity n walks, when their row entries exceed the budget."""
+    relations = template.strict.relations.values()
+    matrices = sum(len(rel.tuples) ** n for rel in relations)
+    entries = sum(len(rel.tuples) ** n * rel.arity for rel in relations)
+    if entries > budget:
+        raise ResourceError(
+            f"checking {_count_text(matrices)} matrices takes {_count_text(entries)} row entries, "
+            f"over the budget of {budget}"
+        )
+
+
 def enumerate_polymorphisms(
     template: PcspTemplate, arity_set: Sequence[str], budget: int = DEFAULT_BUDGET
 ) -> tuple:
@@ -301,14 +314,7 @@ def enumerate_polymorphisms(
     """
     arity_set = _arity_tuple(arity_set)
     n = len(arity_set)
-    relations = template.strict.relations.values()
-    matrices = sum(len(rel.tuples) ** n for rel in relations)
-    entries = sum(len(rel.tuples) ** n * rel.arity for rel in relations)
-    if entries > budget:
-        raise ResourceError(
-            f"checking {_count_text(matrices)} matrices takes {_count_text(entries)} row entries, "
-            f"over the budget of {budget}"
-        )
+    _price_matrices(template, n, budget)
     checks = [
         (rows, target.__contains__)
         for _, target, head, tail in _row_index_sets(template, n)

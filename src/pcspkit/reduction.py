@@ -19,8 +19,8 @@ a layout records those and its reader rebuilds the instance with
 `build_auxiliary`; decoding refuses a source or strict side that differs.
 The identification classes are fixed by the subset instance and the target,
 so the layout derives them once from the top-layer clouds and names each
-once (`CloudLayout.names`); emission reads the top clouds alone, and lifting
-and reading fill a lower cloud's classes (`CloudLayout.classes`) on demand.
+once (`CloudLayout.names`); emission and lifting read the top clouds alone;
+reading fills a lower cloud's classes (`CloudLayout.classes`) on demand.
 """
 
 from __future__ import annotations
@@ -272,7 +272,8 @@ class CloudLayout:
         """Per integer position, the number of its identification class, numbered
         in the order of the classes' least positions.  A constraint u -> w with
         map pi identifies position g of w with g o pi of u, the index `minor` reads.
-        Lower clouds are filled here, on the first read, never by the reduction."""
+        Lower clouds are filled here, on the first read by a reader
+        (`read_cloud_functions`, `reps`), never by the reduction or the lift."""
         top, _, lower = self._numbering
         classes = array(top.typecode, top) if lower else top  # no lower cloud, no copy
         for u, index in lower:
@@ -580,7 +581,10 @@ def read_cloud_functions(
 def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     """The canonical strict solution of the long-code instance induced by a
     strict solution of the (padded) source: every cloud becomes the evaluation
-    map at the encoded partial solution."""
+    map at the encoded partial solution.  Only the top clouds, which come
+    first, are walked, on their top-layer classes: every class holds a top
+    position, and a partial solution on a top subset restricts to one on
+    each lower subset, whose evaluation map is the minor of the top one's."""
     if layout.gadget:
         raise InputError("cannot lift through a gadget layout")
     aux = layout.aux
@@ -591,14 +595,15 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
                 f"the strict solution is missing variable {x!r}; it must cover the source "
                 f"and the padding variables listed in layout.padding {list(layout.padding)}"
             )
-    values, names = {}, layout.names
+    values, names, classes = {}, layout.names, layout._numbering[0]  # top clouds' classes
     a1 = layout.target.strict.domain
-    for var, start, end in zip(aux.variables, layout.offsets, layout.offsets[1:]):
+    tops = aux.variables[: layout.top_count]
+    for var, start, end in zip(tops, layout.offsets, layout.offsets[1:]):
         restriction = tuple(hmap[x] for x in var.subset)
         if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
         evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
-        for number, value in zip(layout.classes[start:end], evaluation.table):
+        for number, value in zip(classes[start:end], evaluation.table):
             if values.setdefault(names[number], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")
     # Classes are numbered by their least positions, met here in that order,

@@ -12,15 +12,20 @@ with it, position name by position name.
 `emit_every_cloud` is the emission loop longcode_reduce ran before it emitted
 from the top clouds alone: it walks every cloud's matrices, lower clouds
 included, and drops the repeated scopes.  Tests require the same instance
-text from both, byte for byte."""
+text from both, byte for byte.
+
+`lift_every_cloud` is the loop lift_strict_solution ran before it lifted
+through the top clouds alone: it sets every cloud, lower clouds included, to
+the evaluation map at the encoded partial solution.  Tests require the same
+assignment, or the same refusal, from both."""
 
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from pcspkit.core import DEFAULT_BUDGET, Constraint, Instance, PcspTemplate
-from pcspkit.errors import ResourceError
-from pcspkit.minion import _blocks, _minor_index, _row_index_sets
+from pcspkit.core import DEFAULT_BUDGET, Assignment, Constraint, Instance, PcspTemplate
+from pcspkit.errors import InputError, InvariantError, ResourceError
+from pcspkit.minion import _blocks, _minor_index, _row_index_sets, dictator
 from pcspkit.reduction import AuxiliaryInstance, CloudLayout as DerivedLayout
 
 
@@ -253,3 +258,28 @@ def emit_every_cloud(aux: AuxiliaryInstance, target: PcspTemplate) -> Instance:
         relation_names += [rel_name] * len(scopes[rel_name])
         sorted_scopes += sorted(scopes[rel_name])
     return Instance._of(layout.names, tuple(relation_names), tuple(sorted_scopes))
+
+
+def lift_every_cloud(h, layout: DerivedLayout) -> Assignment:
+    """The canonical strict solution from every cloud: each cloud's positions,
+    in classes (`pcspkit.CloudLayout.classes`, every cloud filled), take the
+    evaluation map at the restriction of h to the cloud's subset."""
+    if layout.gadget:
+        raise InputError("cannot lift through a gadget layout")
+    aux, hmap = layout.aux, dict(h)
+    for x in aux.source.variables:
+        if x not in hmap:
+            raise InputError(
+                f"the strict solution is missing variable {x!r}; it must cover the source "
+                f"and the padding variables listed in layout.padding {list(layout.padding)}"
+            )
+    values, names, a1 = {}, layout.names, layout.target.strict.domain
+    for var, start, end in zip(aux.variables, layout.offsets, layout.offsets[1:]):
+        restriction = tuple(hmap[x] for x in var.subset)
+        if restriction not in var.solutions:
+            raise InputError(f"assignment is not a partial solution on {var.name}")
+        evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
+        for number, value in zip(layout.classes[start:end], evaluation.table):
+            if values.setdefault(names[number], value) != value:
+                raise InvariantError("merge classes received clashing lifted values")
+    return Assignment._of(values, side="strict")

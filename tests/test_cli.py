@@ -82,7 +82,7 @@ _REPORT = {"-h/--help": "help", "--report": "store"}
 _OUT = {"--out": "store"}
 _BUDGET = {"--budget": "store default=10000000 type=int"}
 _COMMON = {**_REPORT, **_OUT, **_BUDGET}
-_SIDE = "store default='strict' choices=('strict', 'relaxed')"
+_SIDE = "store choices=('strict', 'relaxed')"
 
 
 class TestParserSurface:
@@ -839,7 +839,12 @@ class TestBareArguments:
             {**pk.LlcInstance([("a",)], {"a": ("0",)}, {}).to_payload(), "layers": [["a"], ["a"]]},
         )
         neg = pk.FiniteFunction(("u", "w"), "01", "01", "0110").to_payload()
+        jsonio.write_canonical(tmp_path / "neg.json", neg)
         jsonio.write_canonical(tmp_path / "table3.json", {**neg, "table": ["0", "1", "1"]})
+        # a 9-ary dictator over K3, a member whose check walks 6^9 matrices
+        d9 = pk.dictator(tuple(f"x{i}" for i in range(9)), "012", "x0")
+        jsonio.write_canonical(tmp_path / "d9.json", d9.to_payload())
+        jsonio.write_canonical(tmp_path / "k32.json", [3, 2])
         pol22 = pk.polymorphism_slice(t22, [("a",)])
         jsonio.write_canonical(tmp_path / "pol22.json", pol22.to_payload())
         identity = pk.FiniteFunction(("a",), "01", "01", "01")
@@ -859,8 +864,8 @@ class TestBareArguments:
             "non-utf8.json", "nested.json", "long-integer.json", "number.json", "xyz.json",
             "only-x.json", "arity0.json", "short-tuple.json", "no-domain.json",
             "pas-arity3.json", "pas-key.json", "pas-value.json", "no-systems.json",
-            "x-then-y.json", "two-layers.json", "table3.json", "pol22.json", "no-images.json",
-            "other-in-domain.json",
+            "x-then-y.json", "two-layers.json", "neg.json", "table3.json", "d9.json", "k32.json",
+            "pol22.json", "no-images.json", "other-in-domain.json",
         )
         return {**files, **{name: str(tmp_path / name) for name in written}}
 
@@ -1081,6 +1086,40 @@ class TestBareArguments:
                  "--slice", "other-in-domain.json"],
                 "function domains disagree with the slice",
             ),
+            (
+                ["solve", "--instance", "edge3.json", "--template", "k2.json", "--side", "relaxed"],
+                "--side relaxed: --template holds one structure, not a template",
+            ),
+            (
+                ["gap", "oracle", "--instance", "edge3.json", "--template", "k2.json",
+                 "--k", "3,2", "--d", "1", "--side", "strict"],
+                "--side strict: --template holds one structure, not a template",
+            ),
+            (
+                ["reduce", "llc", "--instance", "edge3.json", "--template", "k2.json",
+                 "--params", "k32.json", "--side", "relaxed"],
+                "--side relaxed: --template holds one structure, not a template",
+            ),
+            (
+                ["verify", "solution", "--instance", "edge3.json", "--template", "k2.json",
+                 "--assignment", "zeros.json", "--side", "strict"],
+                "--side strict: --template holds one structure, not a template",
+            ),
+            (
+                ["poly", "check", "--template", "t33.json", "--function", "d9.json",
+                 "--budget", "1000"],
+                "checking 10077696 matrices takes 20155392 row entries, over the budget of 1000",
+            ),
+            (
+                ["poly", "check", "--template", "t22.json", "--function", "neg.json",
+                 "--budget", "0"],
+                "checking 4 matrices takes 8 row entries, over the budget of 0",
+            ),
+            (
+                ["poly", "check", "--template", "t22.json", "--dr-table", "xi.json",
+                 "--slice", "pol22.json", "--budget", "3"],
+                "checking 2 matrices takes 4 row entries, over the budget of 3",
+            ),
         ],
         ids=[
             "gap-params-values", "gap-oracle-k", "msolution-index-past-the-end",
@@ -1103,6 +1142,10 @@ class TestBareArguments:
             "llc-variable-in-two-layers", "function-3-entries-at-arity-2",
             "poly-enum-no-labels", "poly-enum-a-trailing-comma",
             "explicit-table-empty-images", "slice-function-on-another-domain",
+            "solve-side-on-a-structure", "gap-oracle-side-on-a-structure",
+            "reduce-llc-side-on-a-structure", "verify-solution-side-on-a-structure",
+            "poly-check-function-budget", "poly-check-function-budget-0",
+            "poly-check-slice-member-budget",
         ],
     )
     def test_is_one_error_line_and_a_report(self, argv, message, more, tmp_path, capsys):

@@ -662,7 +662,8 @@ def _nested_path_functions(k2, t22):
 
 class TestDecodeRefusesBrokenClouds:
     """Each subset variable's function is checked once: present, on the
-    variable's own labels, and a polymorphism of the target."""
+    variable's own labels, and a polymorphism of the target; and each
+    constraint once, as a minor along its map."""
 
     def test_a_missing_subset_variable(self, k2, t22, ident22):
         phi, layout, fns = _nested_path_functions(k2, t22)
@@ -693,6 +694,18 @@ class TestDecodeRefusesBrokenClouds:
         constant = ["0"] * len(fn.table)
         fns["x,y"] = pk.FiniteFunction(fn.arity_set, fn.in_domain, fn.out_domain, constant)
         with pytest.raises(InputError, match="not a polymorphism"):
+            pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
+
+    def test_a_member_that_is_no_minor_of_its_top_cloud(self, k2, t22, ident22):
+        # the lift puts the dictator on label 0, (x,z)=(0,0), at x,z; the one
+        # on label 3, (1,1), is a member too, but not the minor of x,y,z's
+        phi, layout, fns = _nested_path_functions(k2, t22)
+        arity = fns["x,z"].arity_set
+        assert fns["x,z"] == pk.dictator(arity, k2.domain, 0)
+        fns["x,z"] = pk.dictator(arity, k2.domain, 3)
+        assert pk.LazyPolymorphismSlice(t22).contains(fns["x,z"])
+        message = "^constraint x,y,z->x,z is not satisfied in the lifted relation$"
+        with pytest.raises(InputError, match=message):
             pk.decode_relaxed_solution(fns, layout, ident22, phi, t22)
 
 
@@ -1219,6 +1232,79 @@ class TestEmissionFromTheTopClouds:
         monkeypatch.setattr(pk.reduction, "_minor_index", counting_index)
         table = pk.IdentityDrTable(t22, r=2)
         result = pk.pipeline_reduce(bipartite_instance(5), t22, t22, table)
+        assert built == []
+        assert len(result.layout.classes) == 656164 and len(built) == 210
+
+
+@st.composite
+def lift_cases(draw):
+    """A subset instance and a target from `emission_cases`, with a strict
+    assignment of its (padded) source: a brute-force solution, a random
+    total assignment, or one that misses a variable."""
+    aux, target = draw(emission_cases())
+    variables, domain = aux.source.variables, aux.strict.domain
+    kind = draw(st.sampled_from(["solution", "random", "missing"]))
+    h = pk.brute_force_solve(aux.source, aux.strict) if kind == "solution" else None
+    if h is None:
+        values = st.lists(st.sampled_from(domain), min_size=len(variables), max_size=len(variables))
+        h = dict(zip(variables, draw(values)))
+        if kind == "missing":
+            del h[draw(st.sampled_from(variables))]
+    return aux, target, h
+
+
+class TestLiftFromTheTopClouds:
+    """`lift_strict_solution` walks the top clouds alone and fills no lower
+    cloud; it returns what every cloud's evaluation maps give
+    (`reference_longcode.lift_every_cloud`), or refuses as that does."""
+
+    @staticmethod
+    def _outcome(lift, h, layout):
+        try:
+            return jsonio.canonical_dumps(lift(h, layout).to_payload())
+        except (InputError, InvariantError) as exc:
+            return type(exc), str(exc)
+
+    def assert_same_outcome(self, aux, target, h):
+        # separate layouts, so neither reads classes the other filled
+        layouts = [pk.CloudLayout(target=target, aux=aux, padding=()) for _ in range(2)]
+        top = self._outcome(pk.lift_strict_solution, h, layouts[0])
+        assert top == self._outcome(reference_longcode.lift_every_cloud, h, layouts[1])
+        return top
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=lift_cases())
+    @example(case=(*_over_k2(_path(7), (3, 2)), {f"x{i}": "01"[i % 2] for i in range(7)}))
+    @example(case=(*_over_k2(cycle_instance(6), (3, 3, 2)), {f"v{i}": "0" for i in range(6)}))
+    def test_same_assignment_or_refusal_as_every_cloud(self, case):
+        self.assert_same_outcome(*case)
+
+    def test_k55_at_r2(self, t22, k55_r2):
+        aux = k55_r2[0].layout.aux
+        colouring = {x: "0" if x.startswith("a") else "1" for x in aux.source.variables}
+        assert isinstance(self.assert_same_outcome(aux, t22, colouring), str)
+        # a0 and b0 both 0 breaks the edge inside the one top subset
+        refusal = (InputError, "assignment is not a partial solution on " + aux.variables[0].name)
+        assert self.assert_same_outcome(aux, t22, {**colouring, "b0": "0"}) == refusal
+        del colouring["a0"]
+        kind, message = self.assert_same_outcome(aux, t22, colouring)
+        assert kind is InputError
+        assert message.startswith("the strict solution is missing variable 'a0'")
+
+    def test_the_lift_builds_no_lower_index_map(self, monkeypatch, t22, k2):
+        # after the reduction, the lift fills no lower cloud either; the 210
+        # lower clouds' index maps are built only when `classes` is read
+        built = []
+        real_index = pk.reduction._minor_index
+
+        def counting_index(base, arity_set, pi, target):
+            built.append(tuple(target))
+            return real_index(base, arity_set, pi, target)
+
+        monkeypatch.setattr(pk.reduction, "_minor_index", counting_index)
+        phi, table = bipartite_instance(5), pk.IdentityDrTable(t22, r=2)
+        result = pk.pipeline_reduce(phi, t22, t22, table)
+        pk.lift_strict_solution(pk.brute_force_solve(phi, k2), result.layout)
         assert built == []
         assert len(result.layout.classes) == 656164 and len(built) == 210
 
