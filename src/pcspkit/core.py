@@ -271,11 +271,11 @@ class Instance:
         return Instance._of(variables, tuple(names), tuple(scopes))
 
     def to_payload(self) -> dict:
-        name = self.variables.__getitem__
+        names = self.variables
         return {
-            "variables": list(self.variables),
+            "variables": list(names),
             "constraints": [
-                {"scope": list(map(name, scope)), "relation": relation}
+                {"scope": [names[i] for i in scope], "relation": relation}
                 for relation, scope in zip(self.relation_names, self.scopes)
             ],
         }

@@ -6,8 +6,12 @@ terminated so that identical objects always produce identical bytes: the text
 a newline.  `json` falls back to its pure-Python encoder whenever it indents, so
 `canonical_dumps` lays out the containers itself: strings go through the C
 string encoder, a list of strings is joined in one step, and every other
-scalar is `json.dumps`'s own compact text.  Tuples are arrays, and dict keys
-that are not strings are written as `json` writes them.
+scalar is `json.dumps`'s own compact text.  A string map (a plain dict whose
+keys and values are all strings that need no escape, such as an assignment's
+values) is laid out the same way: its keys sorted once into one column, its
+values in another, and the entries joined from the two in one step.  Any
+other dict, a dict subclass included, is laid out entry by entry.  Tuples are
+arrays, and dict keys that are not strings are written as `json` writes them.
 
 A list of records (plain dicts that all have one set of string keys, such as
 an instance's constraints) has its keys sorted once.  Its records share the text
@@ -56,16 +60,32 @@ def _dumps(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        items = ("," + inner).join(
-            [
-                encode_basestring(key if isinstance(key, str) else _key(key))
-                + ": "
-                + (encode_basestring(item) if isinstance(item, str) else _dumps(item, inner))
-                for key, item in sorted(value.items())
-            ]
-        )
+        items = _string_map(value, inner) if type(value) is dict else None
+        if items is None:
+            items = ("," + inner).join(
+                [
+                    encode_basestring(key if isinstance(key, str) else _key(key))
+                    + ": "
+                    + (encode_basestring(item) if isinstance(item, str) else _dumps(item, inner))
+                    for key, item in sorted(value.items())
+                ]
+            )
         return "".join(("{", inner, items, newline, "}"))
     return json.dumps(value)
+
+
+def _string_map(value: dict, newline: str):
+    """The entries of a plain dict whose keys and values are all strings that
+    need no escape, laid out at `newline` from one sorted key column and one
+    value column in one step; None for any other dict."""
+    keys = sorted(value)
+    values = list(map(value.__getitem__, keys))
+    try:
+        if _ESCAPED("".join(keys)) or _ESCAPED("".join(values)):
+            return None
+    except TypeError:  # a key or a value that is not a string
+        return None
+    return '"' + ('",' + newline + '"').join(map('": "'.join, zip(keys, values))) + '"'
 
 
 # The mark of a value's place in a record's text: no JSON text holds a raw NUL,

@@ -158,12 +158,16 @@ def _strides(base: int, n: int) -> list:
 
 
 def dictator(arity_set, domain, coordinate: str) -> FiniteFunction:
-    """The projection onto one coordinate of the arity set."""
+    """The projection onto one coordinate of the arity set.  Its table is
+    built in blocks: with the coordinate at place j of the n sorted labels,
+    each atom repeated |A|^(n-1-j) times, that block repeated |A|^j times."""
     if coordinate not in arity_set:
         raise InputError(f"{coordinate!r} is not in the arity set")
-    domain = tuple(sorted(set(domain)))
-    identity = FiniteFunction._of((coordinate,), domain, domain, domain)
-    return minor(identity, {coordinate: coordinate}, target=arity_set)
+    arity_set, domain = tuple(sorted(set(arity_set))), tuple(sorted(set(domain)))
+    n, j = len(arity_set), arity_set.index(coordinate)
+    run = len(domain) ** (n - 1 - j)
+    block = tuple(itertools.chain.from_iterable(itertools.repeat(a, run) for a in domain))
+    return FiniteFunction._of(arity_set, domain, domain, block * len(domain) ** j)
 
 
 def minor(

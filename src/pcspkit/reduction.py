@@ -584,7 +584,10 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
     map at the encoded partial solution.  Only the top clouds, which come
     first, are walked, on their top-layer classes: every class holds a top
     position, and a partial solution on a top subset restricts to one on
-    each lower subset, whose evaluation map is the minor of the top one's."""
+    each lower subset, whose evaluation map is the minor of the top one's.
+    Every top's restriction is checked before any class is filled, so an
+    assignment that is no partial solution is refused naming the first top
+    that fails: every lower subset lies in a top and has fewer constraints."""
     if layout.gadget:
         raise InputError("cannot lift through a gadget layout")
     aux = layout.aux
@@ -595,14 +598,16 @@ def lift_strict_solution(h, layout: CloudLayout) -> Assignment:
                 f"the strict solution is missing variable {x!r}; it must cover the source "
                 f"and the padding variables listed in layout.padding {list(layout.padding)}"
             )
-    values, names, classes = {}, layout.names, layout._numbering[0]  # top clouds' classes
-    a1 = layout.target.strict.domain
-    tops = aux.variables[: layout.top_count]
-    for var, start, end in zip(tops, layout.offsets, layout.offsets[1:]):
+    tops, coordinates = aux.variables[: layout.top_count], []
+    for var in tops:
         restriction = tuple(hmap[x] for x in var.subset)
         if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
-        evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
+        coordinates.append(var.solutions.index(restriction))
+    values, names, classes = {}, layout.names, layout._numbering[0]  # top clouds' classes
+    a1 = layout.target.strict.domain
+    for var, c, start, end in zip(tops, coordinates, layout.offsets, layout.offsets[1:]):
+        evaluation = dictator(var.labels(), a1, c)
         for number, value in zip(classes[start:end], evaluation.table):
             if values.setdefault(names[number], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")

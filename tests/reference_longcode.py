@@ -16,8 +16,13 @@ text from both, byte for byte.
 
 `lift_every_cloud` is the loop lift_strict_solution ran before it lifted
 through the top clouds alone: it sets every cloud, lower clouds included, to
-the evaluation map at the encoded partial solution.  Tests require the same
-assignment, or the same refusal, from both."""
+the evaluation map at the encoded partial solution.  It checks every cloud's
+restriction before it fills any class, as lift_strict_solution checks every
+top's, so a non-solution is refused naming its first failing cloud, which is
+always a top.  Tests require the same assignment, or the same refusal, from
+both.  Its evaluation maps come from `reference_minion.dictator`, the
+minor-route builder, so the comparison does not rest on the block-built
+`pcspkit.dictator`."""
 
 import itertools
 from dataclasses import dataclass
@@ -25,8 +30,9 @@ from typing import Optional, Sequence
 
 from pcspkit.core import DEFAULT_BUDGET, Assignment, Constraint, Instance, PcspTemplate
 from pcspkit.errors import InputError, InvariantError, ResourceError
-from pcspkit.minion import _blocks, _minor_index, _row_index_sets, dictator
+from pcspkit.minion import _blocks, _minor_index, _row_index_sets
 from pcspkit.reduction import AuxiliaryInstance, CloudLayout as DerivedLayout
+from reference_minion import dictator
 
 
 @dataclass(frozen=True)
@@ -273,12 +279,15 @@ def lift_every_cloud(h, layout: DerivedLayout) -> Assignment:
                 f"the strict solution is missing variable {x!r}; it must cover the source "
                 f"and the padding variables listed in layout.padding {list(layout.padding)}"
             )
-    values, names, a1 = {}, layout.names, layout.target.strict.domain
-    for var, start, end in zip(aux.variables, layout.offsets, layout.offsets[1:]):
+    coordinates = []
+    for var in aux.variables:  # every cloud is checked before any class is filled
         restriction = tuple(hmap[x] for x in var.subset)
         if restriction not in var.solutions:
             raise InputError(f"assignment is not a partial solution on {var.name}")
-        evaluation = dictator(var.labels(), a1, var.solutions.index(restriction))
+        coordinates.append(var.solutions.index(restriction))
+    values, names, a1 = {}, layout.names, layout.target.strict.domain
+    for var, c, start, end in zip(aux.variables, coordinates, layout.offsets, layout.offsets[1:]):
+        evaluation = dictator(var.labels(), a1, c)
         for number, value in zip(layout.classes[start:end], evaluation.table):
             if values.setdefault(names[number], value) != value:
                 raise InvariantError("merge classes received clashing lifted values")

@@ -15,7 +15,12 @@ are the audits as they were before they shared one minor graph, unchanged,
 with `_all_maps`, `_chains_from`, `_chain_admits_pair` and `compose_maps`;
 they call this module's `minor`.  The one change: `check_dr_homomorphism`
 images every member before its first chain, so a table must cover the whole
-slice.  Only the property tests in tests/test_minion.py use this module.
+slice.
+
+`dictator` is the former `dictator`, unchanged: the pi-minor of the unary
+identity onto the arity set, through `pcspkit.minion.minor`, where the library
+now builds the table in blocks.  The property tests in tests/test_minion.py
+use this module, and tests/reference_longcode.py lifts through its `dictator`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import itertools
 from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence
 
+from pcspkit import minion
 from pcspkit.core import DEFAULT_BUDGET, PcspTemplate
 from pcspkit.errors import InputError, ResourceError, StructuralError
 from pcspkit.minion import (
@@ -64,6 +70,15 @@ def function_from_callable(arity_set, in_domain, out_domain, fn) -> FiniteFuncti
         for args in itertools.product(in_domain, repeat=len(arity_set))
     ]
     return FiniteFunction(arity_set, in_domain, out_domain, table)
+
+
+def dictator(arity_set, domain, coordinate: str) -> FiniteFunction:
+    """The projection onto one coordinate of the arity set."""
+    if coordinate not in arity_set:
+        raise InputError(f"{coordinate!r} is not in the arity set")
+    domain = tuple(sorted(set(domain)))
+    identity = FiniteFunction._of((coordinate,), domain, domain, domain)
+    return minion.minor(identity, {coordinate: coordinate}, target=arity_set)
 
 
 def minor(

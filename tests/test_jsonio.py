@@ -133,9 +133,41 @@ class TestCanonicalDumps:
         assert jsonio.canonical_dumps(payload) == reference(payload)
         assert jsonio.canonical_dumps({"records": payload}) == reference({"records": payload})
 
+    # Maps whose keys and values are all strings without an escape take the
+    # string-map path, laid out from a key column and a value column; every
+    # other dict takes the entry-by-entry path.
+    @pytest.mark.parametrize(
+        "payload, string_map",
+        [
+            ({f"p{i:04d}": "01"[i % 3 % 2] for i in reversed(range(2000))}, True),
+            ({"b": "y", "é漢😀": "", "": "[{,}]", "a": "x"}, True),
+            ({"b": "y", 'q"uote': "x", "a": "z"}, False),
+            ({"b": "y", "c": "x", "a": "line\nbreak"}, False),
+            ({"a": "x", "b": "y", "z": 1}, False),
+            ({"a": "x", "b": "y", "z": ["x"]}, False),
+            ({1: "a", 10: "b", 2: "c"}, False),
+            ({True: "t", False: "f"}, False),
+            (Upper(a="x", b="y"), False),
+            ({"values": Upper(a="x", b="y"), "side": "strict"}, False),
+        ],
+    )
+    def test_string_maps(self, payload, string_map):
+        assert jsonio.canonical_dumps(payload) == reference(payload)
+        assert jsonio.canonical_dumps({"values": payload}) == reference({"values": payload})
+        laid_out = type(payload) is dict and jsonio._string_map(payload, "\n  ") is not None
+        assert laid_out is string_map
+
     @pytest.mark.parametrize(
         "payload",
-        [{1: "a", "b": "c"}, {(1, 2): "t"}, [object()], {"a": {1, 2}}, [{"a": "x"}, {"a": {1, 2}}]],
+        [
+            {1: "a", "b": "c"},
+            {"b": "c", 1: "a"},
+            {"a": {1: "x", "b": "y"}},
+            {(1, 2): "t"},
+            [object()],
+            {"a": {1, 2}},
+            [{"a": "x"}, {"a": {1, 2}}],
+        ],
     )
     def test_what_json_refuses_is_refused(self, payload):
         with pytest.raises(TypeError):

@@ -641,6 +641,22 @@ class TestKernelAgainstReference:
                     arity, domain, domain, lambda g: g[c]
                 )
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        arity=st.one_of(
+            st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=6, unique=True),
+            st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True),
+        ),
+        domain=st.lists(st.sampled_from("0123ab"), min_size=1, max_size=3, unique=True),
+    )
+    def test_block_built_dictators_are_the_minor_route_ones(self, arity, domain):
+        # the arity set and the domain come unsorted, as callers may pass them
+        for c in arity:
+            fast, slow = dictator(arity, domain, c), reference_minion.dictator(arity, domain, c)
+            assert (fast.arity_set, fast.in_domain, fast.out_domain, fast.table) == (
+                slow.arity_set, slow.in_domain, slow.out_domain, slow.table
+            )
+
 
 NAE = pk.structure("01", r=(3, set(itertools.product("01", repeat=3)) - {("0",) * 3, ("1",) * 3}))
 CACHED = {

@@ -1291,6 +1291,16 @@ class TestLiftFromTheTopClouds:
         assert kind is InputError
         assert message.startswith("the strict solution is missing variable 'a0'")
 
+    def test_a_non_solution_is_refused_at_its_first_failing_top(self):
+        # the tops x0,x1,x2 and x0,x1,x3 pass and are joined through x0,x2,x3's
+        # lower subsets; all "1" breaks x2 != x3 inside x0,x2,x3, which is
+        # named, before any class is filled with a clashing value
+        phi = pk.Instance([f"x{i}" for i in range(4)], [(("x2", "x3"), "neq")])
+        aux, target = _over_k2(phi, (3, 2))
+        failing = next(v for v in aux.variables if v.subset == ("x0", "x2", "x3"))
+        refusal = (InputError, "assignment is not a partial solution on " + failing.name)
+        assert self.assert_same_outcome(aux, target, dict.fromkeys(phi.variables, "1")) == refusal
+
     def test_the_lift_builds_no_lower_index_map(self, monkeypatch, t22, k2):
         # after the reduction, the lift fills no lower cloud either; the 210
         # lower clouds' index maps are built only when `classes` is read
