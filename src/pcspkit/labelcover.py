@@ -5,7 +5,9 @@ Variables live in ordered layers; constraints are total maps that only point
 from lower to higher layer index, at most one per ordered pair.  A chain picks
 one variable per layer with every pairwise constraint present; a set-valued
 assignment weakly satisfies a chain when at least one of those constraint maps
-carries its source set into the target set.
+carries its source set into the target set; chains grow through successors.
+One integer chain search decides both values: the layered value converts its
+instance once, and the value oracle builds no label cover at all.
 """
 
 from __future__ import annotations
@@ -40,17 +42,15 @@ class LlcInstance:
 
     def __init__(self, layers, domains, constraints):
         layers = tuple(tuple(layer) for layer in layers)
-        seen = set()
-        for layer in layers:
-            for x in layer:
-                if x in seen:
-                    raise InputError(f"variable {x!r} appears in two layers")
-                seen.add(x)
-        missing = [x for layer in layers for x in layer if x not in domains]
+        names = [x for layer in layers for x in layer]
+        index = {x: i for i, layer in enumerate(layers) for x in layer}
+        if len(index) < len(names):
+            twice = next(x for n, x in enumerate(names) if x in names[:n])
+            raise InputError(f"variable {twice!r} appears in two layers")
+        missing = [x for x in names if x not in domains]
         if missing:
             raise InputError(f"variable {missing[0]!r} has no domain")
-        domains = {x: tuple(domains[x]) for layer in layers for x in layer}
-        index = {x: i for i, layer in enumerate(layers) for x in layer}
+        domains = {x: tuple(domains[x]) for x in names}
         cmap = {}
         for (x, y), psi in dict(constraints).items():
             if x not in index or y not in index:
@@ -67,10 +67,12 @@ class LlcInstance:
             if not inside:
                 raise InputError(f"constraint {x}->{y} leaves the target domain")
             cmap[(x, y)] = psi
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "constraints", cmap)
-        object.__setattr__(self, "has_empty_domain", any(not domains[x] for x in domains))
+        _set_llc(self, layers, domains, cmap)
+
+    @classmethod
+    def _of(cls, layers: tuple, domains: dict, constraints: dict) -> "LlcInstance":
+        """An instance from parts already checked, as the subset reduction has them."""
+        return _set_llc(object.__new__(cls), layers, domains, constraints)
 
     def to_payload(self) -> dict:
         return {
@@ -109,6 +111,13 @@ class LlcInstance:
         return inst
 
 
+def _set_llc(inst: LlcInstance, layers: tuple, domains: dict, constraints: dict):
+    for name, value in zip(("layers", "domains", "constraints"), (layers, domains, constraints)):
+        object.__setattr__(inst, name, value)
+    object.__setattr__(inst, "has_empty_domain", not all(domains.values()))
+    return inst
+
+
 @dataclass(frozen=True)
 class DAssignment:
     """Maps each variable to a nonempty subset of its domain of size <= d."""
@@ -116,9 +125,8 @@ class DAssignment:
     choices: tuple
 
     def __init__(self, choices: Mapping[str, Sequence[str]]):
-        normalized = tuple(
-            (x, tuple(sorted(set(vals)))) for x, vals in sorted(dict(choices).items())
-        )
+        choices = sorted(dict(choices).items())
+        normalized = tuple((x, tuple(sorted(set(vals)))) for x, vals in choices)
         for x, vals in normalized:
             if not vals:
                 raise InputError(f"choice set for {x!r} is empty")
@@ -145,12 +153,18 @@ class DAssignment:
 
 
 def enumerate_chains(inst: LlcInstance) -> tuple:
-    """All cross-layer tuples with every pairwise constraint present, in
-    lexicographic layer order."""
+    """All cross-layer tuples with every pairwise constraint present, in layer
+    order, each grown through its last member's successors in the next layer."""
+    at = {x: (i, n) for i, layer in enumerate(inst.layers) for n, x in enumerate(layer)}
+    successors = {x: [] for x in at}
+    for x, y in sorted(inst.constraints, key=lambda pair: at[pair[1]]):
+        if at[y][0] == at[x][0] + 1:
+            successors[x].append(y)
     chains = [()]
     for layer in inst.layers:
         chains = [
-            c + (x,) for c in chains for x in layer if all((p, x) in inst.constraints for p in c)
+            c + (y,) for c in chains for y in (successors[c[-1]] if c else layer)
+            if all((p, y) in inst.constraints for p in c[:-1])
         ]
     return tuple(chains)
 
@@ -158,44 +172,30 @@ def enumerate_chains(inst: LlcInstance) -> tuple:
 def weakly_satisfies(f: DAssignment, chain: Sequence[str], inst: LlcInstance) -> bool:
     """Does some constraint along the chain carry f's source set into the target?"""
     choice = f.mapping
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            psi = inst.constraints[(chain[i], chain[j])]
-            if {psi[a] for a in choice[chain[i]]} & choice[chain[j]]:
-                return True
-    return False
+    return any(
+        {inst.constraints[x, y][a] for a in choice[x]} & choice[y]
+        for x, y in itertools.combinations(chain, 2)
+    )
 
 
 def _llc_variable(layer: int, subset) -> str:
     return f"L{layer}|{','.join(subset)}"
 
 
-def _decode_partial(atom: str) -> tuple:
-    return tuple(atom.split(","))
-
-
 def reduce_mcsp_to_llc(
-    phi: Instance,
-    side: RelationalStructure,
-    k: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
+    phi: Instance, side: RelationalStructure, k: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> LlcInstance:
     """Layer i holds one variable per k_i-subset of the original variables,
     whose domain is the set of partial solutions on that subset; each nested
-    pair across layers gets the restriction map as its constraint.
-
-    The reduction is total: subsets with no partial solution produce empty
-    domains and the instance is flagged instead of rejected.
-    """
+    pair across layers gets the restriction map as its constraint.  Subsets
+    with no partial solution get empty domains, and the instance is flagged."""
     k = tuple(int(x) for x in k)
     return _llc_from_table(partial_solution_table(phi, side, k, budget=budget), k)
 
 
 def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
-    """The subset reduction of a partial-solution table.  Each subset's
-    solutions are joined into labels once, and each nested pair's constraint
-    relabels the restriction map that `build_auxiliary` uses too
-    (`core._restriction_maps`)."""
+    """The subset reduction of a partial-solution table, built trusted: each
+    nested pair's constraint relabels its `core._restriction_maps` entry."""
     labels = {u: tuple(map(tuple_label, sols)) for u, sols in table.items()}
     maps = _restriction_maps(table, k)
     layers = [[u for u in table if len(u) == size] for size in k]
@@ -207,13 +207,12 @@ def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
             for w in itertools.combinations(u, k[j]):
                 relabel = map(labels[w].__getitem__, maps[u, w])
                 constraints[names[i][u], names[j][w]] = dict(zip(labels[u], relabel))
-    return LlcInstance([list(layer.values()) for layer in names], domains, constraints)
+    return LlcInstance._of(tuple(tuple(layer.values()) for layer in names), domains, constraints)
 
 
 @dataclass(frozen=True)
 class LayeredValueResult:
-    """Exact combinatorial layered value up to a cap; value is None when every
-    width up to the cap fails."""
+    """Exact combinatorial layered value up to a cap, None when every width fails."""
 
     value: Optional[int]
     witness: Optional[DAssignment]
@@ -227,33 +226,52 @@ def combinatorial_layered_value(
 ) -> LayeredValueResult:
     """Smallest d <= max_d admitting a d-assignment that weakly satisfies every
     chain, found by exhaustive backtracking."""
+    if max_d < 1:
+        raise InputError(f"max_d={max_d}: expected a width of at least 1")
     if inst.has_empty_domain:
         return LayeredValueResult(None, None)
+    domains = inst.domains  # in layer order
+    item = dict(zip(domains, itertools.count()))
+    maps = {}
+    for (x, y), psi in inst.constraints.items():
+        at = dict(zip(domains[y], itertools.count()))
+        maps[item[x], item[y]] = [at[psi[a]] for a in domains[x]]
+    chains = [tuple(map(item.__getitem__, chain)) for chain in enumerate_chains(inst)]
     for d in range(1, max_d + 1):
-        chosen = _chain_search(inst, d, budget)
-        if chosen is not None:
-            return LayeredValueResult(d, DAssignment(chosen))
+        picked = _chain_search(list(map(len, domains.values())), maps, chains, d, budget)
+        if picked is not None:
+            bits = zip(domains.items(), picked)
+            choices = {x: [a for n, a in enumerate(dom) if opt >> n & 1] for (x, dom), opt in bits}
+            return LayeredValueResult(d, DAssignment(choices))
     return LayeredValueResult(None, None)
 
 
 def csp_value_oracle(
-    phi: Instance,
-    side: RelationalStructure,
-    k: Sequence[int],
-    d: int,
-    budget: int = DEFAULT_BUDGET,
+    phi: Instance, side: RelationalStructure, k: Sequence[int], d: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Exact decision: does a consistent sequence with arities `k`, entries
     drawn from partial solutions of phi, and entry sizes at most d exist?
 
     Such a sequence is a d-assignment of the subset reduction that weakly
-    satisfies every chain, so this is one chain search at width d.  A subset
-    with no partial solution is an exact no before any search, as in
-    `combinatorial_layered_value`.
-    """
+    satisfies every chain: one chain search at width d, with no label cover
+    built.  Its items are the table's (layer, subset) pairs, its maps the
+    restriction maps, its chains the nested subsets.  A subset with no
+    partial solution is an exact no before any search."""
+    if d < 1:
+        raise InputError(f"d={d}: expected a width of at least 1")
     k = tuple(int(x) for x in k)
     table = partial_solution_table(phi, side, k, budget=budget)
-    return all(table.values()) and _chain_search(_llc_from_table(table, k), d, budget) is not None
+    if not all(table.values()):
+        return False
+    keys = [(i, u) for i, size in enumerate(k) for u in table if len(u) == size]
+    item, rmaps = dict(zip(keys, itertools.count())), _restriction_maps(table, k)
+    chains = [(u,) for u in table if len(u) == k[0]]
+    for size in k[1:]:
+        chains = [c + (w,) for c in chains for w in itertools.combinations(c[-1], size)]
+    chains = [tuple(map(item.__getitem__, enumerate(c))) for c in chains]
+    pairs = (pair for c in chains for pair in itertools.combinations(c, 2))
+    maps = {(a, b): rmaps[keys[a][1], keys[b][1]] for a, b in pairs}
+    return _chain_search([len(table[u]) for _, u in keys], maps, chains, d, budget) is not None
 
 
 def _width_options(size: int, d: int, budget: int) -> list:
@@ -264,45 +282,28 @@ def _width_options(size: int, d: int, budget: int) -> list:
         raise ResourceError(
             f"chain search at d={d} has a slot with over {budget} candidate entries"
         )
-    return [
-        sum(1 << a for a in combo)
-        for n in widths
-        for combo in itertools.combinations(range(size), n)
-    ]
+    combos = (combo for n in widths for combo in itertools.combinations(range(size), n))
+    return [sum(1 << a for a in combo) for combo in combos]
 
 
-def _chain_search(inst: LlcInstance, d: int, budget: int) -> Optional[dict]:
-    """A d-assignment weakly satisfying every chain, or None.
-
-    `core.backtrack` sets the variables, those with fewer options first among
-    ties, tries each variable's options in order, and judges a chain as soon
-    as its last variable is set.  Options are bitmasks over domain indices;
-    per constraint, each source option maps to the bitmask of its image.
-    """
-    names = list(inst.domains)  # in layer order
-    item = {x: i for i, x in enumerate(names)}
-    widths = {n: _width_options(n, d, budget) for n in set(map(len, inst.domains.values()))}
-    options = [widths[len(inst.domains[x])] for x in names]  # shared by equal sizes
+def _chain_search(sizes: list, maps: dict, chains: list, d: int, budget: int) -> Optional[tuple]:
+    """Per item, the option of a d-assignment weakly satisfying every chain,
+    or None.  Item i has `sizes[i]` labels, `maps[i, j]` sends label indices
+    on i to those on j, and a chain is a tuple of items.  `core.backtrack`
+    sets the items, fewer options first among ties, and judges a chain once
+    its last item is set.  Options are bitmasks over label indices; an
+    option's image is its image without its lowest label plus that label's."""
+    widths = {n: _width_options(n, d, budget) for n in set(sizes)}
+    options = [widths[n] for n in sizes]  # shared by equal sizes
     images = {}
-    for (x, y), psi in inst.constraints.items():
-        bit = {b: 1 << i for i, b in enumerate(inst.domains[y])}
-        to = [bit[psi[a]] for a in inst.domains[x]]
-        images[x, y] = {
-            opt: sum({t for a, t in enumerate(to) if opt >> a & 1}) for opt in options[item[x]]
-        }
-    checks = [
-        (tuple(map(item.__getitem__, chain)), _weakly(chain, images))
-        for chain in enumerate_chains(inst)
-    ]
-    picked = next(
-        backtrack(options, checks, budget, "chain search", lambda i: -len(options[i])), None
-    )
-    if picked is None:
-        return None
-    return {
-        x: {a for i, a in enumerate(inst.domains[x]) if opt >> i & 1}
-        for x, opt in zip(names, picked)
-    }
+    for (i, j), to in maps.items():
+        image = images[i, j] = {0: 0}
+        for opt in options[i]:
+            low = opt & -opt
+            image[opt] = image[opt ^ low] | 1 << to[low.bit_length() - 1]
+    checks = [(chain, _weakly(chain, images)) for chain in chains]
+    picks = backtrack(options, checks, budget, "chain search", lambda i: -len(options[i]))
+    return next(picks, None)
 
 
 def _weakly(chain: tuple, images: Mapping):
@@ -310,6 +311,9 @@ def _weakly(chain: tuple, images: Mapping):
     constraint along it carry its source option's image into its target's?"""
     steps = itertools.combinations(enumerate(chain), 2)
     pairs = [(i, images[a, b], j) for (i, a), (j, b) in steps]
+    if len(pairs) == 1:  # the chains of two layers: no loop
+        (i, image, j), = pairs
+        return lambda picks: image[picks[i]] & picks[j]
 
     def test(picks) -> bool:
         for i, image, j in pairs:
@@ -324,13 +328,9 @@ def d_assignment_to_pas(
     f: DAssignment, phi: Instance, side: RelationalStructure, k: Sequence[int]
 ) -> PasSequence:
     """Read a weakly satisfying d-assignment of the reduced instance back as a
-    sequence of partial assignment systems over the original variables.
-
-    Every decoded entry must be a partial solution of phi on its subset, so
-    the choices lie in the reduced instance's domains; the assignment must
-    weakly satisfy all of its chains, which is exactly the consistency of the
-    decoded sequence.
-    """
+    sequence of partial assignment systems over the original variables.  Every
+    decoded entry must be a partial solution of phi on its subset, and the
+    sequence must be consistent, which is weak satisfaction of every chain."""
     k = tuple(int(x) for x in k)
     mapping = f.mapping
     systems = []
@@ -341,7 +341,7 @@ def d_assignment_to_pas(
             name = _llc_variable(i, u)
             if name not in mapping:
                 raise InputError(f"assignment is missing variable {name!r}")
-            entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
+            entries[u] = frozenset(tuple(atom.split(",")) for atom in mapping[name])
             checks = _subset_checks(phi, side, at)
             for g in entries[u]:
                 if len(g) < size:

@@ -13,14 +13,22 @@ same first failing chain from pcspkit.check_consistent.
 its counts up to date, unchanged: it scores every unplaced variable from its
 chains at every step.  Tests require the same order and the same judged
 chains from pcspkit.core.completion_order over the chains, as the chain
-search calls it."""
+search calls it.
+
+`enumerate_chains` and `chain_search` are the chain enumeration and the chain
+search as they were before the search ran on integers, unchanged: the one
+tests every variable of the next layer against every chain, and the other
+reads a label cover's names and labels and sums each option's image from its
+atoms.  `layered_value` runs that search at widths 1 to max_d, as the layered
+value did.  Tests require the same chains, the same value and witness, and
+the same budget refusal from pcspkit."""
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from pcspkit.core import DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions
+from pcspkit.core import DEFAULT_BUDGET, Instance, RelationalStructure, all_solutions, backtrack
 from pcspkit.errors import InputError, ResourceError
-from pcspkit.labelcover import LlcInstance, enumerate_chains
+from pcspkit.labelcover import DAssignment, LayeredValueResult, LlcInstance, _width_options
 from pcspkit.pas import ConsistencyResult, PasSequence, _proj
 
 
@@ -182,3 +190,75 @@ def _chain_order(inst: LlcInstance, sizes: Mapping) -> tuple:
         order.append(names[n])
         judged_at.append([c for c in member_of[names[n]] if placed[c] == len(c)])
     return order, judged_at
+
+
+def enumerate_chains(inst: LlcInstance) -> tuple:
+    """All cross-layer tuples with every pairwise constraint present, in
+    lexicographic layer order."""
+    chains = [()]
+    for layer in inst.layers:
+        chains = [
+            c + (x,) for c in chains for x in layer if all((p, x) in inst.constraints for p in c)
+        ]
+    return tuple(chains)
+
+
+def layered_value(inst: LlcInstance, max_d: int, budget: int = DEFAULT_BUDGET):
+    """Smallest d <= max_d admitting a d-assignment that weakly satisfies every
+    chain, found by exhaustive backtracking."""
+    if inst.has_empty_domain:
+        return LayeredValueResult(None, None)
+    for d in range(1, max_d + 1):
+        chosen = chain_search(inst, d, budget)
+        if chosen is not None:
+            return LayeredValueResult(d, DAssignment(chosen))
+    return LayeredValueResult(None, None)
+
+
+def chain_search(inst: LlcInstance, d: int, budget: int) -> Optional[dict]:
+    """A d-assignment weakly satisfying every chain, or None.
+
+    `core.backtrack` sets the variables, those with fewer options first among
+    ties, tries each variable's options in order, and judges a chain as soon
+    as its last variable is set.  Options are bitmasks over domain indices;
+    per constraint, each source option maps to the bitmask of its image.
+    """
+    names = list(inst.domains)  # in layer order
+    item = {x: i for i, x in enumerate(names)}
+    widths = {n: _width_options(n, d, budget) for n in set(map(len, inst.domains.values()))}
+    options = [widths[len(inst.domains[x])] for x in names]  # shared by equal sizes
+    images = {}
+    for (x, y), psi in inst.constraints.items():
+        bit = {b: 1 << i for i, b in enumerate(inst.domains[y])}
+        to = [bit[psi[a]] for a in inst.domains[x]]
+        images[x, y] = {
+            opt: sum({t for a, t in enumerate(to) if opt >> a & 1}) for opt in options[item[x]]
+        }
+    checks = [
+        (tuple(map(item.__getitem__, chain)), _weakly(chain, images))
+        for chain in enumerate_chains(inst)
+    ]
+    picked = next(
+        backtrack(options, checks, budget, "chain search", lambda i: -len(options[i])), None
+    )
+    if picked is None:
+        return None
+    return {
+        x: {a for i, a in enumerate(inst.domains[x]) if opt >> i & 1}
+        for x, opt in zip(names, picked)
+    }
+
+
+def _weakly(chain: tuple, images: Mapping):
+    """The test of a chain on the options picked along it: does some
+    constraint along it carry its source option's image into its target's?"""
+    steps = itertools.combinations(enumerate(chain), 2)
+    pairs = [(i, images[a, b], j) for (i, a), (j, b) in steps]
+
+    def test(picks) -> bool:
+        for i, image, j in pairs:
+            if image[picks[i]] & picks[j]:
+                return True
+        return False
+
+    return test

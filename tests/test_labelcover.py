@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pcspkit as pk
-from pcspkit import jsonio
+from pcspkit import jsonio, labelcover
 from pcspkit.errors import InputError, ResourceError, StructuralError
 
 from pcspkit.core import DEFAULT_BUDGET, completion_order, partial_solution_table
@@ -313,6 +313,9 @@ def _five_vertex_graph(edges):
 # The reference needs about 155,000 nodes here, so it too finishes.
 C5_AT_K32 = (cycle_instance(5), pk.complete_graph(2), (3, 2), 1, 200_000)
 
+# Three layers give chains with more than one pair to judge.
+CHAIN_ARITIES = ((2, 1), (3, 2), (3, 3), (3, 2, 1))
+
 
 class TestChainSearch:
     # Two disjoint edges plus an isolated vertex (a yes-instance) and C5 (a
@@ -328,9 +331,8 @@ class TestChainSearch:
         result = pk.combinatorial_layered_value(inst, 1, budget=1000)
         assert bool(result) is expected
 
-    # Three layers give chains with more than one pair to judge.
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
+    @given(case=oracle_cases(arities=CHAIN_ARITIES))
     @example(case=C5_AT_K32)
     def test_every_witness_weakly_satisfies_every_chain(self, case):
         phi, side, k, d, budget = case
@@ -368,6 +370,36 @@ class TestChainSearch:
         with pytest.raises(ResourceError, match=f"^chain search visited over {nodes - 1} nodes$"):
             pk.csp_value_oracle(phi, side, k, d, budget=nodes - 1)
 
+    # The layered value runs the oracle's search: the same nodes at each
+    # width, the widths below d searched to the end within the budget first.
+    @pytest.mark.parametrize("d, nodes, value", [(1, 38, None), (2, 49, 2)])
+    def test_the_layered_value_takes_the_oracles_nodes(self, d, nodes, value):
+        phi, side, k, _, _ = C5_AT_K32
+        inst = pk.reduce_mcsp_to_llc(phi, side, k)
+        assert pk.combinatorial_layered_value(inst, d, budget=nodes).value == value
+        with pytest.raises(ResourceError, match=f"^chain search visited over {nodes - 1} nodes$"):
+            pk.combinatorial_layered_value(inst, d, budget=nodes - 1)
+
+    def test_the_oracle_builds_no_label_cover(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the value oracle built a label cover")
+
+        monkeypatch.setattr(labelcover, "LlcInstance", refuse)
+        monkeypatch.setattr(labelcover, "tuple_label", refuse)
+        phi, side, k, _, _ = C5_AT_K32
+        assert [pk.csp_value_oracle(phi, side, k, d) for d in (1, 2)] == [False, True]
+        assert pk.csp_value_oracle(path_instance(6), side, (3, 2, 1), 1) is True
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_a_width_below_one_is_refused(self, k2, d):
+        # even where an empty domain would answer no without a search
+        for phi in (cycle_instance(5), triangle_instance()):
+            with pytest.raises(InputError, match=f"^d={d}: expected a width of at least 1$"):
+                pk.csp_value_oracle(phi, k2, (3, 2), d)
+            inst = pk.reduce_mcsp_to_llc(phi, k2, (3, 2))
+            with pytest.raises(InputError, match=f"^max_d={d}: expected a width of at least 1$"):
+                pk.combinatorial_layered_value(inst, d)
+
     # 22 atoms at d=11 have 2,449,867 candidate entries; they are counted,
     # not built, before the refusal.
     def test_a_slot_is_priced_before_its_entries_are_built(self, monkeypatch):
@@ -383,7 +415,7 @@ class TestChainSearch:
     # `completion_order` over the chains, with fewer options first among ties,
     # is the order the chain search hands to `core.backtrack`.
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(case=oracle_cases(arities=((2, 1), (3, 2), (3, 3), (3, 2, 1))))
+    @given(case=oracle_cases(arities=CHAIN_ARITIES))
     @example(case=C5_AT_K32)
     def test_order_is_the_rescored_order(self, case):
         phi, side, k, d, _ = case
@@ -395,6 +427,73 @@ class TestChainSearch:
         order, judged_at = completion_order(names, chains, lambda x: -sizes[x])
         judged = [[chains[c] for c in completed] for completed in judged_at]
         assert (order, judged) == oracle_module._chain_order(inst, sizes)
+
+
+def _outcome(decide, *args, **kwargs):
+    """What a decider returns, or the message of its budget refusal."""
+    try:
+        return decide(*args, **kwargs)
+    except ResourceError as exc:
+        return f"refused: {exc}"
+
+
+def _label_oracle(phi, side, k, d, budget):
+    """The value oracle as it was: the label search on the subset reduction."""
+    inst = pk.reduce_mcsp_to_llc(phi, side, k, budget=budget)
+    return not inst.has_empty_domain and oracle_module.chain_search(inst, d, budget) is not None
+
+
+@st.composite
+def pruned_llc_cases(draw):
+    """The subset reduction of an oracle case with some of its constraints
+    dropped, so that some nested pairs have none, a width and a budget."""
+    phi, side, k, d, budget = draw(oracle_cases(arities=CHAIN_ARITIES))
+    inst = pk.reduce_mcsp_to_llc(phi, side, k)
+    pairs = list(inst.constraints)
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    constraints = {pair: inst.constraints[pair] for pair, keep in zip(pairs, kept) if keep}
+    return pk.LlcInstance(inst.layers, inst.domains, constraints), d, budget
+
+
+class TestChainSearchAgainstReference:
+    # The integer search must find what the label search found: the same
+    # chains, the same value and witness, and the same budget refusal, at
+    # d = 1 and 2 and with one to three layers.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=oracle_cases(arities=CHAIN_ARITIES))
+    @example(case=C5_AT_K32)
+    @example(case=(*C5_AT_K32[:3], 1, 37))
+    def test_both_deciders_match_the_label_search(self, case):
+        phi, side, k, d, budget = case
+        inst = pk.reduce_mcsp_to_llc(phi, side, k)
+        assert pk.enumerate_chains(inst) == oracle_module.enumerate_chains(inst)
+        assert _outcome(pk.combinatorial_layered_value, inst, d, budget=budget) == _outcome(
+            oracle_module.layered_value, inst, d, budget=budget
+        )
+        assert _outcome(pk.csp_value_oracle, *case) == _outcome(_label_oracle, *case)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=pruned_llc_cases())
+    def test_instances_missing_nested_pairs(self, case):
+        inst, d, budget = case
+        assert pk.enumerate_chains(inst) == oracle_module.enumerate_chains(inst)
+        assert _outcome(pk.combinatorial_layered_value, inst, d, budget=budget) == _outcome(
+            oracle_module.layered_value, inst, d, budget=budget
+        )
+
+    def test_chains_skip_a_member_without_every_constraint(self):
+        # b0 follows a0, and c0 follows b0 but not a0
+        inst = pk.LlcInstance(
+            layers=[("a0", "a1"), ("b0", "b1"), ("c0", "c1")],
+            domains={x: ("0",) for x in ("a0", "a1", "b0", "b1", "c0", "c1")},
+            constraints={
+                pair: {"0": "0"}
+                for pair in [("a0", "b0"), ("a0", "c1"), ("b0", "c0"), ("b0", "c1"),
+                             ("a1", "b1"), ("b1", "c0"), ("a1", "c0")]
+            },
+        )
+        expected = (("a0", "b0", "c1"), ("a1", "b1", "c0"))
+        assert pk.enumerate_chains(inst) == oracle_module.enumerate_chains(inst) == expected
 
 
 @st.composite
