@@ -42,15 +42,17 @@ class LlcInstance:
 
     def __init__(self, layers, domains, constraints):
         layers = tuple(tuple(layer) for layer in layers)
-        names = [x for layer in layers for x in layer]
-        index = {x: i for i, layer in enumerate(layers) for x in layer}
-        if len(index) < len(names):
-            twice = next(x for n, x in enumerate(names) if x in names[:n])
-            raise InputError(f"variable {twice!r} appears in two layers")
-        missing = [x for x in names if x not in domains]
+        seen = set()
+        for layer in layers:
+            for x in layer:
+                if x in seen:
+                    raise InputError(f"variable {x!r} appears in two layers")
+                seen.add(x)
+        missing = [x for layer in layers for x in layer if x not in domains]
         if missing:
             raise InputError(f"variable {missing[0]!r} has no domain")
-        domains = {x: tuple(domains[x]) for x in names}
+        domains = {x: tuple(domains[x]) for layer in layers for x in layer}
+        index = {x: i for i, layer in enumerate(layers) for x in layer}
         cmap = {}
         for (x, y), psi in dict(constraints).items():
             if x not in index or y not in index:
@@ -112,8 +114,9 @@ class LlcInstance:
 
 
 def _set_llc(inst: LlcInstance, layers: tuple, domains: dict, constraints: dict):
-    for name, value in zip(("layers", "domains", "constraints"), (layers, domains, constraints)):
-        object.__setattr__(inst, name, value)
+    object.__setattr__(inst, "layers", layers)
+    object.__setattr__(inst, "domains", domains)
+    object.__setattr__(inst, "constraints", constraints)
     object.__setattr__(inst, "has_empty_domain", not all(domains.values()))
     return inst
 
@@ -125,8 +128,9 @@ class DAssignment:
     choices: tuple
 
     def __init__(self, choices: Mapping[str, Sequence[str]]):
-        choices = sorted(dict(choices).items())
-        normalized = tuple((x, tuple(sorted(set(vals)))) for x, vals in choices)
+        normalized = tuple(
+            (x, tuple(sorted(set(vals)))) for x, vals in sorted(dict(choices).items())
+        )
         for x, vals in normalized:
             if not vals:
                 raise InputError(f"choice set for {x!r} is empty")
@@ -172,30 +176,39 @@ def enumerate_chains(inst: LlcInstance) -> tuple:
 def weakly_satisfies(f: DAssignment, chain: Sequence[str], inst: LlcInstance) -> bool:
     """Does some constraint along the chain carry f's source set into the target?"""
     choice = f.mapping
-    return any(
-        {inst.constraints[x, y][a] for a in choice[x]} & choice[y]
-        for x, y in itertools.combinations(chain, 2)
-    )
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            psi = inst.constraints[(chain[i], chain[j])]
+            if {psi[a] for a in choice[chain[i]]} & choice[chain[j]]:
+                return True
+    return False
 
 
 def _llc_variable(layer: int, subset) -> str:
     return f"L{layer}|{','.join(subset)}"
 
 
+def _decode_partial(atom: str) -> tuple:
+    return tuple(atom.split(","))
+
+
 def reduce_mcsp_to_llc(
-    phi: Instance, side: RelationalStructure, k: Sequence[int], budget: int = DEFAULT_BUDGET
+    phi: Instance,
+    side: RelationalStructure,
+    k: Sequence[int],
+    budget: int = DEFAULT_BUDGET,
 ) -> LlcInstance:
     """Layer i holds one variable per k_i-subset of the original variables,
     whose domain is the set of partial solutions on that subset; each nested
-    pair across layers gets the restriction map as its constraint.  Subsets
-    with no partial solution get empty domains, and the instance is flagged."""
+    pair across layers gets the restriction map as its constraint.
+
+    The reduction is total: subsets with no partial solution produce empty
+    domains and the instance is flagged instead of rejected.  Each nested
+    pair's constraint relabels its `core._restriction_maps` entry, and the
+    instance is built trusted.
+    """
     k = tuple(int(x) for x in k)
-    return _llc_from_table(partial_solution_table(phi, side, k, budget=budget), k)
-
-
-def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
-    """The subset reduction of a partial-solution table, built trusted: each
-    nested pair's constraint relabels its `core._restriction_maps` entry."""
+    table = partial_solution_table(phi, side, k, budget=budget)
     labels = {u: tuple(map(tuple_label, sols)) for u, sols in table.items()}
     maps = _restriction_maps(table, k)
     layers = [[u for u in table if len(u) == size] for size in k]
@@ -212,7 +225,8 @@ def _llc_from_table(table: Mapping, k: tuple) -> LlcInstance:
 
 @dataclass(frozen=True)
 class LayeredValueResult:
-    """Exact combinatorial layered value up to a cap, None when every width fails."""
+    """Exact combinatorial layered value up to a cap; value is None when every
+    width up to the cap fails."""
 
     value: Optional[int]
     witness: Optional[DAssignment]
@@ -247,7 +261,11 @@ def combinatorial_layered_value(
 
 
 def csp_value_oracle(
-    phi: Instance, side: RelationalStructure, k: Sequence[int], d: int, budget: int = DEFAULT_BUDGET
+    phi: Instance,
+    side: RelationalStructure,
+    k: Sequence[int],
+    d: int,
+    budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Exact decision: does a consistent sequence with arities `k`, entries
     drawn from partial solutions of phi, and entry sizes at most d exist?
@@ -282,8 +300,11 @@ def _width_options(size: int, d: int, budget: int) -> list:
         raise ResourceError(
             f"chain search at d={d} has a slot with over {budget} candidate entries"
         )
-    combos = (combo for n in widths for combo in itertools.combinations(range(size), n))
-    return [sum(1 << a for a in combo) for combo in combos]
+    return [
+        sum(1 << a for a in combo)
+        for n in widths
+        for combo in itertools.combinations(range(size), n)
+    ]
 
 
 def _chain_search(sizes: list, maps: dict, chains: list, d: int, budget: int) -> Optional[tuple]:
@@ -311,9 +332,6 @@ def _weakly(chain: tuple, images: Mapping):
     constraint along it carry its source option's image into its target's?"""
     steps = itertools.combinations(enumerate(chain), 2)
     pairs = [(i, images[a, b], j) for (i, a), (j, b) in steps]
-    if len(pairs) == 1:  # the chains of two layers: no loop
-        (i, image, j), = pairs
-        return lambda picks: image[picks[i]] & picks[j]
 
     def test(picks) -> bool:
         for i, image, j in pairs:
@@ -328,9 +346,13 @@ def d_assignment_to_pas(
     f: DAssignment, phi: Instance, side: RelationalStructure, k: Sequence[int]
 ) -> PasSequence:
     """Read a weakly satisfying d-assignment of the reduced instance back as a
-    sequence of partial assignment systems over the original variables.  Every
-    decoded entry must be a partial solution of phi on its subset, and the
-    sequence must be consistent, which is weak satisfaction of every chain."""
+    sequence of partial assignment systems over the original variables.
+
+    Every decoded entry must be a partial solution of phi on its subset, so
+    the choices lie in the reduced instance's domains; the assignment must
+    weakly satisfy all of its chains, which is exactly the consistency of the
+    decoded sequence.
+    """
     k = tuple(int(x) for x in k)
     mapping = f.mapping
     systems = []
@@ -341,7 +363,7 @@ def d_assignment_to_pas(
             name = _llc_variable(i, u)
             if name not in mapping:
                 raise InputError(f"assignment is missing variable {name!r}")
-            entries[u] = frozenset(tuple(atom.split(",")) for atom in mapping[name])
+            entries[u] = frozenset(_decode_partial(atom) for atom in mapping[name])
             checks = _subset_checks(phi, side, at)
             for g in entries[u]:
                 if len(g) < size:
