@@ -630,7 +630,7 @@ def backtrack(options: Sequence, checks: Sequence, budget: int, what: str, tiebr
 
 
 def _reader(items: tuple):
-    """The tuple of a list's entries at `items`, one item included."""
+    """The tuple of a sequence's entries at `items`, one item included."""
     if len(items) == 1:
         return lambda values, i=items[0]: (values[i],)
     return itemgetter(*items)
@@ -717,13 +717,6 @@ def _restriction_maps(table: Mapping, k: Sequence[int]) -> dict:
             for where in itertools.combinations(range(k[i]), k[j]):
                 w = tuple(map(u.__getitem__, where))
                 if w not in index_of:
-                    keys = map(_picker(range(k[j])), table[w])
-                    index_of[w] = dict(zip(keys, itertools.count())).__getitem__
-                maps[u, w] = list(map(index_of[w], map(_picker(where), sols)))
+                    index_of[w] = dict(zip(table[w], itertools.count())).__getitem__
+                maps[u, w] = list(map(index_of[w], map(_reader(where), sols)))
     return maps
-
-
-def _picker(positions: Sequence[int]):
-    """A value tuple's entries at `positions`: a tuple, or the entry itself
-    at one position, the same for every value tuple it is applied to."""
-    return itemgetter(*positions) if positions else lambda values: ()

@@ -52,6 +52,10 @@ class LlcInstance:
         if missing:
             raise InputError(f"variable {missing[0]!r} has no domain")
         domains = {x: tuple(domains[x]) for layer in layers for x in layer}
+        for x, dom in domains.items():
+            if len(set(dom)) < len(dom):
+                label = next(a for i, a in enumerate(dom) if a in dom[:i])
+                raise InputError(f"variable {x!r} repeats the label {label!r} in its domain")
         index = {x: i for i, layer in enumerate(layers) for x in layer}
         cmap = {}
         for (x, y), psi in dict(constraints).items():

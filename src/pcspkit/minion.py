@@ -7,24 +7,25 @@ relation tuples without choosing bijections.  Tables are stored densely as
 |A|^|X| value vectors in mixed-radix order over the sorted arity labels, so
 function equality is table equality and serialization is bit-exact.
 
-Inside, a function is its table and an argument is a table index: a minor is
-an index remapping of the table, and a polymorphism check looks up, for every
-matrix of strict-relation columns, the table indices of its rows.  Enumeration
-sets a table's entries one index at a time, in `core.backtrack`, and checks
-each matrix once its rows are set.  The row indices depend only on the
-template and the arity, so they are built once per template value and arity
-and held, as int arrays, in a cache of at most 32 such entries (`_row_sets`);
-each entry holds at most _BLOCK matrices' row indices per strict relation.
+Inside, a function is its table and an argument is a table index: a minor or a
+restriction remaps the table by one cached index per map (`_minor_index`), and
+a polymorphism check looks up, for every matrix of strict-relation columns,
+the table indices of its rows.  Enumeration sets a table's entries one index
+at a time, in `core.backtrack`, and checks each matrix once its rows are set.
+The row indices depend only on the template and the arity, so they are built
+once per template value and arity and held, as int arrays, in a cache of at
+most 32 such entries (`_row_sets`); each entry holds at most _BLOCK matrices'
+row indices per strict relation.
 
-The audits share one minor graph per call.  Each map between the declared
-arities gets its table index once, functions are interned by value (arity set,
-both domains and table), and a member's minor along a map is one lookup of
-that index.  The chain audit prices its chains per arity set, then images
-every member, in slice order, and walks chains in lexicographic order with
-`core.chain_walk`, moving images along the minor graph's maps.  The identity
-table's image is t -> {t}, untested: t -> {t} meets the chain condition on any
-slice, and a decoder checks membership itself; an explicit table refuses a
-function it does not cover.
+The audits share one minor graph per call.  Functions are interned by value
+(arity set, both domains and table), and a member's minor along a map between
+the declared arities is computed once, through that map's index.  The chain
+audit prices its chains per arity set, then images every member, in slice
+order, and walks chains in lexicographic order with `core.chain_walk`, moving
+images along the minor graph's maps.  The identity table's image is t -> {t},
+untested: t -> {t} meets the chain condition on any slice, and a decoder
+checks membership itself; an explicit table refuses a function it does not
+cover.
 
 A function from outside is validated: the public `FiniteFunction`
 constructor, every `from_payload` and `reduction.read_cloud_functions` sort
@@ -179,35 +180,37 @@ def minor(
     The codomain Y defaults to the image of pi; pass `target` when the minor
     should live on a larger arity set (maps need not be surjective).
     """
-    for x in t.arity_set:
-        if x not in pi:
-            raise InputError(f"minor map is missing coordinate {x!r}")
+    try:
+        images = tuple(map(pi.__getitem__, t.arity_set))
+    except KeyError as exc:
+        raise InputError(f"minor map is missing coordinate {exc.args[0]!r}") from None
     if target is None:
         target = tuple(sorted(set(pi.values())))
     else:
         target = tuple(sorted(set(target)))
         if not set(pi.values()) <= set(target):
             raise InputError("minor map leaves the declared codomain")
-    if tuple(map(pi.__getitem__, t.arity_set)) == target:
-        # pi relabels the sorted arity set onto the sorted target in order
+    if images == target:  # an order-preserving relabelling keeps the table
         return FiniteFunction._of(target, t.in_domain, t.out_domain, t.table)
-    idx = _minor_index(len(t.in_domain), t.arity_set, pi, target)
+    idx = _minor_index(len(t.in_domain), t.arity_set, images, target)
     table = tuple(map(t.table.__getitem__, idx))
     return FiniteFunction._of(target, t.in_domain, t.out_domain, table)
 
 
-def _minor_index(base: int, arity_set: Sequence, pi: Mapping, target: Sequence) -> list:
+@lru_cache(maxsize=128)
+def _minor_index(base: int, arity_set: tuple, images: tuple, target: tuple) -> array:
     """Per table index of f on the sorted `target`, the table index of f o pi
-    on the sorted `arity_set`, where the pi-minor reads.  Digit d at coordinate
-    y adds d times the summed strides of y's preimages."""
+    on the sorted `arity_set`, along which pi takes the values `images`.  Digit
+    d at coordinate y adds d times the summed strides of y's preimages.  Built
+    once per key, in the narrowest unsigned array, which callers only read."""
     weight = dict.fromkeys(target, 0)
-    for x, stride in zip(arity_set, _strides(base, len(arity_set))):
-        weight[pi[x]] += stride
+    for y, stride in zip(images, _strides(base, len(arity_set))):
+        weight[y] += stride
     idx = [0]
     for y in target:
         steps = [d * weight[y] for d in range(base)]
         idx = [i + step for i in idx for step in steps]
-    return idx
+    return array(_index_typecode(base ** len(arity_set)), idx)
 
 
 # Matrices whose row indices a membership check holds in memory at once.
@@ -470,19 +473,18 @@ class _MinorGraph:
     table), so a function over other domains never shares an id with a
     member; members come first, so an id below `size` is a member.
     `edges[i][m]` is the id of member i's minor along `maps[x][m]`, the m-th
-    (map, target) out of its arity set x: targets in the given order, then
-    images in product order.  A map's table index is computed once per in-domain size.
+    (images, target) out of its arity set x: targets in the given order, then
+    images in product order.  A map's table index is `_minor_index`'s.
     """
 
     def __init__(self, slice_, arities: Sequence[tuple]):
-        self.functions, self._ids, self._minors, self._indices = [], {}, {}, {}
+        self.functions, self._ids, self._minors = [], {}, {}
         for x in arities:
             for t in slice_.members(x):
                 self.intern(t)
         self.size = len(self.functions)
         self.maps = {
-            x: [(dict(zip(x, images)), y) for y in arities
-                for images in itertools.product(y, repeat=len(x))]
+            x: [(images, y) for y in arities for images in itertools.product(y, repeat=len(x))]
             for x in dict.fromkeys(t.arity_set for t in self.functions)
         }
         self.edges = [
@@ -503,26 +505,24 @@ class _MinorGraph:
         """The id of f's minor along the m-th map out of its arity set."""
         if (f, m) not in self._minors:
             fn = self.functions[f]
-            pi, y = self.maps[fn.arity_set][m]
-            at = (len(fn.in_domain), fn.arity_set, m)
-            if at not in self._indices:
-                self._indices[at] = _minor_index(at[0], fn.arity_set, pi, y)
-            table = tuple(map(fn.table.__getitem__, self._indices[at]))
+            images, y = self.maps[fn.arity_set][m]
+            idx = _minor_index(len(fn.in_domain), fn.arity_set, images, y)
+            table = tuple(map(fn.table.__getitem__, idx))
             self._minors[f, m] = self._intern((y, fn.in_domain, fn.out_domain, table))
         return self._minors[f, m]
 
-    def witness(self, i: int, m: int, s: int) -> tuple:
-        t = self.functions[i]
-        return t, self.maps[t.arity_set][m][0], self.functions[s]
+    def pi(self, t: FiniteFunction, m: int) -> dict:
+        """The m-th map out of t's arity set, as a dict."""
+        return dict(zip(t.arity_set, self.maps[t.arity_set][m][0]))
 
 
 def check_minor_closure(slice_: MinionSlice) -> MinionCheck:
     """Is the slice closed under every minor map between its declared arities?"""
     graph = _MinorGraph(slice_, slice_.arity_sets)
-    for i in range(graph.size):
+    for i, t in enumerate(graph.functions[: graph.size]):
         for m, s in enumerate(graph.edges[i]):
             if s >= graph.size:
-                return MinionCheck(False, graph.witness(i, m, s))
+                return MinionCheck(False, (t, graph.pi(t, m), graph.functions[s]))
     return MinionCheck(True, None)
 
 
@@ -696,7 +696,7 @@ def check_dr_homomorphism(
     if failed is None:
         return MinionCheck(True, None)
     chain = tuple(graph.functions[i] for i in failed[0])
-    maps = tuple(graph.maps[t.arity_set][m][0] for t, m in zip(chain, failed[1]))
+    maps = tuple(graph.pi(t, m) for t, m in zip(chain, failed[1]))
     return MinionCheck(False, (chain, maps))
 
 
@@ -723,13 +723,11 @@ def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[Fi
     sub = _arity_tuple(sub_labels)
     if not set(sub) <= set(fn.arity_set):
         raise InputError("restriction labels must lie inside the arity set")
-    positions = [fn.arity_set.index(x) for x in sub]
-    seen = {}
-    for args, value in zip(fn.inputs(), fn.table):
-        key = tuple(args[p] for p in positions)
-        if seen.setdefault(key, value) != value:
-            return None
-    table = tuple(seen[args] for args in itertools.product(fn.in_domain, repeat=len(sub)))
+    index = _minor_index(len(fn.in_domain), sub, sub, fn.arity_set)  # the inclusion's
+    seen = dict(zip(index, fn.table))
+    table = tuple(map(seen.__getitem__, range(len(seen))))
+    if tuple(map(table.__getitem__, index)) != fn.table:  # fn reads outside sub
+        return None
     return FiniteFunction._of(sub, fn.in_domain, fn.out_domain, table)
 
 

@@ -194,8 +194,9 @@ class CloudLayout:
     and the top clouds come first, so every class holds a top position, its
     least.  Top positions are joined only where a lower subset lies in two
     top subsets (never when the source has k[0] variables), a lower cloud
-    reads its classes off its first top parent (`_minor_index`) when read,
-    and constraints between two lower clouds identify nothing more.
+    reads its classes off its first top parent when read, through the index
+    map the join and the decoder share (`_minor_index`), and constraints
+    between two lower clouds identify nothing more.
     """
 
     target: PcspTemplate
@@ -232,17 +233,18 @@ class CloudLayout:
     @cached_property
     def _numbering(self) -> tuple:
         """The top positions' classes and the least position of each, then per
-        lower cloud its first top parent's positions and the index map's thunk."""
+        lower cloud its first top parent's positions and its index map's key."""
         aux, base = self.aux, len(self.target.strict.domain)
         variables = aux.variables if aux is not None else ()
         tops = {var.name for var in variables[: self.top_count]}
         top = self.offsets[self.top_count]
         at = dict(zip((c.ref for c in self.clouds), map(range, self.offsets, self.offsets[1:])))
-        reads = {}  # a lower variable -> per top subset holding it, its cloud and index map
+        reads = {}  # a lower variable -> per top subset holding it, its cloud and index key
         for con in aux.constraints if variables else ():
             if con.u in tops and con.w not in tops:
-                args = aux.variable(con.u).labels(), con.cmap, aux.variable(con.w).labels()
-                reads.setdefault(con.w, []).append((at[con.u], partial(_minor_index, base, *args)))
+                x, y = aux.variable(con.u).labels(), aux.variable(con.w).labels()
+                key = base, x, tuple(map(con.cmap.__getitem__, x)), y
+                reads.setdefault(con.w, []).append((at[con.u], key))
         parent = {}  # a joined top position -> a smaller one; roots are absent
 
         def find(x: int) -> int:
@@ -250,10 +252,11 @@ class CloudLayout:
                 parent[x] = x = parent.get(parent[x], parent[x])
             return x
 
-        for (u, index), *others in reads.values():  # a lower subset in several tops joins them
-            first = index() if others else ()
+        for (u, key), *others in reads.values():  # a lower subset in several tops joins them
+            first = _minor_index(*key) if others else ()
             for v, other in others:
-                for a, b in zip(map(u.__getitem__, first), map(v.__getitem__, other())):
+                index = _minor_index(*other)
+                for a, b in zip(map(u.__getitem__, first), map(v.__getitem__, index)):
                     a, b = find(a), find(b)
                     if a != b:
                         parent[max(a, b)] = min(a, b)
@@ -276,8 +279,8 @@ class CloudLayout:
         (`read_cloud_functions`, `reps`), never by the reduction or the lift."""
         top, _, lower = self._numbering
         classes = array(top.typecode, top) if lower else top  # no lower cloud, no copy
-        for u, index in lower:
-            classes.extend(map(top[u.start : u.stop].__getitem__, index()))
+        for u, key in lower:
+            classes.extend(map(top[u.start : u.stop].__getitem__, _minor_index(*key)))
         return classes
 
     @cached_property

@@ -239,7 +239,8 @@ def merge_reps(aux: AuxiliaryInstance, target: PcspTemplate) -> dict:
         if con.u == con.w:  # two layers of one arity: the identity map identifies nothing
             continue
         u, w = offset[con.u], offset[con.w]
-        for gidx, fidx in enumerate(_minor_index(base, labels[con.u], con.cmap, labels[con.w])):
+        images = tuple(map(con.cmap.__getitem__, labels[con.u]))
+        for gidx, fidx in enumerate(_minor_index(base, labels[con.u], images, labels[con.w])):
             ru, rw = find(u + fidx), find(w + gidx)
             if ru != rw:
                 parent[max(ru, rw)] = min(ru, rw)

@@ -17,6 +17,11 @@ they call this module's `minor`.  The one change: `check_dr_homomorphism`
 images every member before its first chain, so a table must cover the whole
 slice.
 
+`restriction_to` is the former `restriction_to`, unchanged: it walks every
+input of the function with `FiniteFunction.inputs` and keys each value by
+the input's entries at the subset's positions, where the library groups the
+table by the inclusion's index map.
+
 `dictator` is the former `dictator`, unchanged: the pi-minor of the unary
 identity onto the arity set, through `pcspkit.minion.minor`, where the library
 now builds the table in blocks.  The property tests in tests/test_minion.py
@@ -100,6 +105,22 @@ def minor(
         return apply(t, {x: g[pi[x]] for x in t.arity_set})
 
     return function_from_callable(target, t.in_domain, t.out_domain, value)
+
+
+def restriction_to(fn: FiniteFunction, sub_labels: Sequence[str]) -> Optional[FiniteFunction]:
+    """The unique function on a label subset whose extension minor is fn, if fn
+    depends only on those coordinates; None otherwise."""
+    sub = minion._arity_tuple(sub_labels)
+    if not set(sub) <= set(fn.arity_set):
+        raise InputError("restriction labels must lie inside the arity set")
+    positions = [fn.arity_set.index(x) for x in sub]
+    seen = {}
+    for args, value in zip(fn.inputs(), fn.table):
+        key = tuple(args[p] for p in positions)
+        if seen.setdefault(key, value) != value:
+            return None
+    table = tuple(seen[args] for args in itertools.product(fn.in_domain, repeat=len(sub)))
+    return FiniteFunction._of(sub, fn.in_domain, fn.out_domain, table)
 
 
 def is_polymorphism(t: FiniteFunction, template: PcspTemplate) -> bool:

@@ -762,6 +762,8 @@ class TestBareArguments:
         llc["constraints"] = [same, {**same, "map": {"0": "0", "1": "1"}}]
         jsonio.write_canonical(tmp_path / "twice.json", llc)
         jsonio.write_canonical(tmp_path / "once.json", {**llc, "constraints": [same]})
+        repeated = {**llc, "domains": {"a": ["0", "0"], "b": ["1", "1"]}, "constraints": []}
+        jsonio.write_canonical(tmp_path / "repeated-label.json", repeated)
         k3 = pk.complete_graph(3)
         xi33 = pk.IdentityDrTable(pk.PcspTemplate(k3, k3), r=1)
         jsonio.write_canonical(tmp_path / "xi33.json", xi33.to_payload())
@@ -859,7 +861,7 @@ class TestBareArguments:
         )
         written = (
             "empty.json", "zeros.json", "list-value.json", "number-side.json", "twice.json",
-            "once.json",
+            "once.json", "repeated-label.json",
             "xi33.json", "t33.json", "explicit33.json", "path.json", "path-layout.json", "path-lift.json",
             "w1-layout.json", "k32-layout.json", "empty3.json", "k-negative.json", "k-none.json",
             "no-aux-layout.json", "xi-r-true.json", "xi-d7.json", "index-true.json",
@@ -935,6 +937,8 @@ class TestBareArguments:
             ),
             (["gap", "layered", "--llc", "twice.json", "--d", "1"],
              "constraints[1]: repeats the pair a->b"),
+            (["gap", "layered", "--llc", "repeated-label.json", "--d", "1"],
+             "variable 'a' repeats the label '0' in its domain"),
             (
                 ["gap", "oracle", "--instance", "edge3.json", "--template", "k2.json",
                  "--k", "3,2", "--d", "0"],
@@ -1136,7 +1140,8 @@ class TestBareArguments:
             "reduce-llc-negative-arity", "reduce-llc-no-arity", "poly-check-function",
             "gap-extract-pas", "verify-consistent-pas", "gap-extract-params",
             "verify-solution-list-value", "verify-solution-number-side",
-            "gap-layered-repeated-pair", "gap-oracle-width-0", "gap-layered-width-minus-1",
+            "gap-layered-repeated-pair", "gap-layered-repeated-label", "gap-oracle-width-0",
+            "gap-layered-width-minus-1",
             "reduce-pcsp-table-off-the-target",
             "reduce-pcsp-identity-table-off-the-source",
             "reduce-pcsp-explicit-table-off-the-target", "decode-explicit-table-off-the-target",

@@ -56,6 +56,13 @@ class TestLlcInstance:
                 constraints={("a", "b"): {"0": "0", "1": image}},
             )
 
+    def test_a_repeated_domain_label_is_refused(self):
+        # read, written back with the repeat and given layered value 1 before
+        payload = {"layers": [["a"], ["b"]], "domains": {"a": ["0", "0"], "b": ["1", "1"]},
+                   "constraints": []}
+        with pytest.raises(InputError, match="^variable 'a' repeats the label '0' in its domain$"):
+            pk.LlcInstance.from_payload(payload)
+
     def test_payload_round_trip(self):
         inst = tiny_llc()
         assert pk.LlcInstance.from_payload(inst.to_payload()) == inst

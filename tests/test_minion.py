@@ -271,23 +271,19 @@ class TestDrTables:
 
     def test_each_minor_computed_once_per_call(self, monkeypatch, t22):
         sl = pk.polymorphism_slice(t22, [("x",), ("x", "y"), ("x", "y", "z")])
-        indexed, built = collections.Counter(), []
-        real_index, real_intern = pk.minion._minor_index, pk.minion._MinorGraph._intern
-
-        def counting_index(base, arity_set, pi, target):
-            indexed[tuple(arity_set), tuple(sorted(pi.items())), tuple(target)] += 1
-            return real_index(base, arity_set, pi, target)
+        built, real_intern = [], pk.minion._MinorGraph._intern
 
         def counting_intern(graph, key, fn=None):
             if fn is None:  # a minor table just built
                 built.append(key)
             return real_intern(graph, key, fn)
 
-        monkeypatch.setattr(pk.minion, "_minor_index", counting_index)
         monkeypatch.setattr(pk.minion._MinorGraph, "_intern", counting_intern)
+        pk.minion._minor_index.cache_clear()
         assert pk.check_dr_homomorphism(pk.IdentityDrTable(t22, r=2), sl)
-        # one index per map between arities 1-3, of which there are 56
-        assert len(indexed) == 56 and max(indexed.values()) == 1
+        # one index per map between arities 1-3, of which there are 56, each built once
+        info = pk.minion._minor_index.cache_info()
+        assert info.misses == info.currsize == 56
         # the 644 (member, map) edges alone need 644 tables: none is built twice
         assert len(built) <= 644
 
@@ -619,6 +615,21 @@ class TestKernelAgainstReference:
             target = set(images) | set(data.draw(st.lists(st.sampled_from(LABELS), max_size=3)))
         assert pk.minor(t, pi, target=target) == reference_minion.minor(t, pi, target=target)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_restriction_is_the_same(self, data):
+        domain = data.draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+        t = data.draw(functions(domain, domain))
+        # a nonempty label subset, unsorted, as callers may pass it
+        n = data.draw(st.integers(1, len(t.arity_set)))
+        sub = data.draw(st.permutations(t.arity_set))[:n]
+        if data.draw(st.booleans()):  # an extension minor: it depends on sub alone
+            size = len(domain) ** len(sub)
+            table = data.draw(st.lists(st.sampled_from(domain), min_size=size, max_size=size))
+            inside = pk.FiniteFunction(sub, domain, domain, table)
+            t = reference_minion.minor(inside, {x: x for x in sub}, target=t.arity_set)
+        assert restriction_to(t, sub) == reference_minion.restriction_to(t, sub)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data())
     def test_apply_is_the_same(self, data):
@@ -712,6 +723,26 @@ class TestRowIndexCache:
         for _ in range(3):  # equal templates, built apart
             pk.is_polymorphism(fn(("x", "y"), ("0", "0", "1", "1")), pk.PcspTemplate(k2, k2))
         assert pk.minion._row_sets.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+class TestMinorIndexCache:
+    """Every minor reads one index map per (in-domain size, arity set,
+    images, target) value, built once and then looked up."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_minor_taken_twice_reads_the_cached_index(self, data):
+        domain = data.draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+        t = data.draw(functions(domain, domain))
+        images = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(t.arity_set),
+                                    max_size=len(t.arity_set)))
+        pi = dict(zip(t.arity_set, images))
+        expected = reference_minion.minor(t, pi)
+        pk.minion._minor_index.cache_clear()
+        assert pk.minor(t, pi) == pk.minor(t, pi) == expected
+        # an order-preserving relabelling keeps the table and builds no index
+        built = int(tuple(images) != expected.arity_set)
+        assert pk.minion._minor_index.cache_info()[:2] == (built, built)  # hits, misses
 
 
 class TestMinorFastPath:

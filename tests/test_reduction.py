@@ -961,6 +961,42 @@ class TestChainLengthTwo:
         assert pk.brute_force_solve(result.instance, t22.relaxed) is None
 
 
+class TestOneIndexMapPerKey:
+    """The join, the lower fill and the decoder's minors share one index map
+    per key (`minion._minor_index`): each distinct map is built once."""
+
+    def test_a_decode_of_the_nested_path_builds_each_map_once(self, monkeypatch, k2, t22):
+        keys, real = collections.Counter(), pk.minion._minor_index
+
+        def recording(*key):
+            keys[key] += 1
+            return real(*key)
+
+        for module in (pk.minion, pk.reduction):
+            monkeypatch.setattr(module, "_minor_index", recording)
+        phi = _path(5)  # three top subsets, joined through their lower ones
+        real.cache_clear()
+        _, layout = pk.longcode_reduce(pk.build_auxiliary(phi, k2, (3, 2)), t22)
+        lift = pk.lift_strict_solution(pk.brute_force_solve(phi, k2), layout)
+        loaded = pk.CloudLayout.from_payload(layout.to_payload())
+        functions = pk.read_cloud_functions(lift.mapping, loaded, k2.domain)
+        pk.decode_relaxed_solution(functions, loaded, pk.IdentityDrTable(t22, r=1), phi, t22)
+        info = real.cache_info()
+        assert info.misses == info.currsize == len(keys) == 11
+        assert sum(keys.values()) == info.hits + info.misses > 2 * len(keys)
+
+    def test_k55_at_r2_read_and_recovered_builds_three(self, t22, k55_r2):
+        (result, table), phi = k55_r2, bipartite_instance(5)
+        h = {x: "0" if x.startswith("a") else "1" for x in phi.variables}
+        lift = pk.lift_strict_solution(h, result.layout)
+        pk.minion._minor_index.cache_clear()
+        loaded = pk.CloudLayout.from_payload(result.layout.to_payload())
+        assert pk.recover_source_solution(lift.mapping, loaded, table, phi, t22).mapping == h
+        # two lower shapes of 65,536 entries and one of 4, each built once
+        info = pk.minion._minor_index.cache_info()
+        assert info.misses == info.currsize == 3
+
+
 class TestEmittedBytes:
     """The canonical bytes of emitted instances, layouts and lifts, pinned by sha256."""
 
